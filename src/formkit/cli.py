@@ -34,6 +34,7 @@ from .numerics import DEFAULT_RANK_TOL, frob, min_eig_herm
 from .regularity import canonical_majorant
 from .solvable import (
     DEFAULT_HULL_GRID,
+    MIN_HULL_GRID,
     NormGram,
     numerical_range_hull,
     represent_operator,
@@ -304,7 +305,9 @@ def _cmd_membership(instance: Instance, args) -> dict:
     report["member"] = bool(member)
     report["margin"] = None if margin == float("-inf") else float(margin)
     try:
-        eps = reg.epsilon_bound_check(instance.omega, instance.psi, args.tol_rank)
+        eps = reg.epsilon_bound_check(
+            instance.omega, instance.psi, args.tol_rank, args.grid
+        )
         report["quadratic_bound"] = {
             "holds": True,
             "epsilon": eps.epsilon,
@@ -600,6 +603,8 @@ def _run_single(path: str, args) -> tuple[str, int]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.grid < MIN_HULL_GRID:
+            raise ValidationError(f"--grid must be at least {MIN_HULL_GRID}, got {args.grid}")
         if args.batch:
             target = Path(args.instance)
             if not target.is_dir():

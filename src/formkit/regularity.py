@@ -50,7 +50,7 @@ from .numerics import (
     psd_sqrt,
     specnorm,
 )
-from .solvable import numerical_radius
+from .solvable import DEFAULT_HULL_GRID, numerical_radius_bounds
 
 MEMBERSHIP_SLACK = 1e-9
 
@@ -93,13 +93,18 @@ def epsilon_bound_check(
     omega: Form,
     psi: PositiveForm,
     rtol: float = DEFAULT_RANK_TOL,
-    grid: int = 720,
+    grid: int = DEFAULT_HULL_GRID,
 ) -> EpsilonBound:
     """Check |omega(xi, xi)| <= psi(xi, xi) and confirm class membership
     after scaling psi by 1 (symmetric) or 2 (general).
 
+    The quadratic maximum is bracketed by ``numerical_radius_bounds``; the
+    bound is accepted only when the whole bracket is within the slack, and
+    ``quadratic_norm`` reports its lower end.
+
     Raises:
-        QuadraticBoundFails: if the quadratic bound itself is violated.
+        QuadraticBoundFails: if the quadratic bound is violated, or if the
+            bracket straddles 1 (reported as inconclusive).
     """
     mat = omega.matrix
     scale = specnorm(mat)
@@ -112,14 +117,19 @@ def epsilon_bound_check(
                 "the kernel of psi carries a nonzero quadratic of omega"
             )
     emb = quotient_embedding(psi, rtol)
-    radius = numerical_radius(emb.to_quotient(mat), grid)
-    if radius > 1.0 + MEMBERSHIP_SLACK:
+    lower, upper = numerical_radius_bounds(emb.to_quotient(mat), grid)
+    if lower > 1.0 + MEMBERSHIP_SLACK:
         raise QuadraticBoundFails(
-            f"quadratic maximum {radius:.6e} over the psi-unit sphere exceeds 1"
+            f"quadratic maximum {lower:.6e} over the psi-unit sphere exceeds 1"
+        )
+    if upper > 1.0 + MEMBERSHIP_SLACK:
+        raise QuadraticBoundFails(
+            f"quadratic bound inconclusive: the maximum over the psi-unit sphere "
+            f"lies in [{lower:.6e}, {upper:.6e}], which reaches past 1"
         )
     eps = 1 if omega.is_symmetric() else 2
     member, margin = in_class_M(omega, PositiveForm(eps * psi.matrix), rtol)
-    return EpsilonBound(epsilon=eps, quadratic_norm=radius, member=member, margin=margin)
+    return EpsilonBound(epsilon=eps, quadratic_norm=lower, member=member, margin=margin)
 
 
 def is_absolutely_continuous(
@@ -447,15 +457,18 @@ def sectorial_parameters(
     if (delta is None) != (gamma is None):
         raise ValueError("supply both delta and gamma, or neither")
     if delta is not None:
-        m_vertex, m_plus, m_minus, _ = _sector_margins(omega, theta, delta, gamma)
+        m_vertex, m_plus, m_minus, scale = _sector_margins(omega, theta, delta, gamma)
         if m_vertex < -slack:
             raise NotSectorial(
-                f"real part minus {delta} * theta has eigenvalue margin {m_vertex:.3e}"
+                f"real part minus {delta} * theta has least eigenvalue "
+                f"{m_vertex * scale:.4g} (margin {m_vertex:.3e} relative to scale {scale:.4g})"
             )
         if min(m_plus, m_minus) < -slack:
+            least = min(m_plus, m_minus)
             raise NotSectorial(
                 f"imaginary part exceeds {gamma} * (real part - {delta} * theta): "
-                f"margin {min(m_plus, m_minus):.3e}"
+                f"least eigenvalue {least * scale:.4g} "
+                f"(margin {least:.3e} relative to scale {scale:.4g})"
             )
         re, _ = re_im_split(omega)
         base = hermitize(re.matrix - delta * theta.matrix)

@@ -10,6 +10,7 @@ controlled by the numerical range via its support function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -21,6 +22,7 @@ from .forms import Form, PositiveForm, identity_form
 from .numerics import DEFAULT_RANK_TOL, as_matrix, hermitize, min_eig_herm
 
 DEFAULT_HULL_GRID = 720
+MIN_HULL_GRID = 16
 
 # Hull margins closer to the boundary than this (relative to the hull scale)
 # are reported inconclusive rather than guessed.
@@ -75,16 +77,15 @@ def validate_compatible_norm(
 
 
 @dataclass(frozen=True, eq=False)
-class NumericalRangeHull:
-    """Support-function description of the numerical range.
+class SupportFunction:
+    """Support function of the numerical range sampled on a rotation grid.
 
-    ``support[k]`` is the largest eigenvalue of Re(e^(-i angle_k) M);
-    ``points[k]`` is the attaining boundary value of the quadratic form.
+    ``support[k]`` is the largest eigenvalue of Re(e^(-i angle_k) M), the
+    support value h(t) = max Re(e^(-i t) W(M)) at ``angles[k]``.
     """
 
     angles: np.ndarray
     support: np.ndarray
-    points: np.ndarray
 
     @property
     def scale(self) -> float:
@@ -98,10 +99,51 @@ class NumericalRangeHull:
     def distance(self, z: complex) -> float:
         return max(0.0, self.signed_margin(z))
 
+
+@dataclass(frozen=True, eq=False)
+class NumericalRangeHull(SupportFunction):
+    """Support samples plus ``points[k]``, the boundary value of the
+    quadratic form that attains ``support[k]``."""
+
+    points: np.ndarray
+
     def area(self) -> float:
         """Shoelace area of the polygon of boundary points."""
         x, y = self.points.real, self.points.imag
         return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2)
+
+
+def _half_stack(mat: np.ndarray, m: int):
+    """Rotated Hermitian parts at the distinct reduced angles of an m-grid.
+
+    Re(e^(-i(t + pi)) M) = -Re(e^(-i t) M), so grid angle t_k = 2 pi k / m
+    is served by the solve at pi ((2k) mod m) / m: by its top eigenpair when
+    2k < m and by its negated bottom eigenpair otherwise. An even grid needs
+    m/2 solves, an odd one m. Returns the grid angles, the stack, and per
+    grid angle its solve index, eigen-column and sign.
+    """
+    if m < MIN_HULL_GRID:
+        raise ValueError(f"hull grid must have at least {MIN_HULL_GRID} angles")
+    step = math.gcd(2, m)
+    doubled = 2 * np.arange(m)
+    flip = doubled >= m
+    reduced = np.pi * step * np.arange(m // step) / m
+    h = (mat + mat.conj().T) / 2
+    k = (mat - mat.conj().T) * -0.5j
+    stack = np.cos(reduced)[:, None, None] * h
+    stack += np.sin(reduced)[:, None, None] * k
+    angles = 2 * np.pi * np.arange(m) / m
+    column = np.where(flip, 0, mat.shape[0] - 1)
+    sign = np.where(flip, -1.0, 1.0)
+    return angles, stack, (doubled % m) // step, column, sign
+
+
+def support_function(omega: Form, m: int = DEFAULT_HULL_GRID) -> SupportFunction:
+    """Support values of the numerical range at m rotation angles, from
+    eigenvalues only."""
+    angles, stack, index, column, sign = _half_stack(omega.matrix, m)
+    values = np.linalg.eigvalsh(stack)
+    return SupportFunction(angles=angles, support=sign * values[index, column])
 
 
 def numerical_range_hull(omega: Form, m: int = DEFAULT_HULL_GRID) -> NumericalRangeHull:
@@ -111,30 +153,36 @@ def numerical_range_hull(omega: Form, m: int = DEFAULT_HULL_GRID) -> NumericalRa
     rotated Hermitian part, and the boundary point is the quadratic value at
     the corresponding eigenvector.
     """
-    if m < 16:
-        raise ValueError("hull grid must have at least 16 angles")
     mat = omega.matrix
-    n = mat.shape[0]
-    angles = 2 * np.pi * np.arange(m) / m
-    phases = np.exp(-1j * angles)
-    rotated = phases[:, None, None] * mat[None, :, :]
-    stack = (rotated + rotated.conj().transpose(0, 2, 1)) / 2
+    angles, stack, index, column, sign = _half_stack(mat, m)
     values, vectors = np.linalg.eigh(stack)
-    support = values[:, -1]
-    top = vectors[:, :, -1]
+    top = vectors[index, :, column]
     points = np.einsum("ki,ij,kj->k", top.conj(), mat, top)
-    return NumericalRangeHull(angles=angles, support=support, points=points)
+    return NumericalRangeHull(
+        angles=angles, support=sign * values[index, column], points=points
+    )
+
+
+def numerical_radius_bounds(
+    mat: np.ndarray, m: int = DEFAULT_HULL_GRID
+) -> tuple[float, float]:
+    """Interval holding the numerical radius: exact for Hermitian input,
+    otherwise [max h_k, max h_k / cos(pi/m)] from m support samples (the
+    maximizing direction lies within pi/m of a grid angle)."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape[0] == 0:
+        return 0.0, 0.0
+    if np.linalg.norm(mat - mat.conj().T) <= 1e-12 * max(np.linalg.norm(mat), 1e-300):
+        radius = float(np.max(np.abs(np.linalg.eigvalsh(hermitize(mat)))))
+        return radius, radius
+    lower = float(np.max(support_function(Form(mat), m).support))
+    return lower, lower / math.cos(math.pi / m)
 
 
 def numerical_radius(mat: np.ndarray, m: int = DEFAULT_HULL_GRID) -> float:
-    """Max modulus over the numerical range; exact for Hermitian input."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape[0] == 0:
-        return 0.0
-    if np.linalg.norm(mat - mat.conj().T) <= 1e-12 * max(np.linalg.norm(mat), 1e-300):
-        return float(np.max(np.abs(np.linalg.eigvalsh(hermitize(mat)))))
-    hull = numerical_range_hull(Form(mat), m)
-    return float(np.max(hull.support))
+    """Max modulus over the numerical range; exact for Hermitian input,
+    otherwise the sampled lower bound of ``numerical_radius_bounds``."""
+    return numerical_radius_bounds(mat, m)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +300,7 @@ def scalar_solvability(
     omega: Form,
     gram: NormGram,
     lam: complex,
-    hull: Optional[NumericalRangeHull] = None,
+    hull: Optional[SupportFunction] = None,
     m: int = DEFAULT_HULL_GRID,
     rtol: float = DEFAULT_RANK_TOL,
 ) -> ScalarSolvability:
@@ -267,7 +315,7 @@ def scalar_solvability(
     if not validate_compatible_norm(gram, identity_form(gram.dim)):
         raise IncompatibleNorm("Gram matrix does not dominate the inner product")
     if hull is None:
-        hull = numerical_range_hull(omega, m)
+        hull = support_function(omega, m)
     margin = hull.signed_margin(lam)
     band = BOUNDARY_RTOL * hull.scale
     shift = Form(-complex(lam) * np.eye(omega.dim, dtype=complex))

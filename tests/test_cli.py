@@ -130,6 +130,37 @@ class TestCommands:
         assert abs(support[0] - 1.0) <= 1e-12  # direction of the positive real axis
         assert doc["eigenvalue_inclusion_excess"] <= 1e-9
 
+    def test_grid_below_minimum_exit_code(self, tmp_path, capsys):
+        path = write(
+            tmp_path, "nr.json", {"n": 2, "omega": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        )
+        code = main(["numrange", path, "--grid", "8"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--grid must be at least 16" in captured.err
+
+    def test_membership_uses_grid(self, tmp_path, capsys):
+        # the numerical range is the disk of radius 0.99: every support value
+        # is 0.99, so the bracket [0.99, 0.99 / cos(pi/m)] reaches past 1 on
+        # 16 angles and stays below it on the default 720
+        path = write(
+            tmp_path,
+            "disk.json",
+            {
+                "n": 2,
+                "omega": [[[0, 0], [1.98, 0]], [[0, 0], [0, 0]]],
+                "psi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            },
+        )
+        bounds = {}
+        for grid in ("16", "720"):
+            main(["membership", path, "--json", "--grid", grid])
+            bounds[grid] = json.loads(capsys.readouterr().out)["quadratic_bound"]
+        assert bounds["16"]["holds"] is False
+        assert "inconclusive" in bounds["16"]["reason"]
+        assert bounds["720"]["holds"] is True
+        assert abs(bounds["720"]["quadratic_norm"] - 0.99) <= 1e-12
+
     def test_solvable_scalar(self, tmp_path, capsys):
         path = write(
             tmp_path, "sv.json", {"n": 2, "omega": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,14 @@ class TestEpsilonBound:
             fk.epsilon_bound_check(
                 fk.Form(np.eye(2)), fk.PositiveForm(np.diag([1.0, 0.0]))
             )
+
+    def test_sampled_maximum_is_not_certified(self):
+        # |omega(e1, e1)| = 1 + 1e-6, but the nearest grid angles sit pi/720
+        # away, so the sampled maximum alone reads 0.99999148
+        lam = (1 + 1e-6) * np.exp(1j * np.pi / 720)
+        with pytest.raises(fk.QuadraticBoundFails, match="inconclusive") as info:
+            fk.epsilon_bound_check(fk.Form(np.diag([lam, 0.0])), fk.identity_form(2))
+        assert "[9.999915e-01, 1.000001e+00]" in str(info.value)
 
 
 class TestAbsoluteContinuity:
@@ -244,6 +254,18 @@ class TestSectoriality:
     def test_vertex_violation(self):
         with pytest.raises(fk.NotSectorial):
             fk.sectorial_parameters(fk.Form(-np.eye(2)), fk.identity_form(2), 0.0, 1.0)
+
+    def test_vertex_violation_reports_unscaled_eigenvalue(self):
+        sizes = np.arange(1, 65)
+        omega = fk.Form(np.diag(sizes * np.exp(1j * sizes)))
+        with pytest.raises(fk.NotSectorial) as info:
+            fk.sectorial_parameters(omega, fk.identity_form(64), -46.7, 2.0**20)
+        message = str(info.value)
+        assert message.startswith("real part minus -46.7 * theta")
+        least = float(re.search(r"least eigenvalue (\S+)", message).group(1))
+        # min n cos n + 46.7 over n = 1..64
+        assert abs(least - (-10.44)) <= 1e-2
+        assert "scale 64" in message
 
     def test_slope_violation(self):
         omega = fk.Form(np.diag([1j, 1.0]))

@@ -74,6 +74,73 @@ class TestNumericalRangeHull:
             assert np.linalg.norm(resolvent, 2) <= (1 + 1e-6) / d
 
 
+class TestSupportFunction:
+    @staticmethod
+    def _reference(m, angles):
+        """Top eigenvalue of Re(e^(-i t) M), one solve per angle."""
+        out = []
+        for t in angles:
+            rotated = np.exp(-1j * t) * m
+            out.append(np.linalg.eigvalsh((rotated + rotated.conj().T) / 2)[-1])
+        return np.asarray(out)
+
+    @pytest.mark.parametrize("grid", [16, 17, 90, 721])
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_matches_per_angle_reference(self, grid, n):
+        rng = np.random.default_rng(1000 * grid + n)
+        m = complex_randn(rng, n, n)
+        support = fk.support_function(fk.Form(m), grid)
+        hull = fk.numerical_range_hull(fk.Form(m), grid)
+        angles = 2 * np.pi * np.arange(grid) / grid
+        assert np.array_equal(support.angles, angles)
+        assert np.array_equal(hull.angles, angles)
+        reference = self._reference(m, angles)
+        scale = max(1.0, float(np.max(np.abs(reference))))
+        assert np.max(np.abs(support.support - reference)) <= 1e-12 * scale
+        assert np.max(np.abs(hull.support - reference)) <= 1e-12 * scale
+        # eigenvectors are not unique, so each point is checked to attain
+        # its support value rather than compared with a reference point
+        reach = np.real(np.exp(-1j * angles) * hull.points)
+        assert np.max(np.abs(reach - reference)) <= 1e-10 * scale
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        shapes = []
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+        return shapes
+
+    def test_even_grid_solves_half_stack(self, monkeypatch):
+        m = complex_randn(np.random.default_rng(57), 5, 5)
+        values = self._record(monkeypatch, "eigvalsh")
+        vectors = self._record(monkeypatch, "eigh")
+        fk.support_function(fk.Form(m), 90)
+        fk.numerical_range_hull(fk.Form(m), 90)
+        assert values == [(45, 5, 5)]
+        assert vectors == [(45, 5, 5)]
+        fk.support_function(fk.Form(m), 17)
+        assert values[-1] == (17, 5, 5)
+
+    def test_support_only_callers_skip_eigenvectors(self, monkeypatch):
+        m = complex_randn(np.random.default_rng(58), 4, 4)
+        gram = fk.NormGram(np.eye(4) + random_psd(np.random.default_rng(59), 4))
+        values = self._record(monkeypatch, "eigvalsh")
+        vectors = self._record(monkeypatch, "eigh")
+        fk.numerical_radius(m)
+        assert vectors == []
+        result = fk.scalar_solvability(fk.Form(m), gram, 10.0)
+        assert result.status == "outside"
+        # the hull stacks went to eigvalsh; the only eigh calls left are the
+        # single-matrix decompositions of the norm-compatibility check
+        assert values.count((360, 4, 4)) == 2
+        assert all(len(shape) == 2 for shape in vectors)
+
+
 def _on_segment(point, ends):
     direction = ends[1] - ends[0]
     t = np.real((point - ends[0]) / direction)
