@@ -516,7 +516,7 @@ def _cmd_lab(instance: Instance, args, doc_family: Optional[dict]) -> dict:
     if doc_family is None:
         raise ValidationError("the lab command needs an instance file with a family block")
     sizes = [int(x) for x in args.sizes.split(",")] if args.sizes else [8, 16, 32, 64]
-    rows = convergence_report(doc_family["name"], doc_family, sizes)
+    rows = convergence_report(doc_family["name"], doc_family, sizes, rtol=args.tol_rank)
     report["rows"] = [
         {**row, "probe": [row["probe"].real, row["probe"].imag]} for row in rows
     ]

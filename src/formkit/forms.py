@@ -174,7 +174,13 @@ def quotient_embedding(
     psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL
 ) -> QuotientEmbedding:
     """Build the embedding J = D^(1/2) V^H from the positive eigenpairs."""
-    values, vectors = psi.eig.values, psi.eig.vectors
+    return eigen_embedding(psi.eig, rtol)
+
+
+def eigen_embedding(eig: HermEig, rtol: float = DEFAULT_RANK_TOL) -> QuotientEmbedding:
+    """The embedding of ``quotient_embedding`` from a given eigendecomposition,
+    keeping the eigenvalues above ``rtol`` times the largest one."""
+    values, vectors = eig.values, eig.vectors
     top = max(float(values[-1]), 0.0) if values.size else 0.0
     keep = values > rtol * top
     d = values[keep]

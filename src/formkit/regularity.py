@@ -36,12 +36,14 @@ from .forms import (
     Form,
     PositiveForm,
     QuotientEmbedding,
+    eigen_embedding,
     kernel,
     quotient_embedding,
     re_im_split,
 )
 from .numerics import (
     DEFAULT_RANK_TOL,
+    HermEig,
     as_matrix,
     frob,
     hermitize,
@@ -53,6 +55,9 @@ from .numerics import (
 from .solvable import DEFAULT_HULL_GRID, numerical_radius_bounds
 
 MEMBERSHIP_SLACK = 1e-9
+
+# Largest half-slope the sector search accepts at a vertex.
+SECTOR_SLOPE_CAP = 2.0**20
 
 
 def in_class_M(
@@ -433,6 +438,29 @@ def _sector_margins(
     return m_vertex, m_plus, m_minus, scale
 
 
+def _least_slope(
+    im: np.ndarray, base: np.ndarray, scale: float, rtol: float, slack: float
+) -> Optional[float]:
+    """Least gamma with gamma * base - im and gamma * base + im both PSD.
+
+    None when base fails the vertex test or im does not vanish on the kernel
+    of base (same rank cut as ``quotient_embedding``). Otherwise the condition
+    reads |C| <= gamma for the compression C of im to the base-quotient, so
+    the least slope is the spectral radius of C.
+    """
+    eig = HermEig(*np.linalg.eigh(base))
+    if eig.values.size and eig.values[0] < -slack * scale:
+        return None
+    emb = eigen_embedding(eig, rtol)
+    # eigenvalues ascend, so the rank cut keeps the last emb.rank columns
+    null = eig.vectors[:, : emb.dim - emb.rank]
+    if null.shape[1] and specnorm(im @ null) > rtol * scale:
+        return None
+    if emb.rank == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvalsh(emb.to_quotient(im)))))
+
+
 def sectorial_parameters(
     omega: Form,
     theta: PositiveForm,
@@ -445,13 +473,15 @@ def sectorial_parameters(
 
     Explicit (delta, gamma) are checked as two matrix inequalities: the
     shifted real part must be PSD and must gamma-dominate both signs of the
-    imaginary part. When neither is supplied, a fixed grid is scanned
-    (vertices descending from the largest admissible one, slopes in
-    ascending powers of two); grid refusal means no grid point certifies,
-    not a proof of non-sectoriality.
+    imaginary part. When neither is supplied, 32 vertices are scanned in
+    descending order from the largest admissible one; the first whose least
+    half-slope (the spectral radius of the imaginary part compressed to the
+    quotient of the shifted real part) is at most ``SECTOR_SLOPE_CAP`` is
+    verified with that slope. Search refusal means no scanned vertex admits
+    such a slope, not a proof of non-sectoriality.
 
     Raises:
-        NotSectorial: naming the violated inequality, or reporting grid
+        NotSectorial: naming the violated inequality, or reporting search
             refusal.
     """
     if (delta is None) != (gamma is None):
@@ -486,7 +516,8 @@ def sectorial_parameters(
             majorant_margin=float(member_margin),
         )
 
-    re, _ = re_im_split(omega)
+    re, im = re_im_split(omega)
+    scale = max(1.0, specnorm(omega.matrix), specnorm(theta.matrix))
     re_min = min_eig_herm(re.matrix)
     emb = quotient_embedding(theta, rtol)
     if emb.rank:
@@ -495,13 +526,12 @@ def sectorial_parameters(
     else:
         delta_sup = re_min
     for d in np.linspace(re_min - 1.0, delta_sup, 32)[::-1]:
-        for k in range(21):
-            g = float(2.0**k)
-            m_vertex, m_plus, m_minus, _ = _sector_margins(omega, theta, float(d), g)
-            if min(m_vertex, m_plus, m_minus) >= -slack:
-                return sectorial_parameters(omega, theta, float(d), g, rtol, slack)
+        base = re.matrix - d * theta.matrix
+        g = _least_slope(im.matrix, base, scale, rtol, slack)
+        if g is not None and g <= SECTOR_SLOPE_CAP * (1.0 + slack):
+            return sectorial_parameters(omega, theta, float(d), g, rtol, slack)
     raise NotSectorial(
-        "no point of the vertex/slope grid certifies a sector; "
+        f"no scanned vertex admits a half-slope at most {SECTOR_SLOPE_CAP:.0f}; "
         "this is a search refusal, not a proof of non-sectoriality"
     )
 

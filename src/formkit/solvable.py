@@ -11,15 +11,22 @@ controlled by the numerical range via its support function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import IncompatibleNorm, NotSolvable, TheoremViolation, ValidationError
-from .forms import Form, PositiveForm, identity_form
-from .numerics import DEFAULT_RANK_TOL, as_matrix, hermitize, min_eig_herm
+from .forms import Form, PositiveForm
+from .numerics import (
+    DEFAULT_RANK_TOL,
+    HermEig,
+    as_matrix,
+    hermitize,
+    min_eig_herm,
+    specnorm,
+)
 
 DEFAULT_HULL_GRID = 720
 MIN_HULL_GRID = 16
@@ -31,22 +38,36 @@ BOUNDARY_RTOL = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class NormGram:
-    """Gram matrix of the Hilbert norm put on the domain."""
+    """Gram matrix of the Hilbert norm put on the domain.
+
+    Construction caches the eigendecomposition and, from its least
+    eigenvalue, ``dominates_inner_product``: the outcome of
+    ``validate_compatible_norm`` against the inner product at the default
+    rank tolerance, since min eig(G - I) = min eig(G) - 1.
+    """
 
     gram: np.ndarray
+    eig: HermEig = field(init=False, repr=False)
+    dominates_inner_product: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         g = as_matrix(self.gram)
         if np.linalg.norm(g - g.conj().T) > 1e-10 * max(np.linalg.norm(g), 1e-300):
             raise ValidationError("norm Gram matrix must be Hermitian")
         g = hermitize(g)
-        w = np.linalg.eigvalsh(g) if g.size else np.zeros(0)
+        if g.size:
+            w, v = np.linalg.eigh(g)
+        else:
+            w, v = np.zeros(0), np.zeros((0, 0), dtype=complex)
         if g.size and w[0] <= 0:
             raise ValidationError(
                 f"norm Gram matrix must be positive definite: min eigenvalue {w[0]:.6e}"
             )
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "eig", HermEig(w, v))
+        compatible = not g.size or w[0] - 1.0 >= -DEFAULT_RANK_TOL * max(w[-1], 1.0)
+        object.__setattr__(self, "dominates_inner_product", bool(compatible))
 
     @property
     def dim(self) -> int:
@@ -54,7 +75,7 @@ class NormGram:
 
     @cached_property
     def _inv_root(self) -> np.ndarray:
-        w, v = np.linalg.eigh(self.gram)
+        w, v = self.eig.values, self.eig.vectors
         return (v * (1.0 / np.sqrt(w))) @ v.conj().T
 
     def normalized(self, a: np.ndarray) -> np.ndarray:
@@ -167,8 +188,9 @@ def numerical_radius_bounds(
     mat: np.ndarray, m: int = DEFAULT_HULL_GRID
 ) -> tuple[float, float]:
     """Interval holding the numerical radius: exact for Hermitian input,
-    otherwise [max h_k, max h_k / cos(pi/m)] from m support samples (the
-    maximizing direction lies within pi/m of a grid angle)."""
+    otherwise [max h_k, min(max h_k / cos(pi/m), |M|_2)] from m support
+    samples (the maximizing direction lies within pi/m of a grid angle, and
+    the radius never exceeds the spectral norm, which decides normal input)."""
     mat = np.asarray(mat, dtype=complex)
     if mat.shape[0] == 0:
         return 0.0, 0.0
@@ -176,7 +198,7 @@ def numerical_radius_bounds(
         radius = float(np.max(np.abs(np.linalg.eigvalsh(hermitize(mat)))))
         return radius, radius
     lower = float(np.max(support_function(Form(mat), m).support))
-    return lower, lower / math.cos(math.pi / m)
+    return lower, min(lower / math.cos(math.pi / m), specnorm(mat))
 
 
 def numerical_radius(mat: np.ndarray, m: int = DEFAULT_HULL_GRID) -> float:
@@ -214,7 +236,7 @@ def solvability_with(
     the direct ones because conjugate transposition preserves singular
     values.
     """
-    if not validate_compatible_norm(gram, identity_form(gram.dim)):
+    if not gram.dominates_inner_product:
         raise IncompatibleNorm("Gram matrix does not dominate the inner product")
     a = omega.matrix + upsilon.matrix
     normalized = gram.normalized(a)
@@ -312,7 +334,7 @@ def scalar_solvability(
     ``BOUNDARY_RTOL``) the hull is inconclusive and the direct inf-sup check
     decides, as it also does inside.
     """
-    if not validate_compatible_norm(gram, identity_form(gram.dim)):
+    if not gram.dominates_inner_product:
         raise IncompatibleNorm("Gram matrix does not dominate the inner product")
     if hull is None:
         hull = support_function(omega, m)

@@ -2,7 +2,7 @@
 dimension-growth diagnostics.
 
 The diagnostics are descriptive truncation data (spectral minima, sector
-grid verdicts, hull geometry, resolvent norms); none of them claims to
+search verdicts, hull geometry, resolvent norms); none of them claims to
 certify a property of the untruncated object.
 """
 
@@ -168,10 +168,11 @@ def convergence_report(
     """Truncation diagnostics per size for the diagonal family.
 
     For each size: the spectral minimum of the real part (semiboundedness
-    proxy), the sector-grid verdict, hull extent and area, the distance from
-    a deterministic probe point placed outside the hull, the resolvent norm
-    there, and the condition number of the normalized system under the
-    natural majorant-augmented Gram.
+    proxy), the sector verdict of the vertex scan with its closed-form least
+    half-slope, hull extent and area, the distance from a deterministic
+    probe point placed outside the hull, the resolvent norm there, and the
+    condition number of the normalized system under the natural
+    majorant-augmented Gram.
     """
     if sorted(sizes) != list(sizes) or len(sizes) == 0:
         raise ValidationError("sizes must be a nonempty ascending list")
@@ -185,7 +186,7 @@ def convergence_report(
         inst = diag_family(_lambda_values(spec, size), provenance=f"diag[N={size}]")
         re_min = float(np.min(inst.omega.matrix.diagonal().real))
         try:
-            cert = sectorial_parameters(inst.omega, inst.theta)
+            cert = sectorial_parameters(inst.omega, inst.theta, rtol=rtol)
             verdict = {"sectorial": True, "delta": cert.delta, "gamma": cert.gamma}
         except NotSectorial:
             verdict = {"sectorial": False}

@@ -243,6 +243,23 @@ class TestCommands:
         assert code == 0
         assert [row["size"] for row in doc["rows"]] == [2, 4]
 
+    def test_lab_honours_tol_rank(self, tmp_path, capsys, monkeypatch):
+        seen = {}
+
+        def recording(family, params, sizes, **kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr("formkit.cli.convergence_report", recording)
+        path = write(
+            tmp_path, "lab.json", {"family": {"name": "diag", "lambda": "1", "N": 4}}
+        )
+        code = main(["lab", path, "--json", "--sizes", "2,4", "--tol-rank", "1e-6"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert seen["rtol"] == 1e-6
+        assert doc["tolerances"]["rank"] == 1e-6
+
     def test_batch_mode(self, tmp_path, capsys):
         write(tmp_path, "a.json", {"n": 1, "omega": [[[1, 0]]]})
         write(tmp_path, "b.json", {"n": 1, "omega": [[[2, 0]]]})

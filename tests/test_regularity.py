@@ -6,7 +6,7 @@ import pytest
 import formkit as fk
 from formkit.numerics import frob, hermitize, min_eig_herm
 
-from conftest import complex_randn, member_form, random_operator_instance
+from conftest import complex_randn, member_form, random_operator_instance, random_psd
 
 
 class TestInClassM:
@@ -76,6 +76,20 @@ class TestEpsilonBound:
         with pytest.raises(fk.QuadraticBoundFails, match="inconclusive") as info:
             fk.epsilon_bound_check(fk.Form(np.diag([lam, 0.0])), fk.identity_form(2))
         assert "[9.999915e-01, 1.000001e+00]" in str(info.value)
+
+    def test_normal_member_holds(self):
+        # the compressed matrix is unitary-diagonal: radius 1 exactly, which
+        # the spectral-norm end of the bracket decides
+        inst = fk.diag_family([n * np.exp(1j * n) for n in range(1, 9)])
+        check = fk.epsilon_bound_check(inst.omega, inst.psi)
+        assert check.member
+        assert abs(check.quadratic_norm - 1.0) <= 1e-5
+
+    def test_non_normal_knife_edge_inconclusive(self):
+        # numerical radius 1 - 1e-6, spectral norm 2 (1 - 1e-6)
+        omega = fk.Form([[0.0, 2 * (1 - 1e-6)], [0.0, 0.0]])
+        with pytest.raises(fk.QuadraticBoundFails, match="inconclusive"):
+            fk.epsilon_bound_check(omega, fk.identity_form(2))
 
 
 class TestAbsoluteContinuity:
@@ -277,6 +291,100 @@ class TestSectoriality:
         omega = fk.Form(np.diag([1 + 1j, 2.0, 3.0 - 0.5j]))
         cert = fk.sectorial_parameters(omega, fk.identity_form(3))
         assert cert.margin >= -1e-9
+
+    @staticmethod
+    def _hermitian_pair(rng, n, kernel_dim):
+        """omega with positive definite real part, theta with a kernel of
+        the given dimension."""
+        a = complex_randn(rng, n, n - 1)
+        re = a @ a.conj().T / n + 0.5 * np.eye(n)
+        im = hermitize(complex_randn(rng, n, n))
+        theta = fk.PositiveForm(random_psd(rng, n, rank=n - kernel_dim))
+        return fk.Form(re + 1j * im), theta
+
+    def test_search_slope_is_optimal(self):
+        rng = np.random.default_rng(71)
+        for trial in range(12):
+            n = int(rng.integers(2, 7))
+            omega, theta = self._hermitian_pair(rng, n, trial % 2)
+            cert = fk.sectorial_parameters(omega, theta)
+            again = fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma)
+            assert again.gamma == cert.gamma
+            with pytest.raises(fk.NotSectorial, match="imaginary part exceeds"):
+                fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma * (1 - 1e-6))
+
+    def test_search_skips_kernel_vertex(self):
+        # at delta = 0 the shifted real part diag(0, 1) has kernel e1, which
+        # the imaginary part diag(1, 0) does not annihilate
+        cert = fk.sectorial_parameters(fk.Form(np.diag([1j, 1.0])), fk.identity_form(2))
+        assert abs(cert.delta + 1 / 31) <= 1e-12
+        assert abs(cert.gamma - 31.0) <= 1e-9
+
+    def test_search_skips_indefinite_vertex(self):
+        # theta = diag(1, 0): the top vertex 1 leaves real part minus 1 * theta
+        # = [[0, 1], [1, 2]] indefinite; the first vertex with a PSD shift is
+        # the first one at most 1/2
+        omega = fk.Form([[1.0, 1.0], [1.0, 2.0]])
+        cert = fk.sectorial_parameters(omega, fk.PositiveForm(np.diag([1.0, 0.0])))
+        step = (2.0 - (3.0 - np.sqrt(5.0)) / 2.0) / 31.0
+        assert 0.5 - step < cert.delta <= 0.5
+        assert cert.gamma == 0.0
+
+    # vertex and power-of-two slope of the former 32 x 21 vertex/slope grid
+    # search on the lab families, sizes 8, 16, 32, 48 (None: refused)
+    GRID_CERTIFICATES = {
+        "n*exp(i*n)": [
+            (-3.0022355543174655, 16.0),
+            (-15.354809749690283, 256.0),
+            (-26.985222321295993, 256.0),
+            (-46.67202511460978, 256.0),
+        ],
+        "n+i*sqrt(n)": [(0.967741935483871, 32.0)] * 4,
+        "i*n*n*n*n": [
+            (-0.032258064516129004, 131072.0),
+            (-0.06451612903225812, 1048576.0),
+            (-1.0, 1048576.0),
+            None,
+        ],
+    }
+
+    @pytest.mark.parametrize("expression", sorted(GRID_CERTIFICATES))
+    def test_search_keeps_grid_vertex(self, expression):
+        rows = fk.convergence_report("diag", {"lambda": expression}, [8, 16, 32, 48])
+        assert len(rows) == 4
+        for row, pinned in zip(rows, self.GRID_CERTIFICATES[expression]):
+            verdict = row["sectorial"]
+            if pinned is None:
+                assert verdict == {"sectorial": False}
+                continue
+            delta, gamma = pinned
+            assert verdict["sectorial"] is True
+            assert abs(verdict["delta"] - delta) <= 1e-12 * max(1.0, abs(delta))
+            assert gamma / 2 < verdict["gamma"] <= gamma * (1 + 1e-12)
+
+    def test_search_eigensolves_per_vertex(self, monkeypatch):
+        sizes = np.arange(1, 33)
+        omega = fk.Form(np.diag(1j * sizes.astype(float) ** 4))
+        theta = fk.identity_form(32)
+        count = [0]
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, original=original, **kwargs):
+                count[0] += 1
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        cert = fk.sectorial_parameters(omega, theta)
+        searched = count[0]
+        # the knife edge: least slope 32^4 = 2^20 at the last vertex
+        assert cert.delta == -1.0 and abs(cert.gamma - 2.0**20) <= 1e-9 * 2.0**20
+        count[0] = 0
+        fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma)
+        verified = count[0]
+        # two solves bound the vertex range, then at most one eigh and one
+        # eigvalsh per vertex, then the verify call
+        assert searched <= 2 + 2 * 32 + verified
 
     def test_regularity_reduction(self):
         omega = fk.Form(np.diag([1 + 1j, 2.0]))

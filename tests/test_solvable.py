@@ -20,6 +20,27 @@ class TestCompatibleNorm:
     def test_too_small(self):
         assert not fk.validate_compatible_norm(fk.NormGram(np.eye(2) / 2), fk.identity_form(2))
 
+    def test_stored_check_matches_validation(self):
+        rng = np.random.default_rng(62)
+        grams = [np.eye(3), np.eye(3) * (1 - 1e-11), np.eye(3) * (1 - 1e-9)]
+        grams += [np.eye(3) * rng.uniform(0.5, 1.5) + random_psd(rng, 3, rank=1) for _ in range(6)]
+        for mat in grams:
+            gram = fk.NormGram(mat)
+            expected = fk.validate_compatible_norm(gram, fk.identity_form(3))
+            assert gram.dominates_inner_product == expected
+        assert fk.NormGram(np.eye(3) * (1 - 1e-11)).dominates_inner_product
+        assert not fk.NormGram(np.eye(3) * (1 - 1e-9)).dominates_inner_product
+
+    def test_incompatible_gram_refused_by_every_solver(self):
+        gram = fk.NormGram(0.5 * np.eye(2))
+        omega = fk.Form(np.eye(2))
+        with pytest.raises(fk.IncompatibleNorm):
+            fk.scalar_solvability(omega, gram, 3.0)
+        with pytest.raises(fk.IncompatibleNorm):
+            fk.solvability_with(omega, gram, fk.Form(np.zeros((2, 2))))
+        with pytest.raises(fk.IncompatibleNorm):
+            fk.represent_operator(omega, gram, fk.Form(-3.0 * np.eye(2)))
+
     def test_gram_validation(self):
         with pytest.raises(fk.ValidationError):
             fk.NormGram(np.diag([1.0, 0.0]))
@@ -135,10 +156,19 @@ class TestSupportFunction:
         assert vectors == []
         result = fk.scalar_solvability(fk.Form(m), gram, 10.0)
         assert result.status == "outside"
-        # the hull stacks went to eigvalsh; the only eigh calls left are the
-        # single-matrix decompositions of the norm-compatibility check
+        # the hull stacks went to eigvalsh; the norm-compatibility check is
+        # read from the Gram's construction, so no eigh call is left
         assert values.count((360, 4, 4)) == 2
         assert all(len(shape) == 2 for shape in vectors)
+
+    def test_given_hull_needs_no_eigh(self, monkeypatch):
+        m = complex_randn(np.random.default_rng(60), 4, 4)
+        gram = fk.NormGram(np.eye(4) + random_psd(np.random.default_rng(61), 4))
+        hull = fk.support_function(fk.Form(m), 90)
+        vectors = self._record(monkeypatch, "eigh")
+        result = fk.scalar_solvability(fk.Form(m), gram, 10.0, hull=hull)
+        assert result.status == "outside" and result.solvable
+        assert vectors == []
 
 
 def _on_segment(point, ends):
