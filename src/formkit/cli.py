@@ -62,12 +62,11 @@ DEFAULT_RESIDUAL_TOL = 1e-8
 # encoding / decoding
 
 
-def _encode_complex(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def encode_matrix(m: np.ndarray) -> list:
-    return [[_encode_complex(z) for z in row] for row in np.asarray(m, dtype=complex)]
+def encode_matrix(m: np.ndarray) -> np.ndarray:
+    """The [re, im] pairs of a complex array, as a float64 array with a
+    trailing axis of length 2: (n, n, 2) for a matrix."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), -1)
 
 
 def _decode_entry(entry, where: str) -> complex:
@@ -85,6 +84,18 @@ def _decode_entry(entry, where: str) -> complex:
 def decode_matrix(rows, n: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f"{where}: expected {n} rows")
+    # Whole-array fast path for a square block of numbers or of [re, im]
+    # pairs. Anything else (strings, null, ragged or mixed rows, integers
+    # beyond 64 bits) takes the per-entry loop, which names the bad entry.
+    try:
+        block = np.array(rows)
+    except (ValueError, OverflowError):
+        block = None
+    if block is not None and block.dtype.kind in "biuf":
+        if block.shape == (n, n, 2):
+            return np.ascontiguousarray(block, dtype=np.float64).view(complex)[..., 0]
+        if block.shape == (n, n):
+            return block.astype(complex)
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
@@ -183,8 +194,7 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
     return instance
 
 
-def emit_instance(instance: Instance) -> str:
-    """Round-trip encoding of an instance as a JSON document."""
+def _instance_doc(instance: Instance) -> dict:
     doc = {
         "n": instance.dim,
         "omega": encode_matrix(instance.omega.matrix),
@@ -194,7 +204,12 @@ def emit_instance(instance: Instance) -> str:
     }
     if "norm_gram" in instance.extras:
         doc["norm_gram"] = encode_matrix(instance.extras["norm_gram"])
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return doc
+
+
+def emit_instance(instance: Instance) -> str:
+    """Round-trip encoding of an instance as a JSON document."""
+    return _dump(_instance_doc(instance), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +221,8 @@ def _render(value, indent: str = "") -> list[str]:
     if isinstance(value, dict):
         for key in value:
             sub = value[key]
+            if isinstance(sub, np.ndarray):
+                sub = sub.tolist()
             if isinstance(sub, (dict, list)) and not _is_scalar_list(sub):
                 lines.append(f"{indent}{key}:")
                 lines.extend(_render(sub, indent + "  "))
@@ -237,23 +254,55 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+def _dump(value, depth: int) -> str:
+    """``json.dumps(value, sort_keys=True, indent=1)`` at indent level ``depth``.
+
+    Besides JSON types (with str keys) it takes tuples, complex numbers (as
+    [re, im]), numpy scalars and arrays. A finite float64 array is written a
+    whole axis at a time; every other value goes through the per-element path.
+    """
     if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    return value
+        if value.dtype == np.float64 and value.size and np.isfinite(value).all():
+            return _dump_array(value, depth)
+        value = value.tolist()
+    elif isinstance(value, np.generic):
+        value = value.item()
+    if value is None or isinstance(value, (str, int, float)):
+        return json.dumps(value)
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
+    pad = "\n" + " " * (depth + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{json.dumps(key)}: {_dump(value[key], depth + 1)}" for key in sorted(value)]
+        return "{" + pad + ("," + pad).join(items) + "\n" + " " * depth + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_dump(item, depth + 1) for item in value]
+        return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dump_array(array: np.ndarray, depth: int) -> str:
+    """Write a finite float64 array from the innermost axis outwards: one
+    ``repr`` per entry, then one join per row of each axis."""
+    parts = list(map(float.__repr__, array.ravel().tolist()))
+    for axis in range(array.ndim - 1, -1, -1):
+        pad = "\n" + " " * (depth + axis + 1)
+        close = "\n" + " " * (depth + axis) + "]"
+        width = array.shape[axis]
+        parts = [
+            "[" + pad + ("," + pad).join(parts[k : k + width]) + close
+            for k in range(0, len(parts), width)
+        ]
+    return parts[0]
 
 
 def render_report(report: dict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(_jsonable(report), sort_keys=True, indent=1)
+        return _dump(report, 0)
     return "\n".join(_render(report))
 
 
@@ -293,7 +342,8 @@ def _cmd_inspect(instance: Instance, args) -> dict:
             "psi_rank": int(np.sum(psi.eig.values > args.tol_rank * max(psi.eig.values[-1], 0))) if psi.eig.values.size else 0,
             "psi_majorizes_omega": bool(member),
             "membership_margin": None if margin == float("-inf") else float(margin),
-            "instance_document": json.loads(emit_instance(instance)),
+            # sorted like the JSON document, which fixes the text order
+            "instance_document": dict(sorted(_instance_doc(instance).items())),
         }
     )
     return report
@@ -389,8 +439,8 @@ def _cmd_decompose(instance: Instance, args) -> dict:
     ) / max(total, 1e-300) if total > 0 else 0.0
     worst_theta, worst_sing = 0.0, 0.0
     n = instance.dim
-    theta_norm = max(np.linalg.norm(instance.theta.matrix, 2), 1e-300)
-    sing_norm = max(np.linalg.norm(split.singular.matrix, 2), 1e-300)
+    theta_norm = max(instance.theta.spectral_norm, 1e-300)
+    sing_norm = max(split.singular.spectral_norm, 1e-300)
     for idx in range(n):
         basis_vec = np.zeros(n, dtype=complex)
         basis_vec[idx] = 1.0
@@ -434,8 +484,8 @@ def _cmd_numrange(instance: Instance, args) -> dict:
     report.update(
         {
             "grid": int(args.grid),
-            "support": [float(h) for h in hull.support],
-            "points": [[float(z.real), float(z.imag)] for z in hull.points],
+            "support": hull.support,
+            "points": encode_matrix(hull.points),
             "hull_area": hull.area(),
             "eigenvalue_inclusion_excess": float(inclusion),
         }
@@ -612,7 +662,11 @@ def main(argv=None) -> int:
             code = 0
             chunks = []
             for path in sorted(target.glob("*.json")):
-                text, one = _run_single(str(path), args)
+                try:
+                    text, one = _run_single(str(path), args)
+                except (ParseError, ValidationError, OSError) as exc:
+                    # one bad file gets an error chunk; the others still run
+                    text, one = f"error: {exc}", 1
                 chunks.append(f"== {path.name}\n{text}")
                 code = max(code, one)
             print("\n".join(chunks))

@@ -40,6 +40,11 @@ class Form:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def spectral_norm(self) -> float:
+        """The spectral norm of the matrix, computed once (it is read-only)."""
+        return numerics.specnorm(self.matrix)
+
     def __call__(self, xi, eta) -> complex:
         xi = np.asarray(xi, dtype=complex)
         eta = np.asarray(eta, dtype=complex)

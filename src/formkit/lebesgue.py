@@ -211,10 +211,10 @@ def singularity_witness(
     witness = emb.pseudo_inverse @ target
     norm_sq = float(np.vdot(xi, xi).real)
     theta_val = abs(theta(witness, witness))
-    theta_bound = residual_tol * max(specnorm(theta.matrix), 1e-300) * max(norm_sq, 1e-300)
+    theta_bound = residual_tol * max(theta.spectral_norm, 1e-300) * max(norm_sq, 1e-300)
     diff = witness - xi
     omega_val = abs(omega_s(diff, diff))
-    omega_bound = residual_tol * max(specnorm(omega_s.matrix), 1e-300) * max(norm_sq, 1e-300)
+    omega_bound = residual_tol * max(omega_s.spectral_norm, 1e-300) * max(norm_sq, 1e-300)
     if theta_val > theta_bound or omega_val > omega_bound:
         raise WitnessResidualTooLarge(
             f"witness residuals {theta_val:.3e} (theta) / {omega_val:.3e} (singular part) "

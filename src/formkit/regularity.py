@@ -432,10 +432,11 @@ def _sector_margins(
     re, im = re_im_split(omega)
     base = re.matrix - delta * theta.matrix
     scale = max(1.0, specnorm(omega.matrix), specnorm(theta.matrix))
-    m_vertex = min_eig_herm(base) / scale
+    values = np.linalg.eigvalsh(hermitize(base)) if base.size else np.zeros(1)
+    m_vertex = float(values[0]) / scale
     m_plus = min_eig_herm(gamma * base - im.matrix) / scale
     m_minus = min_eig_herm(gamma * base + im.matrix) / scale
-    return m_vertex, m_plus, m_minus, scale
+    return m_vertex, m_plus, m_minus, scale, float(values[-1])
 
 
 def _least_slope(
@@ -487,7 +488,7 @@ def sectorial_parameters(
     if (delta is None) != (gamma is None):
         raise ValueError("supply both delta and gamma, or neither")
     if delta is not None:
-        m_vertex, m_plus, m_minus, scale = _sector_margins(omega, theta, delta, gamma)
+        m_vertex, m_plus, m_minus, scale, top = _sector_margins(omega, theta, delta, gamma)
         if m_vertex < -slack:
             raise NotSectorial(
                 f"real part minus {delta} * theta has least eigenvalue "
@@ -503,7 +504,11 @@ def sectorial_parameters(
         re, _ = re_im_split(omega)
         base = hermitize(re.matrix - delta * theta.matrix)
         shifted = Form(omega.matrix - delta * theta.matrix)
-        majorant = PositiveForm((1.0 + gamma) * base, tol=1e-8)
+        # PositiveForm judges PSD relative to the top eigenvalue; scale its
+        # tolerance so it accepts what the vertex test above accepted
+        majorant = PositiveForm(
+            (1.0 + gamma) * base, tol=max(1e-8, slack * scale / max(top, 1e-300))
+        )
         member, member_margin = in_class_M(shifted, majorant, rtol)
         if not member:
             raise NotSectorial(

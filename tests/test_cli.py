@@ -1,10 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import formkit as fk
-from formkit.cli import emit_instance, main, parse_instance
+from formkit.cli import _dump, decode_matrix, emit_instance, main, parse_instance
 
 
 def write(tmp_path, name, doc):
@@ -78,6 +82,130 @@ class TestParseInstance:
         )
         inst = parse_instance(path)
         assert np.allclose(inst.omega.matrix, np.diag([1.0, 2.0]))
+
+
+def entrywise(rows) -> np.ndarray:
+    """Reference decoder: one complex() per entry, numbers or [re, im] pairs."""
+    return np.array(
+        [[complex(e) if isinstance(e, (int, float)) else complex(*e) for e in row] for row in rows],
+        dtype=complex,
+    )
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestDecodeMatrix:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([["1.5", 0], [0, 0]], "omega[0][0]: entries must be numbers or [re, im] pairs"),
+            ([[0, None], [0, 0]], "omega[0][1]: entries must be numbers or [re, im] pairs"),
+            ([[[1, 2, 3], 0], [0, 0]], "omega[0][0]: entries must be numbers or [re, im] pairs"),
+            ([[1, 2], [3, [4, "x"]]], "omega[1][1]: entries must be numbers or [re, im] pairs"),
+            ([[[1, [2]], 0], [0, 0]], "omega[0][0]: entries must be numbers or [re, im] pairs"),
+            ([[1, 2], [3]], "omega: row 1 must have exactly 2 entries"),
+            ([[[1, 2], [3, 4]], [[5, 6]]], "omega: row 1 must have exactly 2 entries"),
+            ([[1, 2], {"a": 1}], "omega: row 1 must have exactly 2 entries"),
+            ([[1, 2], [3, 4], [5, 6]], "omega: expected 2 rows"),
+            ({"rows": 2}, "omega: expected 2 rows"),
+        ],
+    )
+    def test_error_messages(self, rows, message):
+        with pytest.raises(fk.ParseError) as info:
+            decode_matrix(rows, 2, "omega")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[True, 0], [0, False]],
+            [[[True, False], 0.5], [2, [1, True]]],
+            [[1, [2, 3]], [[4.5, -0.0], 6]],
+            [[[-0.0, -0.0], [0.0, -0.0]], [[1e-300, -1e300], [5e-324, 2.0]]],
+            [[2**63 + 1, 1], [2, 3]],
+            [[2**64 + 3, 0], [0, -(2**70)]],
+            [[math.nan, 0], [0, math.inf]],
+        ],
+    )
+    def test_accepted_like_entrywise(self, rows):
+        assert same_bits(decode_matrix(rows, 2, "omega"), entrywise(rows))
+
+    def test_int_beyond_float_overflows(self):
+        with pytest.raises(OverflowError):
+            decode_matrix([[1.5, 10**400], [0, 0]], 2, "omega")
+
+    def test_nan_refused_when_the_form_is_built(self, tmp_path):
+        path = write(tmp_path, "nan.json", '{"n": 1, "omega": [[[NaN, 0]]]}')
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            parse_instance(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_entrywise(self, data):
+        n = data.draw(st.integers(1, 4))
+        number = st.floats(allow_nan=False) | st.integers(-(2**70), 2**70) | st.booleans()
+        entry = number | st.lists(number, min_size=2, max_size=2)
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        assert same_bits(decode_matrix(rows, n, "omega"), entrywise(rows))
+
+
+def jsonable(value):
+    """The report conversion ahead of ``json.dumps`` that ``_dump`` replaced,
+    kept as its reference."""
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return jsonable(value.tolist())
+    return value
+
+
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, 5e-324])
+FLOATS = st.floats() | EDGE_FLOATS
+SCALARS = (
+    FLOATS
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.complex_numbers()
+    | FLOATS.map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+)
+SHAPES = st.sampled_from([(0,), (1,), (5,), (0, 3), (1, 1, 2), (3, 3, 2), (2, 0, 2)]) | st.integers(
+    1, 5
+).map(lambda n: (n, n, 2))
+FLOAT_ARRAYS = arrays(np.float64, SHAPES, elements=st.floats(allow_nan=False, allow_infinity=False))
+ANY_ARRAYS = arrays(np.float64, SHAPES, elements=FLOATS)
+VALUES = st.recursive(
+    SCALARS | FLOAT_ARRAYS | ANY_ARRAYS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestDump:
+    @settings(max_examples=300, deadline=None)
+    @given(VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _dump(value, 0) == json.dumps(jsonable(value), sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matrix_report(self, n):
+        m = np.random.default_rng(n).normal(size=(n, n, 2))
+        m[0, 0] = -0.0, 1e300
+        report = {"n": n, "H": m, "nested": {"S": m[:, :, :1], "row": m[0, :, 0]}}
+        assert _dump(report, 0) == json.dumps(jsonable(report), sort_keys=True, indent=1)
 
 
 class TestRoundTrip:
@@ -259,6 +387,45 @@ class TestCommands:
         assert code == 0
         assert seen["rtol"] == 1e-6
         assert doc["tolerances"]["rank"] == 1e-6
+
+    def test_decompose_norms_do_not_grow_with_n(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = np.linalg.norm
+
+        def recording(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(np.shape(x))
+            return original(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", recording)
+        counts = {}
+        for n in (4, 12):
+            rng = np.random.default_rng(n)
+            theta = np.diag([1.0] * (n // 2) + [0.0] * (n - n // 2))
+            path = write(
+                tmp_path,
+                f"dec{n}.json",
+                {
+                    "n": n,
+                    "omega": (rng.normal(size=(n, n, 2)) / n).tolist(),
+                    "theta": np.stack((theta, 0 * theta), -1).tolist(),
+                },
+            )
+            calls.clear()
+            assert main(["decompose", path, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["witness_within_tolerance"] is True
+            counts[n] = len(calls)
+        assert counts[4] == counts[12]
+
+    def test_batch_keeps_going_past_a_bad_file(self, tmp_path, capsys):
+        write(tmp_path, "a.json", {"n": 1, "omega": [[[1, 0]]]})
+        write(tmp_path, "b.json", "{bad")
+        code = main(["inspect", str(tmp_path), "--batch"])
+        out = capsys.readouterr().out
+        assert code == 1
+        first, second = out.split("== b.json\n")
+        assert first.startswith("== a.json\ncommand: inspect\n")
+        assert second.startswith(f"error: {tmp_path / 'b.json'}: line 1 column 2")
 
     def test_batch_mode(self, tmp_path, capsys):
         write(tmp_path, "a.json", {"n": 1, "omega": [[[1, 0]]]})

@@ -330,6 +330,22 @@ class TestSectoriality:
         assert 0.5 - step < cert.delta <= 0.5
         assert cert.gamma == 0.0
 
+    def test_search_near_singular_vertex_answers(self):
+        # Re omega = U diag(1e6, 1e6 + 1e-3, 1e6 + 2e-3) U^H against I: the top
+        # vertex leaves a rounding-level eigenvalue near -5e-11 beside a top
+        # eigenvalue of 2e-3. The vertex test accepts it within slack * scale,
+        # so the induced majorant's PSD check must accept it as well: the
+        # search answers with a certificate or NotSectorial, never NotPSD.
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        omega = fk.Form(u @ np.diag([1e6, 1e6 + 1e-3, 1e6 + 2e-3]) @ u.conj().T)
+        theta = fk.identity_form(3)
+        try:
+            cert = fk.sectorial_parameters(omega, theta)
+        except fk.NotSectorial:
+            return
+        assert fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma).gamma == cert.gamma
+
     # vertex and power-of-two slope of the former 32 x 21 vertex/slope grid
     # search on the lab families, sizes 8, 16, 32, 48 (None: refused)
     GRID_CERTIFICATES = {
