@@ -13,6 +13,7 @@ problems. Identical inputs and flags produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .forms import Form, PositiveForm, identity_form, re_im_split
-from .numerics import DEFAULT_RANK_TOL, frob, min_eig_herm
+from .numerics import DEFAULT_RANK_TOL, frob, min_eig_herm, rank_cut
 from .regularity import canonical_majorant
 from .solvable import (
     DEFAULT_HULL_GRID,
@@ -71,27 +72,36 @@ def encode_matrix(m: np.ndarray) -> np.ndarray:
 
 def _decode_entry(entry, where: str) -> complex:
     if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (
+        parts = (entry,)
+    elif (
         isinstance(entry, (list, tuple))
         and len(entry) == 2
         and all(isinstance(x, (int, float)) for x in entry)
     ):
-        return complex(entry[0], entry[1])
-    raise ParseError(f"{where}: entries must be numbers or [re, im] pairs")
+        parts = entry
+    else:
+        raise ParseError(f"{where}: entries must be numbers or [re, im] pairs")
+    try:
+        value = complex(*parts)
+    except OverflowError:  # an integer beyond the float range
+        value = complex(cmath.inf)
+    if not cmath.isfinite(value):
+        raise ParseError(f"{where}: entries must be finite")
+    return value
 
 
 def decode_matrix(rows, n: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f"{where}: expected {n} rows")
-    # Whole-array fast path for a square block of numbers or of [re, im]
-    # pairs. Anything else (strings, null, ragged or mixed rows, integers
-    # beyond 64 bits) takes the per-entry loop, which names the bad entry.
+    # Whole-array fast path for a square block of finite numbers or of
+    # [re, im] pairs. Anything else (strings, null, ragged or mixed rows,
+    # integers beyond 64 bits, NaN or infinite entries) takes the per-entry
+    # loop, which names the bad entry.
     try:
         block = np.array(rows)
     except (ValueError, OverflowError):
         block = None
-    if block is not None and block.dtype.kind in "biuf":
+    if block is not None and block.dtype.kind in "biuf" and np.isfinite(block).all():
         if block.shape == (n, n, 2):
             return np.ascontiguousarray(block, dtype=np.float64).view(complex)[..., 0]
         if block.shape == (n, n):
@@ -127,7 +137,12 @@ def _family_instance(block: dict) -> Instance:
     if name == "measure":
         if "theta" not in block or "omega" not in block:
             raise ParseError("measure family needs 'theta' and 'omega'")
-        th = [float(x) for x in block["theta"]]
+        try:
+            th = [float(x) for x in block["theta"]]
+        except OverflowError:  # an integer beyond the float range
+            th = [np.inf]
+        if not np.isfinite(th).all():
+            raise ParseError("family.theta: entries must be finite")
         om = [_decode_entry(e, "family.omega") for e in block["omega"]]
         if len(th) != len(om):
             raise ParseError("measure family weights must have equal length")
@@ -338,8 +353,8 @@ def _cmd_inspect(instance: Instance, args) -> dict:
                 min_eig_herm(im.matrix),
                 -min_eig_herm(-im.matrix) + 0.0,
             ],
-            "theta_rank": int(np.sum(theta.eig.values > args.tol_rank * max(theta.eig.values[-1], 0))) if theta.eig.values.size else 0,
-            "psi_rank": int(np.sum(psi.eig.values > args.tol_rank * max(psi.eig.values[-1], 0))) if psi.eig.values.size else 0,
+            "theta_rank": int(np.sum(rank_cut(theta.eig.values, args.tol_rank))),
+            "psi_rank": int(np.sum(rank_cut(psi.eig.values, args.tol_rank))),
             "psi_majorizes_omega": bool(member),
             "membership_margin": None if margin == float("-inf") else float(margin),
             # sorted like the JSON document, which fixes the text order
@@ -399,11 +414,7 @@ def _cmd_regularity(instance: Instance, args) -> dict:
 
 def _cmd_represent(instance: Instance, args) -> dict:
     report = _base_report("represent", instance, args)
-    try:
-        rep = reg.radon_nikodym(instance.omega, instance.theta, instance.psi, args.tol_rank)
-    except MathematicalRefusal as exc:
-        report["reason"] = str(exc)
-        raise _Refusal(report, str(exc))
+    rep = reg.radon_nikodym(instance.omega, instance.theta, instance.psi, args.tol_rank)
     middle = reg.kato_S(rep, args.tol_rank)
     residuals = reg.representation_residuals(rep, instance.omega, instance.theta, instance.psi)
     emb = rep.theta_embedding
@@ -426,13 +437,7 @@ def _cmd_represent(instance: Instance, args) -> dict:
 
 def _cmd_decompose(instance: Instance, args) -> dict:
     report = _base_report("decompose", instance, args)
-    try:
-        split = leb.lebesgue_decompose(
-            instance.omega, instance.theta, instance.psi, args.tol_rank
-        )
-    except MathematicalRefusal as exc:
-        report["reason"] = str(exc)
-        raise _Refusal(report, str(exc))
+    split = leb.lebesgue_decompose(instance.omega, instance.theta, instance.psi, args.tol_rank)
     total = frob(instance.omega.matrix)
     additivity = frob(
         split.regular.matrix + split.singular.matrix - instance.omega.matrix
@@ -544,8 +549,9 @@ def _cmd_solvable(instance: Instance, args) -> dict:
                     "solvable": bool(result.solvable),
                     "c1": result.c1,
                     "c2": result.c2,
-                    "c1_adjoint": result.c1_adjoint,
-                    "c2_adjoint": result.c2_adjoint,
+                    # transposition preserves singular values
+                    "c1_adjoint": result.c1,
+                    "c2_adjoint": result.c2,
                 }
             )
             if not result.solvable:
@@ -581,6 +587,17 @@ def _parse_lambda(text: str) -> complex:
         return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise ValidationError("--lambda expects two real numbers 're,im'")
+
+
+_INSTANCE_COMMANDS = {
+    "inspect": _cmd_inspect,
+    "membership": _cmd_membership,
+    "regularity": _cmd_regularity,
+    "represent": _cmd_represent,
+    "decompose": _cmd_decompose,
+    "numrange": _cmd_numrange,
+    "solvable": _cmd_solvable,
+}
 
 
 class _Refusal(Exception):
@@ -625,27 +642,12 @@ def _run_single(path: str, args) -> tuple[str, int]:
         return render_report(report, args.json), 0
     instance = parse_instance(path, args.tol_rank)
     try:
-        if args.command == "inspect":
-            report = _cmd_inspect(instance, args)
-        elif args.command == "membership":
-            report = _cmd_membership(instance, args)
-        elif args.command == "regularity":
-            report = _cmd_regularity(instance, args)
-        elif args.command == "represent":
-            report = _cmd_represent(instance, args)
-        elif args.command == "decompose":
-            report = _cmd_decompose(instance, args)
-        elif args.command == "numrange":
-            report = _cmd_numrange(instance, args)
-        elif args.command == "solvable":
-            report = _cmd_solvable(instance, args)
-        else:  # pragma: no cover
-            raise ValidationError(f"unknown command {args.command}")
+        report = _INSTANCE_COMMANDS[args.command](instance, args)
     except _Refusal as refusal:
         return render_report(refusal.report, args.json), 2
     except MathematicalRefusal as exc:
         base = _base_report(args.command, instance, args)
-        base.update({"refused": True, "reason": str(exc)})
+        base.update({"reason": str(exc), "refused": True})
         return render_report(base, args.json), 2
     return render_report(report, args.json), 0
 
@@ -674,10 +676,7 @@ def main(argv=None) -> int:
         text, code = _run_single(args.instance, args)
         print(text)
         return code
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DominationFails, NotPSD
-from .numerics import DEFAULT_RANK_TOL, HermEig, as_matrix, frob, hermitize
+from .numerics import DEFAULT_RANK_TOL, HermEig, as_matrix, frob, hermitize, rank_cut
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,14 +79,7 @@ class PositiveForm(Form):
         m = hermitize(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        eig = numerics.hermitian_eig(m)
-        object.__setattr__(self, "eig", eig)
-        if eig.values.size:
-            top = max(float(eig.values[-1]), 0.0)
-            if eig.values[0] < -self.tol * max(top, 1e-300):
-                raise NotPSD(
-                    f"matrix is not PSD: min eigenvalue {eig.values[0]:.6e}"
-                )
+        object.__setattr__(self, "eig", numerics.psd_eig(m, self.tol))
 
 
 def identity_form(n: int) -> PositiveForm:
@@ -170,9 +163,7 @@ class QuotientEmbedding:
 
 def kernel(psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of a positive form."""
-    values, vectors = psi.eig.values, psi.eig.vectors
-    top = max(float(values[-1]), 0.0) if values.size else 0.0
-    return vectors[:, values <= rtol * top]
+    return psi.eig.vectors[:, ~rank_cut(psi.eig.values, rtol)]
 
 
 def quotient_embedding(
@@ -185,13 +176,27 @@ def quotient_embedding(
 def eigen_embedding(eig: HermEig, rtol: float = DEFAULT_RANK_TOL) -> QuotientEmbedding:
     """The embedding of ``quotient_embedding`` from a given eigendecomposition,
     keeping the eigenvalues above ``rtol`` times the largest one."""
-    values, vectors = eig.values, eig.vectors
-    top = max(float(values[-1]), 0.0) if values.size else 0.0
-    keep = values > rtol * top
-    d = values[keep]
-    v = vectors[:, keep]
+    keep = rank_cut(eig.values, rtol)
+    d = eig.values[keep]
+    v = eig.vectors[:, keep]
     j = np.sqrt(d)[:, None] * v.conj().T
     return QuotientEmbedding(matrix=j, basis=v, weights=d)
+
+
+def is_absolutely_continuous(
+    psi: PositiveForm, theta: PositiveForm, rtol: float = DEFAULT_RANK_TOL
+) -> bool:
+    """Kernel inclusion N(theta) <= N(psi).
+
+    At finite dimension the closability half of the definition is automatic,
+    so the kernel inclusion is the whole decision.
+    """
+    null = kernel(theta, rtol)
+    top = max(float(psi.eig.values[-1]), 0.0) if psi.eig.values.size else 0.0
+    if null.shape[1] == 0 or top == 0.0:
+        return True
+    quad = np.linalg.norm(hermitize(null.conj().T @ psi.matrix @ null), 2)
+    return float(quad) <= rtol * top
 
 
 def dominates(
@@ -199,18 +204,12 @@ def dominates(
 ) -> Optional[float]:
     """Least gamma >= 0 with theta <= gamma * psi, or None if no bound exists.
 
-    The bound exists iff the kernel of psi is annihilated by theta; on the
-    quotient the optimal constant is the top eigenvalue of the compressed
-    theta.
+    The bound exists iff theta is psi-absolutely continuous (the kernel of
+    psi is annihilated by theta); on the quotient the optimal constant is
+    the top eigenvalue of the compressed theta.
     """
-    null = kernel(psi, rtol)
-    scale = numerics.specnorm(theta.matrix)
-    if null.shape[1]:
-        overlap = float(
-            np.linalg.norm(hermitize(null.conj().T @ theta.matrix @ null), 2)
-        ) if null.size else 0.0
-        if overlap > rtol * max(scale, 1e-300):
-            return None
+    if not is_absolutely_continuous(theta, psi, rtol):
+        return None
     emb = quotient_embedding(psi, rtol)
     if emb.rank == 0:
         return 0.0

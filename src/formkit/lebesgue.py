@@ -20,9 +20,9 @@ from .errors import (
     PreconditionFails,
     WitnessResidualTooLarge,
 )
-from .forms import Form, PositiveForm
-from .numerics import DEFAULT_RANK_TOL, frob, hermitize, min_eig_herm, pinv, specnorm
-from .regularity import RNCore, _rn_core, in_class_M, is_absolutely_continuous
+from .forms import Form, PositiveForm, is_absolutely_continuous
+from .numerics import BUILT_PSD_TOL, DEFAULT_RANK_TOL, frob, hermitize, min_eig_herm, pinv, specnorm
+from .regularity import RNCore, _rn_core, in_class_M, scale_factor_majorant
 
 # Components smaller than this (relative to the total mass) are returned as
 # exact zero matrices; they are indistinguishable from rounding noise.
@@ -100,11 +100,7 @@ def regular_part_majorant(
     of theta by construction, so it is automatically absolutely continuous,
     and it majorizes the regular part by the Cauchy-Schwarz inequality.
     """
-    core = split.rep
-    h2 = core.scale @ core.scale
-    z = split.regular_core
-    gamma_q = hermitize(h2 + z.conj().T @ h2 @ z)
-    return PositiveForm(core.theta_embedding.from_quotient(gamma_q), tol=1e-8)
+    return scale_factor_majorant(split.rep, split.regular_core)
 
 
 def positive_lebesgue(
@@ -126,8 +122,8 @@ def positive_lebesgue(
     )
     ac_mat = _snap_zero(psi.matrix - singular_mat, total)
     return (
-        PositiveForm(hermitize(ac_mat), tol=1e-8),
-        PositiveForm(hermitize(singular_mat), tol=1e-8),
+        PositiveForm(hermitize(ac_mat), tol=BUILT_PSD_TOL),
+        PositiveForm(hermitize(singular_mat), tol=BUILT_PSD_TOL),
     )
 
 
@@ -143,7 +139,7 @@ def parallel_sum(
     scale = min(specnorm(a.matrix), specnorm(b.matrix))
     if frob(raw) <= 1e-11 * max(scale, 1e-300):
         raw = np.zeros_like(raw)
-    return PositiveForm(hermitize(raw), tol=1e-8)
+    return PositiveForm(hermitize(raw), tol=BUILT_PSD_TOL)
 
 
 def parallel_sum_limit(

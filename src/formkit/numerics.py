@@ -3,9 +3,10 @@
 Everything downstream is built from four operations: a Hermitian
 eigendecomposition, the PSD square root, a thresholded Moore-Penrose
 pseudoinverse, and the orthogonal projector onto a near-null eigenspace.
-Rank decisions use a single relative threshold (``DEFAULT_RANK_TOL``),
-overridable per call, so that compositions of these primitives make
-mutually consistent kernel/range decisions.
+Every rank decision goes through ``rank_cut`` with one relative threshold
+(``DEFAULT_RANK_TOL``, overridable per call) and every PSD check through
+``psd_eig``, so that compositions of these primitives make mutually
+consistent kernel/range decisions.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ import numpy as np
 from .errors import NotHermitian, NotPSD
 
 DEFAULT_RANK_TOL = 1e-10
+
+# PSD tolerance of positive forms built from other forms, which carry the
+# rounding of their construction.
+BUILT_PSD_TOL = 1e-8
 
 # HermEig construction self-check; LAPACK is far better than this in practice.
 _RECONSTRUCT_TOL = 1e-12
@@ -68,6 +73,13 @@ class HermEig:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
 
+def eigh_or_empty(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.eigh`` (no checks), also for a 0 x 0 matrix."""
+    if m.shape[0] == 0:
+        return np.zeros(0), np.zeros((0, 0), dtype=complex)
+    return np.linalg.eigh(m)
+
+
 def hermitian_eig(m, sym_rtol: float = 1e-10) -> HermEig:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -82,12 +94,27 @@ def hermitian_eig(m, sym_rtol: float = 1e-10) -> HermEig:
             f"symmetry residual {frob(m - m.conj().T):.3e} exceeds "
             f"{sym_rtol:.1e} * {scale:.3e}"
         )
-    if m.shape[0] == 0:
-        return HermEig(np.zeros(0), np.zeros((0, 0), dtype=complex))
-    values, vectors = np.linalg.eigh(hermitize(m))
-    eig = HermEig(values, vectors)
+    eig = HermEig(*eigh_or_empty(hermitize(m)))
     if frob(eig.reconstruct() - hermitize(m)) > _RECONSTRUCT_TOL * max(scale, 1.0):
         raise NotHermitian("eigendecomposition failed its reconstruction check")
+    return eig
+
+
+def rank_cut(values: np.ndarray, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Mask of the values the rank decision keeps: those above ``rtol`` times
+    the largest value (clamped at zero). The complement is the kernel."""
+    top = max(float(np.max(values)), 0.0) if values.size else 0.0
+    return values > rtol * top
+
+
+def psd_eig(m, tol: float = DEFAULT_RANK_TOL) -> HermEig:
+    """``hermitian_eig`` of a PSD matrix; raises NotPSD if the least
+    eigenvalue is below ``-tol`` times the largest."""
+    eig = hermitian_eig(m)
+    if eig.values.size:
+        top = max(float(eig.values[-1]), 0.0)
+        if eig.values[0] < -tol * max(top, 1e-300):
+            raise NotPSD(f"matrix is not PSD: min eigenvalue {eig.values[0]:.6e} (max {top:.6e})")
     return eig
 
 
@@ -97,12 +124,9 @@ def psd_sqrt(m, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     Eigenvalues at least ``-rtol * max_eigenvalue`` are clamped to zero;
     anything more negative raises NotPSD.
     """
-    eig = hermitian_eig(m)
+    eig = psd_eig(m, rtol)
     if eig.values.size == 0:
         return np.zeros_like(as_matrix(m))
-    top = max(float(eig.values[-1]), 0.0)
-    if eig.values[0] < -rtol * max(top, 1e-300):
-        raise NotPSD(f"negative eigenvalue {eig.values[0]:.6e} (max {top:.6e})")
     roots = np.sqrt(np.clip(eig.values, 0.0, None))
     return hermitize((eig.vectors * roots) @ eig.vectors.conj().T)
 
@@ -114,8 +138,7 @@ def pinv(m, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if m.size == 0:
         return m.conj().T.copy()
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cut = rtol * (s[0] if s.size else 0.0)
-    keep = s > cut
+    keep = rank_cut(s, rtol)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vh.conj().T * inv) @ u.conj().T
@@ -124,11 +147,6 @@ def pinv(m, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 def kernel_projector(m, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with eigenvalue
     at most ``rtol * sigma_max`` of a PSD Hermitian matrix."""
-    eig = hermitian_eig(m)
-    if eig.values.size == 0:
-        return np.zeros((0, 0), dtype=complex)
-    top = max(float(eig.values[-1]), 0.0)
-    if eig.values[0] < -rtol * max(top, 1e-300):
-        raise NotPSD(f"negative eigenvalue {eig.values[0]:.6e} (max {top:.6e})")
-    null = eig.vectors[:, eig.values <= rtol * top]
+    eig = psd_eig(m, rtol)
+    null = eig.vectors[:, ~rank_cut(eig.values, rtol)]
     return null @ null.conj().T

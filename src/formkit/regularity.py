@@ -37,19 +37,23 @@ from .forms import (
     PositiveForm,
     QuotientEmbedding,
     eigen_embedding,
+    is_absolutely_continuous,
     kernel,
     quotient_embedding,
     re_im_split,
 )
 from .numerics import (
+    BUILT_PSD_TOL,
     DEFAULT_RANK_TOL,
     HermEig,
     as_matrix,
+    eigh_or_empty,
     frob,
     hermitize,
     min_eig_herm,
     pinv,
     psd_sqrt,
+    rank_cut,
     specnorm,
 )
 from .solvable import DEFAULT_HULL_GRID, numerical_radius_bounds
@@ -58,6 +62,18 @@ MEMBERSHIP_SLACK = 1e-9
 
 # Largest half-slope the sector search accepts at a vertex.
 SECTOR_SLOPE_CAP = 2.0**20
+
+
+def _kernel_obstructed(mat: np.ndarray, psi: PositiveForm, rtol: float) -> bool:
+    """True when the kernel of psi fails to annihilate ``mat`` on either side
+    (relative to the spectral norm of ``mat``)."""
+    null = kernel(psi, rtol)
+    scale = specnorm(mat)
+    if null.shape[1] == 0 or scale == 0:
+        return False
+    right = np.linalg.norm(mat @ null, 2)
+    left = np.linalg.norm(null.conj().T @ mat, 2)
+    return max(right, left) > rtol * scale
 
 
 def in_class_M(
@@ -71,13 +87,8 @@ def in_class_M(
     1 minus that norm; a kernel obstruction reports margin -inf.
     """
     mat = omega.matrix
-    scale = specnorm(mat)
-    null = kernel(psi, rtol)
-    if null.shape[1] and scale > 0:
-        right = np.linalg.norm(mat @ null, 2)
-        left = np.linalg.norm(null.conj().T @ mat, 2)
-        if max(right, left) > rtol * scale:
-            return False, float("-inf")
+    if _kernel_obstructed(mat, psi, rtol):
+        return False, float("-inf")
     emb = quotient_embedding(psi, rtol)
     compressed = emb.to_quotient(mat)
     norm = specnorm(compressed)
@@ -112,15 +123,8 @@ def epsilon_bound_check(
             bracket straddles 1 (reported as inconclusive).
     """
     mat = omega.matrix
-    scale = specnorm(mat)
-    null = kernel(psi, rtol)
-    if null.shape[1] and scale > 0:
-        right = np.linalg.norm(mat @ null, 2)
-        left = np.linalg.norm(null.conj().T @ mat, 2)
-        if max(right, left) > rtol * scale:
-            raise QuadraticBoundFails(
-                "the kernel of psi carries a nonzero quadratic of omega"
-            )
+    if _kernel_obstructed(mat, psi, rtol):
+        raise QuadraticBoundFails("the kernel of psi carries a nonzero quadratic of omega")
     emb = quotient_embedding(psi, rtol)
     lower, upper = numerical_radius_bounds(emb.to_quotient(mat), grid)
     if lower > 1.0 + MEMBERSHIP_SLACK:
@@ -135,24 +139,6 @@ def epsilon_bound_check(
     eps = 1 if omega.is_symmetric() else 2
     member, margin = in_class_M(omega, PositiveForm(eps * psi.matrix), rtol)
     return EpsilonBound(epsilon=eps, quadratic_norm=lower, member=member, margin=margin)
-
-
-def is_absolutely_continuous(
-    psi: PositiveForm, theta: PositiveForm, rtol: float = DEFAULT_RANK_TOL
-) -> bool:
-    """Kernel inclusion N(theta) <= N(psi).
-
-    At finite dimension the closability half of the definition is automatic,
-    so the kernel inclusion is the whole decision.
-    """
-    null = kernel(theta, rtol)
-    if null.shape[1] == 0:
-        return True
-    top = max(float(psi.eig.values[-1]), 0.0) if psi.eig.values.size else 0.0
-    if top == 0.0:
-        return True
-    quad = np.linalg.norm(hermitize(null.conj().T @ psi.matrix @ null), 2)
-    return float(quad) <= rtol * top
 
 
 def canonical_majorant(t, rtol: float = DEFAULT_RANK_TOL) -> PositiveForm:
@@ -193,16 +179,24 @@ class RNCore:
     sum_to_theta: np.ndarray       # u, the connecting map
     omega_on_sum: Optional[np.ndarray]
 
+    @property
+    def dim(self) -> int:
+        return self.theta_embedding.dim
+
     def tangent_truncated(self, level: float) -> np.ndarray:
         """Tangent weights restricted to spectrum >= level (the finite stage
         of the increasing approximation)."""
-        t = self.spectrum
-        weights = np.zeros_like(t)
-        active = (~self.kernel_mask) & (t >= level)
-        tw = t[active]
-        weights[active] = np.sqrt(np.clip(1.0 - tw * tw, 0.0, None)) / tw
-        v = self.spectrum_basis
-        return (v * weights) @ v.conj().T
+        active = (~self.kernel_mask) & (self.spectrum >= level)
+        return _tangent(self.spectrum, self.spectrum_basis, active)
+
+
+def _tangent(t: np.ndarray, vectors: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The operator with weight sqrt(1 - t^2)/t on the active eigenvectors
+    and 0 on the others."""
+    weights = np.zeros_like(t)
+    tw = t[active]
+    weights[active] = np.sqrt(np.clip(1.0 - tw * tw, 0.0, None)) / tw
+    return (vectors * weights) @ vectors.conj().T
 
 
 def _rn_core(
@@ -217,18 +211,14 @@ def _rn_core(
 
     u_map = emb_theta.matrix @ emb_sum.pseudo_inverse
     csq = hermitize(u_map.conj().T @ u_map)
-    if csq.shape[0]:
-        values, vectors = np.linalg.eigh(csq)
-    else:
-        values, vectors = np.zeros(0), np.zeros((0, 0), dtype=complex)
+    values, vectors = eigh_or_empty(csq)
     values = np.clip(values, 0.0, None)
     # snap: the square is a contraction by construction, so eigenvalues within
     # the rank tolerance of 1 are the exact pure-theta directions
     values[values >= 1.0 - rtol] = 1.0
     # kernel decisions happen on the square, where the rounding floor lives;
     # taking the root first would lift eps-size noise above the threshold
-    top_sq = float(values[-1]) if values.size else 0.0
-    kernel_mask = values <= rtol * top_sq
+    kernel_mask = ~rank_cut(values, rtol)
     spectrum = np.sqrt(values)
 
     contraction = hermitize((vectors * spectrum) @ vectors.conj().T)
@@ -237,18 +227,10 @@ def _rn_core(
 
     isometry = contraction @ emb_sum.matrix @ emb_theta.pseudo_inverse
 
-    weights = np.zeros_like(spectrum)
-    active = ~kernel_mask
-    tw = spectrum[active]
-    weights[active] = np.sqrt(np.clip(1.0 - tw * tw, 0.0, None)) / tw
-    tangent = (vectors * weights) @ vectors.conj().T
+    tangent = _tangent(spectrum, vectors, ~kernel_mask)
 
     density_root = hermitize(isometry.conj().T @ tangent @ isometry)
-    dvals, dvecs = (
-        np.linalg.eigh(density_root)
-        if density_root.shape[0]
-        else (np.zeros(0), np.zeros((0, 0), dtype=complex))
-    )
+    dvals, dvecs = eigh_or_empty(density_root)
     dvals = np.clip(dvals, 0.0, None)
     scale = hermitize((dvecs * np.sqrt(1.0 + dvals * dvals)) @ dvecs.conj().T)
 
@@ -272,28 +254,25 @@ def _rn_core(
 
 
 @dataclass(frozen=True, eq=False)
-class RNRepresentation:
-    """Witness bundle of the scale/factor representation.
+class RNRepresentation(RNCore):
+    """Witness bundle of the scale/factor representation: the quotient
+    construction plus the factor and the majorant built from them.
 
     The identities it satisfies (isometry, density, pairing, fundamental)
     are what tests check; the matrices themselves are not unique.
     """
 
-    theta_embedding: QuotientEmbedding
-    sum_embedding: QuotientEmbedding
-    contraction: np.ndarray
-    isometry: np.ndarray
-    tangent: np.ndarray
-    density_root: np.ndarray
-    scale: np.ndarray
     core_factor: np.ndarray        # y in omega = <h y j ., h j .>
-    sum_to_theta: np.ndarray
-    omega_on_sum: np.ndarray
     majorant: PositiveForm         # the positive form built from scale and factor
 
-    @property
-    def dim(self) -> int:
-        return self.theta_embedding.dim
+
+def scale_factor_majorant(core: RNCore, factor: np.ndarray) -> PositiveForm:
+    """The positive form with quotient matrix h^2 + y^H h^2 y, which
+    majorizes <h y j ., h j .> by the Cauchy-Schwarz inequality and vanishes
+    on the kernel of theta."""
+    h2 = core.scale @ core.scale
+    gamma_q = hermitize(h2 + factor.conj().T @ h2 @ factor)
+    return PositiveForm(core.theta_embedding.from_quotient(gamma_q), tol=BUILT_PSD_TOL)
 
 
 def radon_nikodym(
@@ -320,21 +299,8 @@ def radon_nikodym(
         @ core.sum_embedding.matrix
         @ core.theta_embedding.pseudo_inverse
     )
-    h2 = core.scale @ core.scale
-    gamma_q = hermitize(h2 + factor.conj().T @ h2 @ factor)
-    majorant = PositiveForm(core.theta_embedding.from_quotient(gamma_q), tol=1e-8)
     return RNRepresentation(
-        theta_embedding=core.theta_embedding,
-        sum_embedding=core.sum_embedding,
-        contraction=core.contraction,
-        isometry=core.isometry,
-        tangent=core.tangent,
-        density_root=core.density_root,
-        scale=core.scale,
-        core_factor=factor,
-        sum_to_theta=core.sum_to_theta,
-        omega_on_sum=core.omega_on_sum,
-        majorant=majorant,
+        **vars(core), core_factor=factor, majorant=scale_factor_majorant(core, factor)
     )
 
 
@@ -398,7 +364,7 @@ def dominated_sequence(
     truncated = core.tangent_truncated(1.0 / n)
     k_n = hermitize(core.isometry.conj().T @ truncated @ core.isometry)
     mat = core.theta_embedding.from_quotient(k_n @ k_n)
-    return PositiveForm(hermitize(mat), tol=1e-8)
+    return PositiveForm(hermitize(mat), tol=BUILT_PSD_TOL)
 
 
 def dominated_sequence_stabilization(
@@ -424,19 +390,6 @@ class SectorialityCertificate:
     gamma: float
     margin: float                 # least normalized eigenvalue margin of the checks
     majorant_margin: float        # membership margin of the induced majorant
-
-
-def _sector_margins(
-    omega: Form, theta: PositiveForm, delta: float, gamma: float
-) -> tuple[float, float, float, float]:
-    re, im = re_im_split(omega)
-    base = re.matrix - delta * theta.matrix
-    scale = max(1.0, specnorm(omega.matrix), specnorm(theta.matrix))
-    values = np.linalg.eigvalsh(hermitize(base)) if base.size else np.zeros(1)
-    m_vertex = float(values[0]) / scale
-    m_plus = min_eig_herm(gamma * base - im.matrix) / scale
-    m_minus = min_eig_herm(gamma * base + im.matrix) / scale
-    return m_vertex, m_plus, m_minus, scale, float(values[-1])
 
 
 def _least_slope(
@@ -477,8 +430,9 @@ def sectorial_parameters(
     imaginary part. When neither is supplied, 32 vertices are scanned in
     descending order from the largest admissible one; the first whose least
     half-slope (the spectral radius of the imaginary part compressed to the
-    quotient of the shifted real part) is at most ``SECTOR_SLOPE_CAP`` is
-    verified with that slope. Search refusal means no scanned vertex admits
+    quotient of the shifted real part) is at most ``SECTOR_SLOPE_CAP`` and
+    passes the explicit check with that slope is returned; a vertex the
+    check refuses is skipped. Search refusal means no scanned vertex admits
     such a slope, not a proof of non-sectoriality.
 
     Raises:
@@ -487,8 +441,14 @@ def sectorial_parameters(
     """
     if (delta is None) != (gamma is None):
         raise ValueError("supply both delta and gamma, or neither")
+    re, im = re_im_split(omega)
+    scale = max(1.0, specnorm(omega.matrix), specnorm(theta.matrix))
     if delta is not None:
-        m_vertex, m_plus, m_minus, scale, top = _sector_margins(omega, theta, delta, gamma)
+        base = hermitize(re.matrix - delta * theta.matrix)
+        values = np.linalg.eigvalsh(base) if base.size else np.zeros(1)
+        m_vertex = float(values[0]) / scale
+        m_plus = min_eig_herm(gamma * base - im.matrix) / scale
+        m_minus = min_eig_herm(gamma * base + im.matrix) / scale
         if m_vertex < -slack:
             raise NotSectorial(
                 f"real part minus {delta} * theta has least eigenvalue "
@@ -501,13 +461,12 @@ def sectorial_parameters(
                 f"least eigenvalue {least * scale:.4g} "
                 f"(margin {least:.3e} relative to scale {scale:.4g})"
             )
-        re, _ = re_im_split(omega)
-        base = hermitize(re.matrix - delta * theta.matrix)
         shifted = Form(omega.matrix - delta * theta.matrix)
         # PositiveForm judges PSD relative to the top eigenvalue; scale its
         # tolerance so it accepts what the vertex test above accepted
         majorant = PositiveForm(
-            (1.0 + gamma) * base, tol=max(1e-8, slack * scale / max(top, 1e-300))
+            (1.0 + gamma) * base,
+            tol=max(BUILT_PSD_TOL, slack * scale / max(float(values[-1]), 1e-300)),
         )
         member, member_margin = in_class_M(shifted, majorant, rtol)
         if not member:
@@ -521,8 +480,6 @@ def sectorial_parameters(
             majorant_margin=float(member_margin),
         )
 
-    re, im = re_im_split(omega)
-    scale = max(1.0, specnorm(omega.matrix), specnorm(theta.matrix))
     re_min = min_eig_herm(re.matrix)
     emb = quotient_embedding(theta, rtol)
     if emb.rank:
@@ -534,7 +491,10 @@ def sectorial_parameters(
         base = re.matrix - d * theta.matrix
         g = _least_slope(im.matrix, base, scale, rtol, slack)
         if g is not None and g <= SECTOR_SLOPE_CAP * (1.0 + slack):
-            return sectorial_parameters(omega, theta, float(d), g, rtol, slack)
+            try:
+                return sectorial_parameters(omega, theta, float(d), g, rtol, slack)
+            except NotSectorial:
+                continue  # the verify refused this vertex: try the next one
     raise NotSectorial(
         f"no scanned vertex admits a half-slope at most {SECTOR_SLOPE_CAP:.0f}; "
         "this is a search refusal, not a proof of non-sectoriality"
@@ -551,6 +511,6 @@ def sectorial_regularity(
     absolute continuity of the shifted real part."""
     re, _ = re_im_split(omega)
     base = PositiveForm(
-        hermitize(re.matrix - certificate.delta * theta.matrix), tol=1e-8
+        hermitize(re.matrix - certificate.delta * theta.matrix), tol=BUILT_PSD_TOL
     )
     return is_absolutely_continuous(base, theta, rtol)

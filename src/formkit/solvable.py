@@ -11,7 +11,7 @@ controlled by the numerical range via its support function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -23,6 +23,7 @@ from .numerics import (
     DEFAULT_RANK_TOL,
     HermEig,
     as_matrix,
+    eigh_or_empty,
     hermitize,
     min_eig_herm,
     specnorm,
@@ -55,10 +56,7 @@ class NormGram:
         if np.linalg.norm(g - g.conj().T) > 1e-10 * max(np.linalg.norm(g), 1e-300):
             raise ValidationError("norm Gram matrix must be Hermitian")
         g = hermitize(g)
-        if g.size:
-            w, v = np.linalg.eigh(g)
-        else:
-            w, v = np.zeros(0), np.zeros((0, 0), dtype=complex)
+        w, v = eigh_or_empty(g)
         if g.size and w[0] <= 0:
             raise ValidationError(
                 f"norm Gram matrix must be positive definite: min eigenvalue {w[0]:.6e}"
@@ -201,12 +199,6 @@ def numerical_radius_bounds(
     return lower, min(lower / math.cos(math.pi / m), specnorm(mat))
 
 
-def numerical_radius(mat: np.ndarray, m: int = DEFAULT_HULL_GRID) -> float:
-    """Max modulus over the numerical range; exact for Hermitian input,
-    otherwise the sampled lower bound of ``numerical_radius_bounds``."""
-    return numerical_radius_bounds(mat, m)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class SolvabilityReport:
     """Outcome of perturbing a form into an invertible triplet map."""
@@ -215,8 +207,6 @@ class SolvabilityReport:
     system: np.ndarray          # matrix of the perturbed form
     c1: float                   # smallest singular value, G-normalized
     c2: float                   # largest singular value, G-normalized
-    c1_adjoint: float           # adjoint-side constants; equal by symmetry
-    c2_adjoint: float
     solvable: bool
     operator: np.ndarray        # representing operator T
     lam: Optional[complex] = None
@@ -232,9 +222,8 @@ def solvability_with(
     """Inf-sup constants of omega + upsilon in the G-triplet.
 
     The perturbation is accepted iff the smallest G-normalized singular
-    value exceeds ``rtol`` times the largest. Adjoint-side constants equal
-    the direct ones because conjugate transposition preserves singular
-    values.
+    value exceeds ``rtol`` times the largest. The adjoint-side constants are
+    the same two, because conjugate transposition preserves singular values.
     """
     if not gram.dominates_inner_product:
         raise IncompatibleNorm("Gram matrix does not dominate the inner product")
@@ -249,8 +238,6 @@ def solvability_with(
         system=a,
         c1=c1,
         c2=c2,
-        c1_adjoint=c1,
-        c2_adjoint=c2,
         solvable=solvable,
         operator=omega.matrix,
     )
@@ -296,18 +283,7 @@ def represent_operator(
         if sing[-1] <= rtol * sing[0]:
             raise NotSolvable(f"{lam} is not in the resolvent set")
         resolvent_norm = float(1.0 / sing[-1])
-    return SolvabilityReport(
-        upsilon=report.upsilon,
-        system=report.system,
-        c1=report.c1,
-        c2=report.c2,
-        c1_adjoint=report.c1_adjoint,
-        c2_adjoint=report.c2_adjoint,
-        solvable=True,
-        operator=omega.matrix,
-        lam=lam,
-        resolvent_norm=resolvent_norm,
-    )
+    return replace(report, lam=lam, resolvent_norm=resolvent_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,14 +310,12 @@ def scalar_solvability(
     ``BOUNDARY_RTOL``) the hull is inconclusive and the direct inf-sup check
     decides, as it also does inside.
     """
-    if not gram.dominates_inner_product:
-        raise IncompatibleNorm("Gram matrix does not dominate the inner product")
+    shift = Form(-complex(lam) * np.eye(omega.dim, dtype=complex))
+    report = solvability_with(omega, gram, shift, rtol)  # checks the norm first
     if hull is None:
         hull = support_function(omega, m)
     margin = hull.signed_margin(lam)
     band = BOUNDARY_RTOL * hull.scale
-    shift = Form(-complex(lam) * np.eye(omega.dim, dtype=complex))
-    report = solvability_with(omega, gram, shift, rtol)
     if margin > band:
         if not report.solvable:
             raise TheoremViolation(

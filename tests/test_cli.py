@@ -127,26 +127,61 @@ class TestDecodeMatrix:
             [[[-0.0, -0.0], [0.0, -0.0]], [[1e-300, -1e300], [5e-324, 2.0]]],
             [[2**63 + 1, 1], [2, 3]],
             [[2**64 + 3, 0], [0, -(2**70)]],
-            [[math.nan, 0], [0, math.inf]],
         ],
     )
     def test_accepted_like_entrywise(self, rows):
         assert same_bits(decode_matrix(rows, 2, "omega"), entrywise(rows))
 
-    def test_int_beyond_float_overflows(self):
-        with pytest.raises(OverflowError):
-            decode_matrix([[1.5, 10**400], [0, 0]], 2, "omega")
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            pytest.param([[math.nan, 0], [0, math.inf]], "omega[0][0]", id="nan-inf"),
+            pytest.param([[1, 2], [3, [0, -math.inf]]], "omega[1][1]", id="pair-inf"),
+            pytest.param([[1, 2], [json.loads("1e400"), 0]], "omega[1][0]", id="float-overflow"),
+            pytest.param([[1.5, 10**400], [0, 0]], "omega[0][1]", id="int-overflow"),
+            pytest.param([[0, [1, -(10**400)]], [0, 0]], "omega[0][1]", id="pair-int-overflow"),
+        ],
+    )
+    def test_non_finite_refused(self, rows, where):
+        with pytest.raises(fk.ParseError) as info:
+            decode_matrix(rows, 2, "omega")
+        assert str(info.value) == f"{where}: entries must be finite"
 
-    def test_nan_refused_when_the_form_is_built(self, tmp_path):
+    def test_nan_refused_when_parsed(self, tmp_path):
         path = write(tmp_path, "nan.json", '{"n": 1, "omega": [[[NaN, 0]]]}')
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
+        with pytest.raises(fk.ParseError) as info:
             parse_instance(path)
+        assert str(info.value) == "omega[0][0]: entries must be finite"
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"n": 1, "omega": [[1]], "theta": [[[Infinity, 0]]]}', "theta[0][0]"),
+            ('{"n": 1, "omega": [[1]], "psi": [[NaN]]}', "psi[0][0]"),
+            ('{"n": 1, "omega": [[1]], "norm_gram": [[1e400]]}', "norm_gram[0][0]"),
+            ('{"family": {"name": "operator_pair", "S": [[1]], "T": [[NaN]]}}', "family.T[0][0]"),
+            ('{"family": {"name": "measure", "theta": [1], "omega": [-Infinity]}}', "family.omega"),
+            ('{"family": {"name": "measure", "theta": [NaN], "omega": [1]}}', "family.theta"),
+            ('{"family": {"name": "measure", "theta": [1%s], "omega": [1]}}' % ("0" * 400),
+             "family.theta"),
+        ],
+        ids=["theta", "psi", "norm_gram", "family.T", "family.omega", "family.theta", "int-weight"],
+    )
+    def test_non_finite_refused_on_every_path(self, tmp_path, text, where):
+        path = write(tmp_path, "bad.json", text)
+        with pytest.raises(fk.ParseError) as info:
+            parse_instance(path)
+        assert str(info.value) == f"{where}: entries must be finite"
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_entrywise(self, data):
         n = data.draw(st.integers(1, 4))
-        number = st.floats(allow_nan=False) | st.integers(-(2**70), 2**70) | st.booleans()
+        number = (
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.integers(-(2**70), 2**70)
+            | st.booleans()
+        )
         entry = number | st.lists(number, min_size=2, max_size=2)
         rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
         assert same_bits(decode_matrix(rows, n, "omega"), entrywise(rows))
@@ -426,6 +461,16 @@ class TestCommands:
         first, second = out.split("== b.json\n")
         assert first.startswith("== a.json\ncommand: inspect\n")
         assert second.startswith(f"error: {tmp_path / 'b.json'}: line 1 column 2")
+
+    def test_batch_reports_a_non_finite_file_and_goes_on(self, tmp_path, capsys):
+        write(tmp_path, "a.json", '{"n": 1, "omega": [[[NaN, 0]]]}')
+        write(tmp_path, "b.json", {"n": 1, "omega": [[[2, 0]]]})
+        code = main(["inspect", str(tmp_path), "--batch"])
+        out = capsys.readouterr().out
+        assert code == 1
+        first, second = out.split("== b.json\n")
+        assert first == "== a.json\nerror: omega[0][0]: entries must be finite\n"
+        assert second.startswith("command: inspect\n")
 
     def test_batch_mode(self, tmp_path, capsys):
         write(tmp_path, "a.json", {"n": 1, "omega": [[[1, 0]]]})

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formkit as fk
+from formkit.cli import encode_matrix, main
 from formkit.numerics import as_matrix, frob, hermitize
 
 from conftest import complex_randn, random_psd, random_unitary
@@ -137,3 +140,28 @@ class TestKernelProjector:
             assert frob(proj @ m) <= 1e-9 * max(frob(m), 1e-300)
             assert frob(proj @ proj - proj) <= 1e-10
             assert frob(proj - proj.conj().T) <= 1e-10
+
+
+class TestRankCutAgreement:
+    """A PSD matrix whose small eigenvalue sits just above or just below the
+    relative cut gets the same rank from every construction that decides it."""
+
+    @staticmethod
+    def _matrix(factor):
+        u = random_unitary(np.random.default_rng(23), 4)
+        small = fk.DEFAULT_RANK_TOL * factor
+        return hermitize((u * np.array([small, 0.3, 0.7, 1.0])) @ u.conj().T)
+
+    @pytest.mark.parametrize("factor, rank", [(1 + 1e-3, 4), (1 - 1e-3, 3)])
+    def test_every_site_agrees(self, tmp_path, capsys, factor, rank):
+        m = self._matrix(factor)
+        psi = fk.PositiveForm(m)
+        assert fk.quotient_embedding(psi).rank == rank
+        assert fk.kernel(psi).shape[1] == 4 - rank
+        assert round(np.trace(fk.kernel_projector(m)).real) == 4 - rank
+        assert round(np.trace(fk.pinv(m) @ m).real) == rank
+        path = tmp_path / "cut.json"
+        doc = {"n": 4, "omega": encode_matrix(np.eye(4)).tolist(), "psi": encode_matrix(m).tolist()}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["inspect", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["psi_rank"] == rank

@@ -346,6 +346,19 @@ class TestSectoriality:
             return
         assert fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma).gamma == cert.gamma
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_search_moves_past_a_refused_vertex(self, seed):
+        # the same near-singular Hermitian form: sectorial with any slope at
+        # every vertex below 1e6, but for most rotations U the verify call
+        # refuses the top vertex, so the search must go on to the next one
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        omega = fk.Form(u @ np.diag([1e6, 1e6 + 1e-3, 1e6 + 2e-3]) @ u.conj().T)
+        theta = fk.identity_form(3)
+        cert = fk.sectorial_parameters(omega, theta)
+        again = fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma)
+        assert again.majorant_margin >= -fk.regularity.MEMBERSHIP_SLACK
+
     # vertex and power-of-two slope of the former 32 x 21 vertex/slope grid
     # search on the lab families, sizes 8, 16, 32, 48 (None: refused)
     GRID_CERTIFICATES = {
