@@ -31,14 +31,13 @@ from .errors import (
     ValidationError,
 )
 from .forms import Form, PositiveForm, identity_form, re_im_split
-from .numerics import DEFAULT_RANK_TOL, frob, min_eig_herm, rank_cut
+from .numerics import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, frob, min_eig_herm, rank_cut
 from .regularity import canonical_majorant
 from .solvable import (
     DEFAULT_HULL_GRID,
     MIN_HULL_GRID,
     NormGram,
     numerical_range_hull,
-    represent_operator,
     scalar_solvability,
     solvability_with,
 )
@@ -55,8 +54,6 @@ COMMANDS = (
     "solvable",
     "lab",
 )
-
-DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +157,13 @@ def _family_instance(block: dict) -> Instance:
     raise ParseError(f"unknown family name {block['name']!r}")
 
 
+def _load_json(path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+
+
 def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
     """Load and validate an instance document.
 
@@ -167,11 +171,7 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
         ParseError: on malformed JSON or wrong shapes (with location).
         ValidationError: on violated invariants (named).
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
 
@@ -325,16 +325,16 @@ def render_report(report: dict, as_json: bool) -> str:
 # commands
 
 
-def _base_report(command: str, instance: Instance, args) -> dict:
-    return {
-        "command": command,
-        "instance": instance.provenance,
-        "n": instance.dim,
-        "tolerances": {
-            "rank": float(args.tol_rank),
-            "residual": float(args.tol_residual),
-        },
+def _base_report(command: str, instance: Optional[Instance], args) -> dict:
+    """The report header; the lab command has no single instance."""
+    report = {"command": command}
+    if instance is not None:
+        report.update(instance=instance.provenance, n=instance.dim)
+    report["tolerances"] = {
+        "rank": float(args.tol_rank),
+        "residual": float(args.tol_residual),
     }
+    return report
 
 
 def _cmd_inspect(instance: Instance, args) -> dict:
@@ -449,15 +449,13 @@ def _cmd_decompose(instance: Instance, args) -> dict:
     for idx in range(n):
         basis_vec = np.zeros(n, dtype=complex)
         basis_vec[idx] = 1.0
-        witness = leb.singularity_witness(
-            split.singular, instance.theta, split, basis_vec, args.tol_rank
-        )
+        witness = leb.singularity_witness(split.singular, instance.theta, split, basis_vec)
         worst_theta = max(
             worst_theta, abs(instance.theta(witness, witness)) / theta_norm
         )
         diff = witness - basis_vec
         worst_sing = max(worst_sing, abs(split.singular(diff, diff)) / sing_norm)
-    majorant = leb.regular_part_majorant(split, args.tol_rank)
+    majorant = leb.regular_part_majorant(split)
     cert_member, cert_margin = reg.in_class_M(split.regular, majorant, args.tol_rank)
     report.update(
         {
@@ -527,16 +525,9 @@ def _cmd_solvable(instance: Instance, args) -> dict:
                     "automatic at finite dimension",
                 }
             )
-            if result.solvable:
-                rep = represent_operator(
-                    instance.omega,
-                    gram,
-                    Form(-lam * np.eye(instance.dim, dtype=complex)),
-                    args.tol_rank,
-                )
-                report["resolvent_norm"] = rep.resolvent_norm
-            else:
+            if not result.solvable:
                 raise _Refusal(report, "perturbed form is not solvable")
+            report["resolvent_norm"] = result.report.resolvent_norm
         else:
             if args.upsilon is not None:
                 rows = json.loads(args.upsilon)
@@ -561,14 +552,10 @@ def _cmd_solvable(instance: Instance, args) -> dict:
     return report
 
 
-def _cmd_lab(instance: Instance, args, doc_family: Optional[dict]) -> dict:
-    report = {
-        "command": "lab",
-        "tolerances": {
-            "rank": float(args.tol_rank),
-            "residual": float(args.tol_residual),
-        },
-    }
+def _cmd_lab(path: str, args) -> dict:
+    report = _base_report("lab", None, args)
+    doc = _load_json(path)
+    doc_family = doc.get("family") if isinstance(doc, dict) else None
     if doc_family is None:
         raise ValidationError("the lab command needs an instance file with a family block")
     sizes = [int(x) for x in args.sizes.split(",")] if args.sizes else [8, 16, 32, 64]
@@ -631,18 +618,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_single(path: str, args) -> tuple[str, int]:
-    doc_family = None
-    if args.command == "lab":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-        doc_family = doc.get("family") if isinstance(doc, dict) else None
-        report = _cmd_lab(None, args, doc_family)
-        return render_report(report, args.json), 0
-    instance = parse_instance(path, args.tol_rank)
+    instance = None
     try:
-        report = _INSTANCE_COMMANDS[args.command](instance, args)
+        if args.command == "lab":
+            report = _cmd_lab(path, args)
+        else:
+            instance = parse_instance(path, args.tol_rank)
+            report = _INSTANCE_COMMANDS[args.command](instance, args)
     except _Refusal as refusal:
         return render_report(refusal.report, args.json), 2
     except MathematicalRefusal as exc:
@@ -666,8 +648,9 @@ def main(argv=None) -> int:
             for path in sorted(target.glob("*.json")):
                 try:
                     text, one = _run_single(str(path), args)
-                except (ParseError, ValidationError, OSError) as exc:
-                    # one bad file gets an error chunk; the others still run
+                except (FormkitError, OSError) as exc:
+                    # one bad file or failed internal check gets an error chunk;
+                    # the others still run
                     text, one = f"error: {exc}", 1
                 chunks.append(f"== {path.name}\n{text}")
                 code = max(code, one)
@@ -676,7 +659,7 @@ def main(argv=None) -> int:
         text, code = _run_single(args.instance, args)
         print(text)
         return code
-    except (ParseError, ValidationError, OSError) as exc:
+    except (FormkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

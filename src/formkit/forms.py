@@ -22,7 +22,8 @@ import numpy as np
 
 from . import numerics
 from .errors import DominationFails, NotPSD
-from .numerics import DEFAULT_RANK_TOL, HermEig, as_matrix, frob, hermitize, rank_cut
+from .numerics import DEFAULT_RANK_TOL, DOMINATION_FLOOR, MEMBERSHIP_SLACK, SYMMETRY_RTOL
+from .numerics import HermEig, as_matrix, asymmetry, hermitize, rank_cut
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,10 +51,8 @@ class Form:
         eta = np.asarray(eta, dtype=complex)
         return complex(eta.conj() @ (self.matrix @ xi))
 
-    def is_symmetric(self, rtol: float = 1e-10) -> bool:
-        return frob(self.matrix - self.matrix.conj().T) <= rtol * max(
-            frob(self.matrix), 1e-300
-        )
+    def is_symmetric(self) -> bool:
+        return not asymmetry(self.matrix, SYMMETRY_RTOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,17 +64,14 @@ class PositiveForm(Form):
     Hermitian part, and caches the eigendecomposition.
     """
 
-    tol: float = 1e-10
+    tol: float = DEFAULT_RANK_TOL
     eig: HermEig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        scale = frob(m)
-        sym_residual = frob(m - m.conj().T)
-        if sym_residual > self.tol * max(scale, 1e-300):
-            raise NotPSD(
-                f"matrix is not Hermitian: symmetry residual {sym_residual:.3e}"
-            )
+        sym_residual = asymmetry(m, self.tol)
+        if sym_residual:
+            raise NotPSD(f"matrix is not Hermitian: symmetry residual {sym_residual:.3e}")
         m = hermitize(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -233,7 +229,7 @@ def domination_operator(
     best = dominates(theta, psi, rtol)
     if best is None:
         raise DominationFails("kernel obstruction: N(psi) is not inside N(theta)")
-    if gamma is not None and best > gamma * (1 + 1e-9) + 1e-15:
+    if gamma is not None and best > gamma * (1 + MEMBERSHIP_SLACK) + DOMINATION_FLOOR:
         raise DominationFails(f"optimal constant {best:.6e} exceeds gamma={gamma}")
     emb_theta = quotient_embedding(theta, rtol)
     emb_psi = quotient_embedding(psi, rtol)

@@ -21,21 +21,17 @@ from .errors import (
     WitnessResidualTooLarge,
 )
 from .forms import Form, PositiveForm, is_absolutely_continuous
-from .numerics import BUILT_PSD_TOL, DEFAULT_RANK_TOL, frob, hermitize, min_eig_herm, pinv, specnorm
+from .numerics import BUILT_PSD_TOL, DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, LIMIT_STALL, LIMIT_STOP
+from .numerics import MEMBERSHIP_SLACK, ORDER_TOL, PARALLEL_SUM_SNAP, SINGULAR_THRESHOLD, ZERO_SNAP
+from .numerics import frob, hermitize, min_eig_herm, pinv, specnorm
 from .regularity import RNCore, _rn_core, in_class_M, scale_factor_majorant
 
-# Components smaller than this (relative to the total mass) are returned as
-# exact zero matrices; they are indistinguishable from rounding noise.
-_ZERO_SNAP = 1e-12
-
-_LIMIT_STOP = 1e-12
 _LIMIT_MAX_DOUBLINGS = 40
-_SINGULAR_THRESHOLD = 1e-9
 
 
 def _snap_zero(mat: np.ndarray, scale: float) -> np.ndarray:
     """Replace a matrix indistinguishable from rounding noise by exact zero."""
-    if frob(mat) <= _ZERO_SNAP * max(scale, 1e-300):
+    if frob(mat) <= ZERO_SNAP * max(scale, 1e-300):
         return np.zeros_like(mat)
     return mat
 
@@ -46,9 +42,8 @@ class LebesgueSplit:
 
     regular: Form
     singular: Form
-    kernel_projector: np.ndarray   # projector onto the kernel block, sum quotient
     regular_core: np.ndarray       # the factor z with regular = <h z j ., h j .>
-    rep: RNCore
+    rep: RNCore                    # rep.kernel_projector: the kernel block, sum quotient
 
 
 def lebesgue_decompose(
@@ -82,18 +77,10 @@ def lebesgue_decompose(
         @ emb.matrix
         @ core.theta_embedding.pseudo_inverse
     )
-    return LebesgueSplit(
-        regular=regular,
-        singular=singular,
-        kernel_projector=proj,
-        regular_core=z,
-        rep=core,
-    )
+    return LebesgueSplit(regular=regular, singular=singular, regular_core=z, rep=core)
 
 
-def regular_part_majorant(
-    split: LebesgueSplit, rtol: float = DEFAULT_RANK_TOL
-) -> PositiveForm:
+def regular_part_majorant(split: LebesgueSplit) -> PositiveForm:
     """The canonical majorant certifying regularity of the regular part.
 
     Built from the scale and the regular factor; it vanishes on the kernel
@@ -137,7 +124,7 @@ def parallel_sum(
     """Parallel sum a (a + b)^+ b: the harmonic-mean-type minorant of both."""
     raw = _parallel_sum_matrix(a.matrix, b.matrix, rtol)
     scale = min(specnorm(a.matrix), specnorm(b.matrix))
-    if frob(raw) <= 1e-11 * max(scale, 1e-300):
+    if frob(raw) <= PARALLEL_SUM_SNAP * max(scale, 1e-300):
         raw = np.zeros_like(raw)
     return PositiveForm(hermitize(raw), tol=BUILT_PSD_TOL)
 
@@ -164,9 +151,9 @@ def parallel_sum_limit(
         current = _parallel_sum_matrix(psi.matrix, (2.0**k) * theta.matrix, rtol)
         delta = frob(current - previous)
         previous = current
-        if delta < _LIMIT_STOP * scale:
+        if delta < LIMIT_STOP * scale:
             return hermitize(previous)
-    if delta is not None and delta > 1e-6 * scale:
+    if delta is not None and delta > LIMIT_STALL * scale:
         raise NoConvergence(
             f"doubling reached 2^{_LIMIT_MAX_DOUBLINGS} with the iterates still "
             f"moving by {delta:.3e}"
@@ -182,17 +169,10 @@ def is_mutually_singular(
     """True iff no nonzero positive form sits below both psi and theta,
     decided by thresholding the parallel-sum limit."""
     limit = parallel_sum_limit(psi, theta, rtol)
-    return frob(limit) <= _SINGULAR_THRESHOLD * max(frob(psi.matrix), 1e-300)
+    return frob(limit) <= SINGULAR_THRESHOLD * max(frob(psi.matrix), 1e-300)
 
 
-def singularity_witness(
-    omega_s: Form,
-    theta: PositiveForm,
-    split: LebesgueSplit,
-    xi,
-    rtol: float = DEFAULT_RANK_TOL,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
+def singularity_witness(omega_s: Form, theta: PositiveForm, split: LebesgueSplit, xi) -> np.ndarray:
     """Vector xi' annihilating theta while matching xi inside the singular
     part: the finite-dimensional realization of the approximating sequence.
 
@@ -207,10 +187,10 @@ def singularity_witness(
     witness = emb.pseudo_inverse @ target
     norm_sq = float(np.vdot(xi, xi).real)
     theta_val = abs(theta(witness, witness))
-    theta_bound = residual_tol * max(theta.spectral_norm, 1e-300) * max(norm_sq, 1e-300)
+    theta_bound = DEFAULT_RESIDUAL_TOL * max(theta.spectral_norm, 1e-300) * max(norm_sq, 1e-300)
     diff = witness - xi
     omega_val = abs(omega_s(diff, diff))
-    omega_bound = residual_tol * max(omega_s.spectral_norm, 1e-300) * max(norm_sq, 1e-300)
+    omega_bound = DEFAULT_RESIDUAL_TOL * max(omega_s.spectral_norm, 1e-300) * max(norm_sq, 1e-300)
     if theta_val > theta_bound or omega_val > omega_bound:
         raise WitnessResidualTooLarge(
             f"witness residuals {theta_val:.3e} (theta) / {omega_val:.3e} (singular part) "
@@ -224,7 +204,6 @@ def maximality_check(
     psi: PositiveForm,
     theta: PositiveForm,
     rtol: float = DEFAULT_RANK_TOL,
-    slack: float = 1e-9,
 ) -> bool:
     """Assert that an absolutely continuous minorant of psi sits below the
     absolutely continuous part of psi.
@@ -236,7 +215,7 @@ def maximality_check(
     scale = max(1.0, specnorm(psi.matrix))
     if not is_absolutely_continuous(phi_prime, theta, rtol):
         raise PreconditionFails("phi_prime is not theta-absolutely continuous")
-    if min_eig_herm(psi.matrix - phi_prime.matrix) < -1e-10 * scale:
+    if min_eig_herm(psi.matrix - phi_prime.matrix) < -ORDER_TOL * scale:
         raise PreconditionFails("phi_prime is not below psi")
     ac_part, _ = positive_lebesgue(psi, theta, rtol)
-    return min_eig_herm(ac_part.matrix - phi_prime.matrix) >= -slack * scale
+    return min_eig_herm(ac_part.matrix - phi_prime.matrix) >= -MEMBERSHIP_SLACK * scale

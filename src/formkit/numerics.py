@@ -6,7 +6,8 @@ pseudoinverse, and the orthogonal projector onto a near-null eigenspace.
 Every rank decision goes through ``rank_cut`` with one relative threshold
 (``DEFAULT_RANK_TOL``, overridable per call) and every PSD check through
 ``psd_eig``, so that compositions of these primitives make mutually
-consistent kernel/range decisions.
+consistent kernel/range decisions. Every threshold the package compares
+against is named once, in the table below.
 """
 
 from __future__ import annotations
@@ -17,14 +18,22 @@ import numpy as np
 
 from .errors import NotHermitian, NotPSD
 
-DEFAULT_RANK_TOL = 1e-10
-
-# PSD tolerance of positive forms built from other forms, which carry the
-# rounding of their construction.
-BUILT_PSD_TOL = 1e-8
-
-# HermEig construction self-check; LAPACK is far better than this in practice.
-_RECONSTRUCT_TOL = 1e-12
+# Tolerances; each comment names the decision and the scale the value is relative to.
+DEFAULT_RANK_TOL = 1e-10  # rank cuts and PSD checks: largest eigenvalue or singular value
+BUILT_PSD_TOL = 1e-8  # PSD check of a form built from other forms: its largest eigenvalue
+SYMMETRY_RTOL = 1e-10  # symmetry residual |M - M^H|_F: |M|_F
+EXACT_RADIUS_RTOL = 1e-12  # symmetry below which the numerical radius is exact: |M|_F
+RECONSTRUCT_TOL = 1e-12  # eigendecomposition self-check: max(|M|_F, 1)
+MEMBERSHIP_SLACK = 1e-9  # upper bounds (membership, sector, domination, maximality): the bound
+DOMINATION_FLOOR = 1e-15  # added to the domination bound gamma: absolute
+ORDER_TOL = 1e-10  # phi' <= psi in maximality_check: max(|psi|_2, 1)
+DEFAULT_RESIDUAL_TOL = 1e-8  # witness and identity residuals: the norm of their form
+ZERO_SNAP = 1e-12  # split components set to exact zero: total Frobenius mass
+PARALLEL_SUM_SNAP = 1e-11  # parallel sum set to exact zero: the smaller spectral norm
+LIMIT_STOP = 1e-12  # parallel-sum limit converged (Frobenius step): max(|psi|_F, 1)
+LIMIT_STALL = 1e-6  # parallel-sum limit still moving at the doubling cap: max(|psi|_F, 1)
+SINGULAR_THRESHOLD = 1e-9  # mutual singularity, |parallel-sum limit|_F: |psi|_F
+BOUNDARY_RTOL = 1e-4  # hull margins reported inconclusive: the hull scale
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -80,22 +89,29 @@ def eigh_or_empty(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(m)
 
 
-def hermitian_eig(m, sym_rtol: float = 1e-10) -> HermEig:
+def asymmetry(m: np.ndarray, rtol: float) -> float:
+    """The symmetry residual |M - M^H|_F when it exceeds ``rtol`` times
+    |M|_F, else 0.0: nonzero exactly when M fails the Hermitian test."""
+    residual = frob(m - m.conj().T)
+    return residual if residual and residual > rtol * max(frob(m), 1e-300) else 0.0
+
+
+def hermitian_eig(m) -> HermEig:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises:
-        NotHermitian: if the symmetry residual exceeds ``sym_rtol``
+        NotHermitian: if the symmetry residual exceeds ``SYMMETRY_RTOL``
             relative to the Frobenius norm.
     """
     m = as_matrix(m)
     scale = frob(m)
-    if frob(m - m.conj().T) > sym_rtol * max(scale, 1e-300):
+    residual = asymmetry(m, SYMMETRY_RTOL)
+    if residual:
         raise NotHermitian(
-            f"symmetry residual {frob(m - m.conj().T):.3e} exceeds "
-            f"{sym_rtol:.1e} * {scale:.3e}"
+            f"symmetry residual {residual:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}"
         )
     eig = HermEig(*eigh_or_empty(hermitize(m)))
-    if frob(eig.reconstruct() - hermitize(m)) > _RECONSTRUCT_TOL * max(scale, 1.0):
+    if frob(eig.reconstruct() - hermitize(m)) > RECONSTRUCT_TOL * max(scale, 1.0):
         raise NotHermitian("eigendecomposition failed its reconstruction check")
     return eig
 

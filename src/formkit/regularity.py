@@ -31,6 +31,7 @@ from .errors import (
     NotInClassM,
     NotSectorial,
     QuadraticBoundFails,
+    ValidationError,
 )
 from .forms import (
     Form,
@@ -45,6 +46,7 @@ from .forms import (
 from .numerics import (
     BUILT_PSD_TOL,
     DEFAULT_RANK_TOL,
+    MEMBERSHIP_SLACK,
     HermEig,
     as_matrix,
     eigh_or_empty,
@@ -58,22 +60,20 @@ from .numerics import (
 )
 from .solvable import DEFAULT_HULL_GRID, numerical_radius_bounds
 
-MEMBERSHIP_SLACK = 1e-9
-
 # Largest half-slope the sector search accepts at a vertex.
 SECTOR_SLOPE_CAP = 2.0**20
 
 
-def _kernel_obstructed(mat: np.ndarray, psi: PositiveForm, rtol: float) -> bool:
-    """True when the kernel of psi fails to annihilate ``mat`` on either side
-    (relative to the spectral norm of ``mat``)."""
+def _kernel_obstructed(omega: Form, psi: PositiveForm, rtol: float) -> bool:
+    """True when the kernel of psi fails to annihilate omega's matrix on either
+    side (relative to omega's spectral norm)."""
     null = kernel(psi, rtol)
-    scale = specnorm(mat)
-    if null.shape[1] == 0 or scale == 0:
+    if null.shape[1] == 0 or omega.spectral_norm == 0:
         return False
+    mat = omega.matrix
     right = np.linalg.norm(mat @ null, 2)
     left = np.linalg.norm(null.conj().T @ mat, 2)
-    return max(right, left) > rtol * scale
+    return max(right, left) > rtol * omega.spectral_norm
 
 
 def in_class_M(
@@ -86,11 +86,10 @@ def in_class_M(
     has norm at most 1 (with ``MEMBERSHIP_SLACK`` of slack). The margin is
     1 minus that norm; a kernel obstruction reports margin -inf.
     """
-    mat = omega.matrix
-    if _kernel_obstructed(mat, psi, rtol):
+    if _kernel_obstructed(omega, psi, rtol):
         return False, float("-inf")
     emb = quotient_embedding(psi, rtol)
-    compressed = emb.to_quotient(mat)
+    compressed = emb.to_quotient(omega.matrix)
     norm = specnorm(compressed)
     return norm <= 1.0 + MEMBERSHIP_SLACK, 1.0 - norm
 
@@ -122,11 +121,10 @@ def epsilon_bound_check(
         QuadraticBoundFails: if the quadratic bound is violated, or if the
             bracket straddles 1 (reported as inconclusive).
     """
-    mat = omega.matrix
-    if _kernel_obstructed(mat, psi, rtol):
+    if _kernel_obstructed(omega, psi, rtol):
         raise QuadraticBoundFails("the kernel of psi carries a nonzero quadratic of omega")
     emb = quotient_embedding(psi, rtol)
-    lower, upper = numerical_radius_bounds(emb.to_quotient(mat), grid)
+    lower, upper = numerical_radius_bounds(emb.to_quotient(omega.matrix), grid)
     if lower > 1.0 + MEMBERSHIP_SLACK:
         raise QuadraticBoundFails(
             f"quadratic maximum {lower:.6e} over the psi-unit sphere exceeds 1"
@@ -146,9 +144,16 @@ def canonical_majorant(t, rtol: float = DEFAULT_RANK_TOL) -> PositiveForm:
 
     With t = u h polar (h PSD, u a partial isometry vanishing on ker h),
     the form with matrix I + h + u h u^H majorizes the form of t.
+
+    Raises:
+        ValidationError: if t^H t overflows the float range.
     """
     t = as_matrix(t)
-    h = psd_sqrt(t.conj().T @ t, rtol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = t.conj().T @ t
+    if not np.isfinite(gram).all():
+        raise ValidationError("omega is too large for its canonical majorant: t^H t overflows")
+    h = psd_sqrt(gram, rtol)
     u = t @ pinv(h, rtol)
     n = t.shape[0]
     mat = np.eye(n, dtype=complex) + h + u @ h @ u.conj().T
@@ -173,7 +178,6 @@ class RNCore:
     kernel_mask: np.ndarray        # which eigendirections belong to the kernel block
     kernel_projector: np.ndarray
     isometry: np.ndarray           # theta-quotient -> sum-quotient
-    tangent: np.ndarray            # sqrt(1 - t^2)/t on the positive spectrum
     density_root: np.ndarray       # k, with psi = <k j ., k j .> up to the kernel block
     scale: np.ndarray              # h = (1 + k^2)^(1/2)
     sum_to_theta: np.ndarray       # u, the connecting map
@@ -245,7 +249,6 @@ def _rn_core(
         kernel_mask=kernel_mask,
         kernel_projector=proj,
         isometry=isometry,
-        tangent=tangent,
         density_root=density_root,
         scale=scale,
         sum_to_theta=u_map,
@@ -393,7 +396,7 @@ class SectorialityCertificate:
 
 
 def _least_slope(
-    im: np.ndarray, base: np.ndarray, scale: float, rtol: float, slack: float
+    im: np.ndarray, base: np.ndarray, scale: float, rtol: float
 ) -> Optional[float]:
     """Least gamma with gamma * base - im and gamma * base + im both PSD.
 
@@ -403,7 +406,7 @@ def _least_slope(
     the least slope is the spectral radius of C.
     """
     eig = HermEig(*np.linalg.eigh(base))
-    if eig.values.size and eig.values[0] < -slack * scale:
+    if eig.values.size and eig.values[0] < -MEMBERSHIP_SLACK * scale:
         return None
     emb = eigen_embedding(eig, rtol)
     # eigenvalues ascend, so the rank cut keeps the last emb.rank columns
@@ -421,7 +424,6 @@ def sectorial_parameters(
     delta: Optional[float] = None,
     gamma: Optional[float] = None,
     rtol: float = DEFAULT_RANK_TOL,
-    slack: float = MEMBERSHIP_SLACK,
 ) -> SectorialityCertificate:
     """Verify (or search for) sector parameters.
 
@@ -449,12 +451,12 @@ def sectorial_parameters(
         m_vertex = float(values[0]) / scale
         m_plus = min_eig_herm(gamma * base - im.matrix) / scale
         m_minus = min_eig_herm(gamma * base + im.matrix) / scale
-        if m_vertex < -slack:
+        if m_vertex < -MEMBERSHIP_SLACK:
             raise NotSectorial(
                 f"real part minus {delta} * theta has least eigenvalue "
                 f"{m_vertex * scale:.4g} (margin {m_vertex:.3e} relative to scale {scale:.4g})"
             )
-        if min(m_plus, m_minus) < -slack:
+        if min(m_plus, m_minus) < -MEMBERSHIP_SLACK:
             least = min(m_plus, m_minus)
             raise NotSectorial(
                 f"imaginary part exceeds {gamma} * (real part - {delta} * theta): "
@@ -466,7 +468,7 @@ def sectorial_parameters(
         # tolerance so it accepts what the vertex test above accepted
         majorant = PositiveForm(
             (1.0 + gamma) * base,
-            tol=max(BUILT_PSD_TOL, slack * scale / max(float(values[-1]), 1e-300)),
+            tol=max(BUILT_PSD_TOL, MEMBERSHIP_SLACK * scale / max(float(values[-1]), 1e-300)),
         )
         member, member_margin = in_class_M(shifted, majorant, rtol)
         if not member:
@@ -489,10 +491,10 @@ def sectorial_parameters(
         delta_sup = re_min
     for d in np.linspace(re_min - 1.0, delta_sup, 32)[::-1]:
         base = re.matrix - d * theta.matrix
-        g = _least_slope(im.matrix, base, scale, rtol, slack)
-        if g is not None and g <= SECTOR_SLOPE_CAP * (1.0 + slack):
+        g = _least_slope(im.matrix, base, scale, rtol)
+        if g is not None and g <= SECTOR_SLOPE_CAP * (1.0 + MEMBERSHIP_SLACK):
             try:
-                return sectorial_parameters(omega, theta, float(d), g, rtol, slack)
+                return sectorial_parameters(omega, theta, float(d), g, rtol)
             except NotSectorial:
                 continue  # the verify refused this vertex: try the next one
     raise NotSectorial(

@@ -20,9 +20,13 @@ import numpy as np
 from .errors import IncompatibleNorm, NotSolvable, TheoremViolation, ValidationError
 from .forms import Form, PositiveForm
 from .numerics import (
+    BOUNDARY_RTOL,
     DEFAULT_RANK_TOL,
+    EXACT_RADIUS_RTOL,
+    SYMMETRY_RTOL,
     HermEig,
     as_matrix,
+    asymmetry,
     eigh_or_empty,
     hermitize,
     min_eig_herm,
@@ -31,10 +35,6 @@ from .numerics import (
 
 DEFAULT_HULL_GRID = 720
 MIN_HULL_GRID = 16
-
-# Hull margins closer to the boundary than this (relative to the hull scale)
-# are reported inconclusive rather than guessed.
-BOUNDARY_RTOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +53,7 @@ class NormGram:
 
     def __post_init__(self):
         g = as_matrix(self.gram)
-        if np.linalg.norm(g - g.conj().T) > 1e-10 * max(np.linalg.norm(g), 1e-300):
+        if asymmetry(g, SYMMETRY_RTOL):
             raise ValidationError("norm Gram matrix must be Hermitian")
         g = hermitize(g)
         w, v = eigh_or_empty(g)
@@ -192,7 +192,7 @@ def numerical_radius_bounds(
     mat = np.asarray(mat, dtype=complex)
     if mat.shape[0] == 0:
         return 0.0, 0.0
-    if np.linalg.norm(mat - mat.conj().T) <= 1e-12 * max(np.linalg.norm(mat), 1e-300):
+    if not asymmetry(mat, EXACT_RADIUS_RTOL):
         radius = float(np.max(np.abs(np.linalg.eigvalsh(hermitize(mat)))))
         return radius, radius
     lower = float(np.max(support_function(Form(mat), m).support))
@@ -264,8 +264,8 @@ def represent_operator(
 
     At finite dimension the operator is the representing matrix itself and
     is defined on the whole space. When the perturbation is a scalar shift
-    -lam * inner product, lam belongs to the resolvent set and the report
-    carries the resolvent norm.
+    -lam * inner product, the inf-sup test has put lam in the resolvent set
+    and the report carries the resolvent norm.
 
     Raises:
         NotSolvable: if the perturbation fails the inf-sup test.
@@ -276,14 +276,14 @@ def represent_operator(
             f"inf-sup constant {report.c1:.3e} is not positive relative to {report.c2:.3e}"
         )
     lam = _scalar_shift(upsilon)
-    resolvent_norm = None
-    if lam is not None:
-        shifted = omega.matrix - lam * np.eye(omega.dim, dtype=complex)
-        sing = np.linalg.svd(shifted, compute_uv=False)
-        if sing[-1] <= rtol * sing[0]:
-            raise NotSolvable(f"{lam} is not in the resolvent set")
-        resolvent_norm = float(1.0 / sing[-1])
-    return replace(report, lam=lam, resolvent_norm=resolvent_norm)
+    return report if lam is None else _with_resolvent(report, lam)
+
+
+def _with_resolvent(report: SolvabilityReport, lam: complex) -> SolvabilityReport:
+    """The report of the solvable shift -lam with lam and the resolvent norm
+    1 / sigma_min(omega - lam) attached; the inf-sup test made the decision."""
+    sing = np.linalg.svd(report.system, compute_uv=False)
+    return replace(report, lam=lam, resolvent_norm=float(1.0 / sing[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,10 +308,13 @@ def scalar_solvability(
     be solvable; that implication is asserted and its failure raises
     TheoremViolation. Within the boundary band (relative width
     ``BOUNDARY_RTOL``) the hull is inconclusive and the direct inf-sup check
-    decides, as it also does inside.
+    decides, as it also does inside. A solvable shift's report carries lam
+    and the resolvent norm.
     """
     shift = Form(-complex(lam) * np.eye(omega.dim, dtype=complex))
     report = solvability_with(omega, gram, shift, rtol)  # checks the norm first
+    if report.solvable:
+        report = _with_resolvent(report, complex(lam))
     if hull is None:
         hull = support_function(omega, m)
     margin = hull.signed_margin(lam)

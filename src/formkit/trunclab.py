@@ -110,8 +110,12 @@ def operator_pair_family(s_mat, t_mat, provenance: str = "operator_pair") -> Ins
     if s.shape != t.shape:
         raise ValidationError("the two operators must have the same shape")
     n = s.shape[0]
-    omega = Form(t.conj().T @ s)
-    gram = np.eye(n, dtype=complex) + s.conj().T @ s + t.conj().T @ t
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = t.conj().T @ s
+        gram = np.eye(n, dtype=complex) + s.conj().T @ s + t.conj().T @ t
+    if not (np.isfinite(product).all() and np.isfinite(gram).all()):
+        raise ValidationError("S and T are too large: T^H S or S^H S + T^H T overflows")
+    omega = Form(product)
     psi = PositiveForm(hermitize(gram))
     extras = {"H": psd_sqrt(psi.matrix)}
     return Instance(
@@ -125,37 +129,47 @@ def operator_pair_family(s_mat, t_mat, provenance: str = "operator_pair") -> Ins
 
 def _lambda_values(expression, size: int) -> np.ndarray:
     """Evaluate a sequence specification: a literal list or an expression in
-    the index variable n (1-based), e.g. ``"n*exp(i*n)"``."""
-    if isinstance(expression, str):
-        import cmath
+    the index variable n (1-based), e.g. ``"n*exp(i*n)"``.
 
-        namespace = {
-            "exp": cmath.exp,
-            "cos": cmath.cos,
-            "sin": cmath.sin,
-            "sqrt": cmath.sqrt,
-            "log": cmath.log,
-            "abs": abs,
-            "pi": cmath.pi,
-            "e": cmath.e,
-            "i": 1j,
-            "j": 1j,
-        }
-        code = compile(expression, "<lambda-spec>", "eval")
-        for name in code.co_names:
-            if name not in namespace and name != "n":
-                raise ValidationError(f"unknown name {name!r} in sequence expression")
-        out = []
-        for n in range(1, size + 1):
-            local = dict(namespace, n=n)
-            out.append(complex(eval(code, {"__builtins__": {}}, local)))
-        return np.asarray(out)
-    values = np.asarray(expression, dtype=complex).ravel()
+    Raises:
+        ValidationError: unless the specification gives ``size`` finite numbers.
+    """
+    try:
+        if isinstance(expression, str):
+            import cmath
+
+            namespace = {
+                "exp": cmath.exp,
+                "cos": cmath.cos,
+                "sin": cmath.sin,
+                "sqrt": cmath.sqrt,
+                "log": cmath.log,
+                "abs": abs,
+                "pi": cmath.pi,
+                "e": cmath.e,
+                "i": 1j,
+                "j": 1j,
+            }
+            code = compile(expression, "<lambda-spec>", "eval")
+            for name in code.co_names:
+                if name not in namespace and name != "n":
+                    raise ValidationError(f"unknown name {name!r} in sequence expression")
+            values = np.asarray(
+                [
+                    complex(eval(code, {"__builtins__": {}}, dict(namespace, n=n)))
+                    for n in range(1, size + 1)
+                ]
+            )
+        else:
+            values = np.asarray(expression, dtype=complex).ravel()
+    except (ArithmeticError, SyntaxError, TypeError, ValueError) as exc:  # e.g. overflow
+        raise ValidationError(f"'lambda' {expression!r} does not evaluate: {exc}") from exc
     if values.size < size:
-        raise ValidationError(
-            f"sequence literal has {values.size} entries, need {size}"
-        )
-    return values[:size]
+        raise ValidationError(f"sequence literal has {values.size} entries, need {size}")
+    values = values[:size]
+    if not np.isfinite(values).all():
+        raise ValidationError("'lambda' entries must be finite")
+    return values
 
 
 def convergence_report(
@@ -200,8 +214,6 @@ def convergence_report(
         gram = NormGram(np.eye(size, dtype=complex) + inst.psi.matrix)
         shift = Form(-probe * np.eye(size, dtype=complex))
         report = represent_operator(inst.omega, gram, shift, rtol)
-        normalized = gram.normalized(report.system)
-        sing = np.linalg.svd(normalized, compute_uv=False)
         rows.append(
             {
                 "size": size,
@@ -220,7 +232,7 @@ def convergence_report(
                 "probe": probe,
                 "probe_distance": distance,
                 "resolvent_norm": report.resolvent_norm,
-                "normalized_condition": float(sing[0] / sing[-1]),
+                "normalized_condition": report.c2 / report.c1,
             }
         )
     return rows

@@ -134,7 +134,7 @@ def test_criterion_04_maximality(positive_pairs):
             candidates.append(fk.PositiveForm(t * ac.matrix))
         candidates.append(fk.parallel_sum(psi, fk.PositiveForm(2.0**10 * theta.matrix)))
         for cand in candidates:
-            assert fk.maximality_check(cand, psi, theta, slack=1e-9)
+            assert fk.maximality_check(cand, psi, theta)
     verdict(4, "maximal-minorant", True)
 
 

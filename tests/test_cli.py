@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,6 +472,95 @@ class TestCommands:
         first, second = out.split("== b.json\n")
         assert first == "== a.json\nerror: omega[0][0]: entries must be finite\n"
         assert second.startswith("command: inspect\n")
+
+    def test_solvable_shift_decided_once(self, tmp_path, capsys):
+        # the inf-sup test accepts lambda = 0 (c1 / c2 = 0.55 > 0.3); the
+        # unnormalized system's condition (sigma ratio 0.1) no longer refuses it
+        path = write(tmp_path, "d.json", {"family": {"name": "diag", "lambda": [1, 10], "N": 2}})
+        code = main(["solvable", path, "--json", "--lambda=0,0", "--tol-rank", "0.3"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["solvable"] is True
+        assert doc["resolvent_norm"] == 1.0
+
+    def test_solvable_lambda_runs_one_inf_sup_svd(self, capsys, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def recording(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        path = str(Path(__file__).parent / "golden" / "instances" / "dense.json")
+        assert main(["solvable", path, "--lambda=5,0"]) == 0
+        capsys.readouterr()
+        # the canonical majorant's pinv, the inf-sup test, the resolvent norm
+        assert len(calls) == 3
+
+    def test_lab_refusal_exit_code(self, tmp_path, capsys):
+        family = {"name": "diag", "lambda": "n*exp(i*n)", "N": 8}
+        path = write(tmp_path, "lab.json", {"family": family})
+        code = main(["lab", path, "--json", "--sizes", "4,8", "--tol-rank", "0.9"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert doc["refused"] is True
+        assert doc["reason"].startswith("inf-sup constant")
+
+    def test_failed_internal_check_exit_code(self, tmp_path, capsys):
+        # a rank tolerance this large turns the inf-sup cut into a conditioning
+        # test, which refuses a point far outside the hull
+        path = write(tmp_path, "d.json", {"family": {"name": "diag", "lambda": [1, 10], "N": 2}})
+        code = main(["solvable", path, "--lambda=100,0", "--tol-rank", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: point at distance")
+
+    @pytest.mark.parametrize(
+        "argv, first, exit_code",
+        [
+            (["lab", "--sizes", "4,8", "--tol-rank", "0.9"], "refused: True", 2),
+            (["solvable", "--lambda=100,0", "--tol-rank", "0.5"], "error: point at distance", 1),
+        ],
+        ids=["refusal", "internal-check"],
+    )
+    def test_batch_goes_on_past_a_failed_command(self, tmp_path, capsys, argv, first, exit_code):
+        write(tmp_path, "a.json", {"family": {"name": "diag", "lambda": "n*exp(i*n)", "N": 8}})
+        write(tmp_path, "b.json", {"family": {"name": "diag", "lambda": [1, 10], "N": 2}})
+        write(tmp_path, "c.json", {"family": {"name": "diag", "lambda": "1", "N": 2}})
+        code = main([argv[0], str(tmp_path), "--batch", *argv[1:]])
+        out = capsys.readouterr().out
+        assert code == exit_code
+        assert first in out
+        assert out.split("== c.json\n")[1].startswith("command: " + argv[0])
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ({"name": "operator_pair", "S": [[1e200]], "T": [[1e200]]}, "S and T are too large"),
+            ({"name": "diag", "lambda": [1, float("nan"), 2], "N": 3}, "'lambda' entries must"),
+            ({"name": "diag", "lambda": "exp(1000*n)", "N": 3}, "'lambda' 'exp(1000*n)' does not"),
+            ({"name": "diag", "lambda": "n*", "N": 3}, "'lambda' 'n*' does not evaluate"),
+            ({"name": "diag", "lambda": ["x", 1], "N": 2}, "'lambda' ['x', 1] does not"),
+        ],
+        ids=["operator-pair", "nan-literal", "exp-overflow", "syntax", "string-literal"],
+    )
+    def test_overflowing_family_is_an_error(self, tmp_path, capsys, family, message):
+        bad = write(tmp_path, "a.json", {"family": family})
+        write(tmp_path, "b.json", {"n": 1, "omega": [[[2, 0]]]})
+        assert main(["inspect", bad]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert main(["inspect", str(tmp_path), "--batch"]) == 1
+        first, second = capsys.readouterr().out.split("== b.json\n")
+        assert first.startswith(f"== a.json\nerror: {message}")
+        assert second.startswith("command: inspect\n")
+
+    def test_overflowing_canonical_majorant_is_an_error(self, tmp_path, capsys):
+        path = write(tmp_path, "big.json", {"n": 1, "omega": [[1e200]]})
+        assert main(["inspect", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: omega is too large for its canonical majorant: t^H t overflows\n"
+        )
 
     def test_batch_mode(self, tmp_path, capsys):
         write(tmp_path, "a.json", {"n": 1, "omega": [[[1, 0]]]})

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +167,22 @@ class TestRankCutAgreement:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["inspect", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["psi_rank"] == rank
+
+
+def test_tolerances_are_named_only_in_numerics():
+    """Every small threshold is a name in the numerics table; elsewhere in the
+    package the only small float literal is the 1e-300 division floor."""
+    package = Path(fk.__file__).parent
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0 < node.value < 1e-3
+                and node.value != 1e-300
+            ):
+                stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert stray == []

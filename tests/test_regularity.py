@@ -31,6 +31,25 @@ class TestInClassM:
         assert not member
         assert margin == float("-inf")
 
+    def test_kernel_check_takes_the_norm_of_omega_once(self, monkeypatch):
+        calls = []
+        original = np.linalg.norm
+
+        def recording(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(np.shape(x))
+            return original(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", recording)
+        omega = fk.Form(complex_randn(np.random.default_rng(21), 3, 3))
+        fk.in_class_M(omega, fk.identity_form(3))
+        assert calls == [(3, 3)]  # no kernel: only the compressed operator's norm
+        calls.clear()
+        psi = fk.PositiveForm(np.diag([3.0, 2.0, 0.0]))
+        for _ in range(2):
+            fk.in_class_M(omega, psi)
+        assert calls.count((3, 3)) == 1
+
     def test_constructed_members(self):
         rng = np.random.default_rng(20)
         for _ in range(40):

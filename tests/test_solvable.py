@@ -271,6 +271,18 @@ class TestRepresentOperator:
                 fk.Form(np.zeros((2, 2))),
             )
 
+    def test_resolvent_norm_follows_the_inf_sup_verdict(self):
+        # normalized, c1 / c2 = 0.55 passes rtol 0.3; the unnormalized
+        # singular values 1 and 10 would fail it, and no longer decide
+        report = fk.represent_operator(
+            fk.Form(np.diag([1.0, 10.0])),
+            fk.NormGram(np.diag([2.0, 11.0])),
+            fk.Form(-0.0 * np.eye(2)),
+            rtol=0.3,
+        )
+        assert report.solvable
+        assert report.resolvent_norm == 1.0
+
     def test_representation_identity(self):
         rng = np.random.default_rng(55)
         n = 5
@@ -290,6 +302,16 @@ class TestScalarSolvability:
         result = fk.scalar_solvability(fk.Form(np.diag([0.0, 1.0])), fk.NormGram(np.eye(2)), 2.0)
         assert result.solvable and result.status == "outside"
         assert abs(result.distance - 1.0) <= 1e-9
+
+    def test_report_carries_the_resolvent_norm_when_solvable(self):
+        omega = fk.Form([[0.0, 1.0], [0.0, 0.0]])
+        solvable = fk.scalar_solvability(omega, fk.NormGram(np.eye(2)), 2.0)
+        sigma_min = np.linalg.svd(omega.matrix - 2.0 * np.eye(2), compute_uv=False)[-1]
+        assert solvable.report.lam == 2.0
+        assert abs(solvable.report.resolvent_norm - 1 / sigma_min) <= 1e-12
+        refused = fk.scalar_solvability(fk.Form(np.eye(2)), fk.NormGram(np.eye(2)), 1.0)
+        assert not refused.solvable
+        assert refused.report.lam is None and refused.report.resolvent_norm is None
 
     def test_inside_disk_still_checked(self):
         result = fk.scalar_solvability(
