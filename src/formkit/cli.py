@@ -119,10 +119,14 @@ def _positive(mat: np.ndarray, name: str, tol: float) -> PositiveForm:
         raise ValidationError(f"{name} is not positive semidefinite: {exc}") from exc
 
 
-def _family_instance(block: dict) -> Instance:
+def _family_name(block) -> str:
     if not isinstance(block, dict) or "name" not in block:
         raise ParseError("family block must be an object with a 'name'")
-    name = block["name"]
+    return block["name"]
+
+
+def _family_instance(block: dict) -> Instance:
+    name = _family_name(block)
     if name == "diag":
         if "N" not in block or "lambda" not in block:
             raise ParseError("diag family needs 'lambda' and 'N'")
@@ -154,7 +158,7 @@ def _family_instance(block: dict) -> Instance:
         s = decode_matrix(block["S"], n, "family.S")
         t = decode_matrix(block["T"], n, "family.T")
         return operator_pair_family(s, t, provenance=f"operator_pair[n={n}]")
-    raise ParseError(f"unknown family name {block['name']!r}")
+    raise ParseError(f"unknown family name {name!r}")
 
 
 def _load_json(path):
@@ -558,8 +562,13 @@ def _cmd_lab(path: str, args) -> dict:
     doc_family = doc.get("family") if isinstance(doc, dict) else None
     if doc_family is None:
         raise ValidationError("the lab command needs an instance file with a family block")
-    sizes = [int(x) for x in args.sizes.split(",")] if args.sizes else [8, 16, 32, 64]
-    rows = convergence_report(doc_family["name"], doc_family, sizes, rtol=args.tol_rank)
+    try:
+        sizes = [int(x) for x in args.sizes.split(",")] if args.sizes else [8, 16, 32, 64]
+    except ValueError:
+        sizes = [0]
+    if min(sizes) < 1:
+        raise ValidationError("--sizes expects comma-separated positive integers")
+    rows = convergence_report(_family_name(doc_family), doc_family, sizes, rtol=args.tol_rank)
     report["rows"] = [
         {**row, "probe": [row["probe"].real, row["probe"].imag]} for row in rows
     ]
@@ -634,6 +643,11 @@ def _run_single(path: str, args) -> tuple[str, int]:
     return render_report(report, args.json), 0
 
 
+# errors that end one file's run with exit 1: bad input, an unreadable file,
+# a failed internal check, or a LAPACK breakdown on extreme entries
+_INPUT_ERRORS = (FormkitError, OSError, np.linalg.LinAlgError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -648,7 +662,7 @@ def main(argv=None) -> int:
             for path in sorted(target.glob("*.json")):
                 try:
                     text, one = _run_single(str(path), args)
-                except (FormkitError, OSError) as exc:
+                except _INPUT_ERRORS as exc:
                     # one bad file or failed internal check gets an error chunk;
                     # the others still run
                     text, one = f"error: {exc}", 1
@@ -659,7 +673,7 @@ def main(argv=None) -> int:
         text, code = _run_single(args.instance, args)
         print(text)
         return code
-    except (FormkitError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -60,7 +60,7 @@ from .numerics import (
 )
 from .solvable import DEFAULT_HULL_GRID, numerical_radius_bounds
 
-# Largest half-slope the sector search accepts at a vertex.
+# The half-slope at which the sector search takes its frontier vertex.
 SECTOR_SLOPE_CAP = 2.0**20
 
 
@@ -395,27 +395,30 @@ class SectorialityCertificate:
     majorant_margin: float        # membership margin of the induced majorant
 
 
-def _least_slope(
-    im: np.ndarray, base: np.ndarray, scale: float, rtol: float
-) -> Optional[float]:
-    """Least gamma with gamma * base - im and gamma * base + im both PSD.
+def _floor(a: np.ndarray, eig: HermEig, scale: float, rtol: float) -> float:
+    """sup{t : a - t p PSD} for a Hermitian a and a PSD p given by its eigenpairs.
 
-    None when base fails the vertex test or im does not vanish on the kernel
-    of base (same rank cut as ``quotient_embedding``). Otherwise the condition
-    reads |C| <= gamma for the compression C of im to the base-quotient, so
-    the least slope is the spectral radius of C.
+    On ker p (the rank cut of ``quotient_embedding``) a must be PSD within
+    ``MEMBERSHIP_SLACK * scale``, and the range part of a must not couple
+    into the directions where a is below ``rtol * scale`` there; otherwise
+    the supremum is -inf. It is +inf for p = 0, and else the least
+    eigenvalue of the Schur complement of the kernel block (the short of a
+    to ran p), compressed to the p-quotient.
     """
-    eig = HermEig(*np.linalg.eigh(base))
-    if eig.values.size and eig.values[0] < -MEMBERSHIP_SLACK * scale:
-        return None
     emb = eigen_embedding(eig, rtol)
     # eigenvalues ascend, so the rank cut keeps the last emb.rank columns
     null = eig.vectors[:, : emb.dim - emb.rank]
-    if null.shape[1] and specnorm(im @ null) > rtol * scale:
-        return None
+    values, vectors = eigh_or_empty(hermitize(null.conj().T @ a @ null))
+    if values.size and values[0] < -MEMBERSHIP_SLACK * scale:
+        return float("-inf")
+    kept = values > rtol * scale
+    if specnorm(emb.basis.conj().T @ a @ null @ vectors[:, ~kept]) > rtol * scale:
+        return float("-inf")
     if emb.rank == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(emb.to_quotient(im)))))
+        return float("inf")
+    coupling = a @ null @ vectors[:, kept]
+    short = a - (coupling / values[kept]) @ coupling.conj().T
+    return float(np.linalg.eigvalsh(hermitize(emb.to_quotient(short)))[0])
 
 
 def sectorial_parameters(
@@ -429,77 +432,70 @@ def sectorial_parameters(
 
     Explicit (delta, gamma) are checked as two matrix inequalities: the
     shifted real part must be PSD and must gamma-dominate both signs of the
-    imaginary part. When neither is supplied, 32 vertices are scanned in
-    descending order from the largest admissible one; the first whose least
-    half-slope (the spectral radius of the imaginary part compressed to the
-    quotient of the shifted real part) is at most ``SECTOR_SLOPE_CAP`` and
-    passes the explicit check with that slope is returned; a vertex the
-    check refuses is skipped. Search refusal means no scanned vertex admits
-    such a slope, not a proof of non-sectoriality.
+    imaginary part. When neither is supplied, the vertex is the sector
+    frontier at the slope cap, the least of sup{d : re +- im / cap - d theta
+    PSD} over both signs (in closed form, through the Schur complement on the
+    kernel of theta), backed off by ``MEMBERSHIP_SLACK`` times the scale so
+    that the check sees a positive margin. The half-slope is the least one
+    at that vertex, at most ``SECTOR_SLOPE_CAP``, and the pair then goes
+    through the explicit check.
 
     Raises:
-        NotSectorial: naming the violated inequality, or reporting search
-            refusal.
+        NotSectorial: naming the violated inequality, or, for a search, a
+            real part that leaves no vertex at the slope cap on the kernel
+            of theta.
     """
     if (delta is None) != (gamma is None):
         raise ValueError("supply both delta and gamma, or neither")
     re, im = re_im_split(omega)
     scale = max(1.0, specnorm(omega.matrix), specnorm(theta.matrix))
-    if delta is not None:
-        base = hermitize(re.matrix - delta * theta.matrix)
-        values = np.linalg.eigvalsh(base) if base.size else np.zeros(1)
-        m_vertex = float(values[0]) / scale
-        m_plus = min_eig_herm(gamma * base - im.matrix) / scale
-        m_minus = min_eig_herm(gamma * base + im.matrix) / scale
-        if m_vertex < -MEMBERSHIP_SLACK:
-            raise NotSectorial(
-                f"real part minus {delta} * theta has least eigenvalue "
-                f"{m_vertex * scale:.4g} (margin {m_vertex:.3e} relative to scale {scale:.4g})"
-            )
-        if min(m_plus, m_minus) < -MEMBERSHIP_SLACK:
-            least = min(m_plus, m_minus)
-            raise NotSectorial(
-                f"imaginary part exceeds {gamma} * (real part - {delta} * theta): "
-                f"least eigenvalue {least * scale:.4g} "
-                f"(margin {least:.3e} relative to scale {scale:.4g})"
-            )
-        shifted = Form(omega.matrix - delta * theta.matrix)
-        # PositiveForm judges PSD relative to the top eigenvalue; scale its
-        # tolerance so it accepts what the vertex test above accepted
-        majorant = PositiveForm(
-            (1.0 + gamma) * base,
-            tol=max(BUILT_PSD_TOL, MEMBERSHIP_SLACK * scale / max(float(values[-1]), 1e-300)),
+    if delta is None:
+        frontier = min(
+            _floor(re.matrix + sign * im.matrix / SECTOR_SLOPE_CAP, theta.eig, scale, rtol)
+            for sign in (1.0, -1.0)
         )
-        member, member_margin = in_class_M(shifted, majorant, rtol)
-        if not member:
+        delta = frontier - MEMBERSHIP_SLACK * scale if np.isfinite(frontier) else 0.0
+    base = hermitize(re.matrix - delta * theta.matrix)
+    if gamma is None:
+        eig = HermEig(*eigh_or_empty(base))
+        gamma = max(0.0, *(-_floor(sign * im.matrix, eig, scale, rtol) for sign in (1.0, -1.0)))
+        if frontier == float("-inf") or gamma == float("inf"):
             raise NotSectorial(
-                "sector inequalities hold but the induced majorant fails membership"
+                f"no vertex admits a half-slope at most {SECTOR_SLOPE_CAP:.0f}: the real "
+                "part does not dominate the imaginary part on the kernel of theta"
             )
-        return SectorialityCertificate(
-            delta=float(delta),
-            gamma=float(gamma),
-            margin=float(min(m_vertex, m_plus, m_minus)),
-            majorant_margin=float(member_margin),
+    m_vertex = min_eig_herm(base) / scale
+    m_plus = min_eig_herm(gamma * base - im.matrix) / scale
+    m_minus = min_eig_herm(gamma * base + im.matrix) / scale
+    if m_vertex < -MEMBERSHIP_SLACK:
+        raise NotSectorial(
+            f"real part minus {delta} * theta has least eigenvalue "
+            f"{m_vertex * scale:.4g} (margin {m_vertex:.3e} relative to scale {scale:.4g})"
         )
-
-    re_min = min_eig_herm(re.matrix)
-    emb = quotient_embedding(theta, rtol)
-    if emb.rank:
-        compressed = hermitize(emb.to_quotient(re.matrix))
-        delta_sup = float(np.linalg.eigvalsh(compressed)[0])
-    else:
-        delta_sup = re_min
-    for d in np.linspace(re_min - 1.0, delta_sup, 32)[::-1]:
-        base = re.matrix - d * theta.matrix
-        g = _least_slope(im.matrix, base, scale, rtol)
-        if g is not None and g <= SECTOR_SLOPE_CAP * (1.0 + MEMBERSHIP_SLACK):
-            try:
-                return sectorial_parameters(omega, theta, float(d), g, rtol)
-            except NotSectorial:
-                continue  # the verify refused this vertex: try the next one
-    raise NotSectorial(
-        f"no scanned vertex admits a half-slope at most {SECTOR_SLOPE_CAP:.0f}; "
-        "this is a search refusal, not a proof of non-sectoriality"
+    if min(m_plus, m_minus) < -MEMBERSHIP_SLACK:
+        least = min(m_plus, m_minus)
+        raise NotSectorial(
+            f"imaginary part exceeds {gamma} * (real part - {delta} * theta): "
+            f"least eigenvalue {least * scale:.4g} "
+            f"(margin {least:.3e} relative to scale {scale:.4g})"
+        )
+    shifted = Form(omega.matrix - delta * theta.matrix)
+    # widen the majorant by the vertex slack, so that membership accepts what
+    # the vertex test accepted: against a base that is singular up to that
+    # slack (a vertex at the frontier of a Hermitian form) the bound 1 is
+    # attained, and rounding alone would decide the check
+    widened = base + MEMBERSHIP_SLACK * scale * np.eye(base.shape[0])
+    majorant = PositiveForm((1.0 + gamma) * widened, tol=BUILT_PSD_TOL)
+    member, member_margin = in_class_M(shifted, majorant, rtol)
+    if not member:
+        raise NotSectorial(
+            "sector inequalities hold but the induced majorant fails membership"
+        )
+    return SectorialityCertificate(
+        delta=float(delta),
+        gamma=float(gamma),
+        margin=float(min(m_vertex, m_plus, m_minus)),
+        majorant_margin=float(member_margin),
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -561,6 +562,45 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "error: omega is too large for its canonical majorant: t^H t overflows\n"
         )
+
+    @pytest.mark.parametrize(
+        "family, argv, message",
+        [
+            ({"name": "diag", "lambda": "1", "N": 2}, ["--sizes", "x"], "--sizes expects"),
+            ({"name": "diag", "lambda": "1", "N": 2}, ["--sizes", "4,0"], "--sizes expects"),
+            ({"lambda": "1", "N": 2}, [], "family block must be an object with a 'name'"),
+        ],
+        ids=["sizes-not-integers", "sizes-not-positive", "family-without-name"],
+    )
+    def test_lab_input_is_an_error(self, tmp_path, capsys, family, argv, message):
+        bad = write(tmp_path, "a.json", {"family": family})
+        assert main(["lab", bad, *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert main(["lab", str(tmp_path), "--batch", *argv]) == 1
+        assert capsys.readouterr().out.startswith(f"== a.json\nerror: {message}")
+
+    @pytest.mark.parametrize("command", ["inspect", "decompose"])
+    def test_lapack_breakdown_is_an_error(self, tmp_path, capsys, command):
+        # t^H t = 1e308 is finite, but m + m^H overflows on the way to the
+        # canonical majorant, and the SVD of what follows does not converge
+        bad = write(tmp_path, "a.json", {"n": 1, "omega": [[1e154]]})
+        write(tmp_path, "b.json", {"n": 1, "omega": [[[2, 0]]]})
+        with pytest.warns(RuntimeWarning):
+            assert main([command, bad]) == 1
+        assert capsys.readouterr().err == "error: SVD did not converge\n"
+        with pytest.warns(RuntimeWarning):
+            assert main([command, str(tmp_path), "--batch"]) == 1
+        first, second = capsys.readouterr().out.split("== b.json\n")
+        assert first == "== a.json\nerror: SVD did not converge\n"
+        assert second.startswith(f"command: {command}\n")
+
+    def test_power_tower_is_an_error_at_once(self, tmp_path, capsys):
+        family = {"name": "diag", "lambda": "9**9**9**9", "N": 2}
+        path = write(tmp_path, "a.json", {"family": family})
+        start = time.perf_counter()
+        assert main(["inspect", path]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: 'lambda': an integer power")
 
     def test_batch_mode(self, tmp_path, capsys):
         write(tmp_path, "a.json", {"n": 1, "omega": [[[1, 0]]]})

@@ -1,3 +1,4 @@
+import cmath
 import re
 
 import numpy as np
@@ -273,6 +274,62 @@ class TestDominatedSequence:
             fk.dominated_sequence(fk.identity_form(2), fk.PositiveForm(np.diag([1.0, 0.0])), 2)
 
 
+class TestFloor:
+    """The closed-form sup{t : a - t p PSD} against bisection on the sign of
+    the least eigenvalue of a - t p, which does not increase with t."""
+
+    @staticmethod
+    def _feasible(a, p, t):
+        return np.linalg.eigvalsh(hermitize(a - t * p))[0] >= 0.0
+
+    def _bisect(self, a, p):
+        lo, hi = -1.0, 1.0
+        while not self._feasible(a, p, lo):
+            lo *= 2.0
+        while self._feasible(a, p, hi):
+            hi *= 2.0
+        for _ in range(200):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if self._feasible(a, p, mid) else (lo, mid)
+        return lo
+
+    @staticmethod
+    def _floor(a, p):
+        scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(p, 2))
+        return fk.regularity._floor(a, fk.PositiveForm(p).eig, scale, fk.DEFAULT_RANK_TOL)
+
+    def test_matches_bisection(self):
+        rng = np.random.default_rng(83)
+        for trial in range(24):
+            n = int(rng.integers(2, 7))
+            p = random_psd(rng, n, rank=n - min(trial % 3, n - 1))
+            a = hermitize(complex_randn(rng, n, n))
+            # make a positive definite on ker p, so that the supremum is finite
+            values, vectors = np.linalg.eigh(p)
+            null = vectors[:, values <= 1e-8 * values[-1]]
+            low = np.linalg.eigvalsh(null.conj().T @ a @ null)[0] if null.shape[1] else 0.0
+            a = a + (1.0 + abs(low)) * null @ null.conj().T
+            expected = self._bisect(a, p)
+            assert abs(self._floor(a, p) - expected) <= 1e-9 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize(
+        "a, p, expected",
+        [
+            (np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), -np.inf),  # indefinite on ker p
+            ([[1.0, 1.0], [1.0, 0.0]], np.diag([1.0, 0.0]), -np.inf),  # couples into ker p
+            (np.diag([1.0, 0.0]), np.zeros((2, 2)), np.inf),
+            (np.diag([1.0, -1.0]), np.zeros((2, 2)), -np.inf),
+        ],
+        ids=["indefinite-on-kernel", "coupled-kernel", "zero-p", "zero-p-indefinite"],
+    )
+    def test_infinite_cases(self, a, p, expected):
+        a = np.asarray(a, dtype=complex)
+        assert self._floor(a, p) == expected
+        # the oracle: every t is feasible, or none is
+        for t in (-1e12, 0.0, 1e12):
+            assert self._feasible(a, p, t) == (expected > 0)
+
+
 class TestSectoriality:
     def test_explicit_certificate(self):
         omega = fk.Form(np.diag([1 + 1j, 2.0]))
@@ -332,22 +389,55 @@ class TestSectoriality:
             with pytest.raises(fk.NotSectorial, match="imaginary part exceeds"):
                 fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma * (1 - 1e-6))
 
-    def test_search_skips_kernel_vertex(self):
-        # at delta = 0 the shifted real part diag(0, 1) has kernel e1, which
-        # the imaginary part diag(1, 0) does not annihilate
+    def test_search_stops_short_of_a_kernel_vertex(self):
+        # the vertex 0 leaves the shifted real part diag(0, 1) with kernel e1,
+        # which the imaginary part diag(1, 0) does not annihilate; the frontier
+        # at the cap is -2^-20 and the scale is 1
         cert = fk.sectorial_parameters(fk.Form(np.diag([1j, 1.0])), fk.identity_form(2))
-        assert abs(cert.delta + 1 / 31) <= 1e-12
-        assert abs(cert.gamma - 31.0) <= 1e-9
+        delta = -(2.0**-20) - fk.regularity.MEMBERSHIP_SLACK
+        assert abs(cert.delta - delta) <= 1e-15
+        assert abs(cert.gamma - 1.0 / -delta) <= 1e-9 * cert.gamma
+        assert cert.gamma <= fk.regularity.SECTOR_SLOPE_CAP
 
-    def test_search_skips_indefinite_vertex(self):
-        # theta = diag(1, 0): the top vertex 1 leaves real part minus 1 * theta
-        # = [[0, 1], [1, 2]] indefinite; the first vertex with a PSD shift is
-        # the first one at most 1/2
+    def test_search_vertex_is_the_schur_complement(self):
+        # theta = diag(1, 0) is singular: the largest vertex is the Schur
+        # complement 1 - 1 * 1 / 2 of the kernel entry 2 of the real part
         omega = fk.Form([[1.0, 1.0], [1.0, 2.0]])
-        cert = fk.sectorial_parameters(omega, fk.PositiveForm(np.diag([1.0, 0.0])))
-        step = (2.0 - (3.0 - np.sqrt(5.0)) / 2.0) / 31.0
-        assert 0.5 - step < cert.delta <= 0.5
+        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
+        cert = fk.sectorial_parameters(omega, theta)
+        scale = (3.0 + np.sqrt(5.0)) / 2.0
+        assert abs(cert.delta - (0.5 - fk.regularity.MEMBERSHIP_SLACK * scale)) <= 1e-15
         assert cert.gamma == 0.0
+        with pytest.raises(fk.NotSectorial, match="real part minus"):
+            fk.sectorial_parameters(omega, theta, 0.5 + 1e-6, 0.0)
+
+    def test_search_certifies_a_hermitian_form(self):
+        # the frontier vertex of a Hermitian form leaves the shifted real part
+        # singular up to the slack, where the membership bound 1 is attained
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            re_part = hermitize(complex_randn(rng, 5, 5))
+            cert = fk.sectorial_parameters(fk.Form(re_part), fk.identity_form(5))
+            scale = max(1.0, np.linalg.norm(re_part, 2))
+            delta = np.linalg.eigvalsh(re_part)[0] - fk.regularity.MEMBERSHIP_SLACK * scale
+            assert abs(cert.delta - delta) <= 1e-12 * scale
+            assert cert.gamma == 0.0
+
+    def test_search_refusal_names_the_kernel_of_theta(self):
+        # on ker theta the real part is 0 and the imaginary part 1: no vertex
+        # admits any finite slope
+        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
+        with pytest.raises(fk.NotSectorial, match="on the kernel of theta"):
+            fk.sectorial_parameters(fk.Form(np.diag([1.0, 1j])), theta)
+
+    def test_search_with_zero_theta(self):
+        # every vertex is admissible: the frontier is +inf and the search
+        # takes the vertex 0 (warnings are errors in this suite)
+        theta = fk.PositiveForm(np.zeros((2, 2)))
+        cert = fk.sectorial_parameters(fk.Form(np.diag([1 + 1j, 2.0])), theta)
+        assert cert.delta == 0.0 and cert.gamma == 1.0
+        with pytest.raises(fk.NotSectorial, match="on the kernel of theta"):
+            fk.sectorial_parameters(fk.Form(np.diag([-1.0, 1.0])), theta)
 
     def test_search_near_singular_vertex_answers(self):
         # Re omega = U diag(1e6, 1e6 + 1e-3, 1e6 + 2e-3) U^H against I: the top
@@ -369,7 +459,8 @@ class TestSectoriality:
     def test_search_moves_past_a_refused_vertex(self, seed):
         # the same near-singular Hermitian form: sectorial with any slope at
         # every vertex below 1e6, but for most rotations U the verify call
-        # refuses the top vertex, so the search must go on to the next one
+        # refuses the vertex 1e6 itself; the frontier vertex, backed off by
+        # the slack, must pass it
         rng = np.random.default_rng(seed)
         u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         omega = fk.Form(u @ np.diag([1e6, 1e6 + 1e-3, 1e6 + 2e-3]) @ u.conj().T)
@@ -378,42 +469,35 @@ class TestSectoriality:
         again = fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma)
         assert again.majorant_margin >= -fk.regularity.MEMBERSHIP_SLACK
 
-    # vertex and power-of-two slope of the former 32 x 21 vertex/slope grid
-    # search on the lab families, sizes 8, 16, 32, 48 (None: refused)
-    GRID_CERTIFICATES = {
-        "n*exp(i*n)": [
-            (-3.0022355543174655, 16.0),
-            (-15.354809749690283, 256.0),
-            (-26.985222321295993, 256.0),
-            (-46.67202511460978, 256.0),
-        ],
-        "n+i*sqrt(n)": [(0.967741935483871, 32.0)] * 4,
-        "i*n*n*n*n": [
-            (-0.032258064516129004, 131072.0),
-            (-0.06451612903225812, 1048576.0),
-            (-1.0, 1048576.0),
-            None,
-        ],
+    LAB_FAMILIES = {
+        "n*exp(i*n)": lambda k: k * cmath.exp(1j * k),
+        "n+i*sqrt(n)": lambda k: k + 1j * cmath.sqrt(k),
+        "i*n*n*n*n": lambda k: 1j * k * k * k * k,
     }
 
-    @pytest.mark.parametrize("expression", sorted(GRID_CERTIFICATES))
-    def test_search_keeps_grid_vertex(self, expression):
+    @pytest.mark.parametrize("expression", sorted(LAB_FAMILIES))
+    def test_search_vertex_is_the_frontier(self, expression):
+        # on a diagonal form against the identity the frontier at the cap is
+        # min_k (Re l_k - |Im l_k| / 2^20), and the least slope at a vertex d
+        # is max_k |Im l_k| / (Re l_k - d)
         rows = fk.convergence_report("diag", {"lambda": expression}, [8, 16, 32, 48])
-        assert len(rows) == 4
-        for row, pinned in zip(rows, self.GRID_CERTIFICATES[expression]):
+        for row in rows:
+            lam = np.array([self.LAB_FAMILIES[expression](k) for k in range(1, row["size"] + 1)])
+            scale = max(1.0, float(np.max(np.abs(lam))))
+            frontier = float(np.min(lam.real - np.abs(lam.imag) / 2.0**20))
+            delta = frontier - fk.regularity.MEMBERSHIP_SLACK * scale
+            gamma = float(np.max(np.abs(lam.imag) / (lam.real - delta)))
             verdict = row["sectorial"]
-            if pinned is None:
-                assert verdict == {"sectorial": False}
-                continue
-            delta, gamma = pinned
             assert verdict["sectorial"] is True
             assert abs(verdict["delta"] - delta) <= 1e-12 * max(1.0, abs(delta))
-            assert gamma / 2 < verdict["gamma"] <= gamma * (1 + 1e-12)
+            assert abs(verdict["gamma"] - gamma) <= 1e-12 * max(1.0, gamma)
+            assert verdict["gamma"] <= fk.regularity.SECTOR_SLOPE_CAP
+        if expression == "i*n*n*n*n":
+            # refused by the former 32-vertex scan at N=48
+            assert abs(rows[-1]["sectorial"]["delta"] - (-5.0678)) <= 1e-4
 
-    def test_search_eigensolves_per_vertex(self, monkeypatch):
-        sizes = np.arange(1, 33)
-        omega = fk.Form(np.diag(1j * sizes.astype(float) ** 4))
-        theta = fk.identity_form(32)
+    @staticmethod
+    def _count_eigensolves(monkeypatch):
         count = [0]
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
@@ -423,16 +507,25 @@ class TestSectoriality:
                 return original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        cert = fk.sectorial_parameters(omega, theta)
-        searched = count[0]
-        # the knife edge: least slope 32^4 = 2^20 at the last vertex
-        assert cert.delta == -1.0 and abs(cert.gamma - 2.0**20) <= 1e-9 * 2.0**20
-        count[0] = 0
-        fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma)
-        verified = count[0]
-        # two solves bound the vertex range, then at most one eigh and one
-        # eigvalsh per vertex, then the verify call
-        assert searched <= 2 + 2 * 32 + verified
+        return count
+
+    def test_search_eigensolve_count_is_constant(self, monkeypatch):
+        counts = []
+        for size in (32, 256):
+            sizes = np.arange(1, size + 1)
+            omega = fk.Form(np.diag(1j * sizes.astype(float) ** 4))
+            theta = fk.identity_form(size)
+            with monkeypatch.context() as patch:
+                count = self._count_eigensolves(patch)
+                cert = fk.sectorial_parameters(omega, theta)
+                searched = count[0]
+                count[0] = 0
+                fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma)
+            counts.append((searched, count[0]))
+        # one solve per sign for the frontier, one eigh of the shifted real
+        # part and one solve per sign for the slope, then the verify's own
+        assert counts[0] == counts[1]
+        assert counts[0][0] == counts[0][1] + 5
 
     def test_regularity_reduction(self):
         omega = fk.Form(np.diag([1 + 1j, 2.0]))

@@ -1,9 +1,11 @@
+import cmath
+
 import numpy as np
 import pytest
 
 import formkit as fk
 from formkit.numerics import frob
-from formkit.trunclab import _lambda_values
+from formkit.trunclab import MAX_POWER_BITS, _lambda_values
 
 from conftest import complex_randn
 
@@ -122,6 +124,46 @@ class TestLambdaValues:
             _lambda_values("__import__('os')", 2)
         with pytest.raises(fk.ValidationError):
             _lambda_values("open('x')", 2)
+
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "n*exp(i*n)",
+            "n+i*sqrt(n)",
+            "i*n*n*n*n",
+            "-n**2/3+2j",
+            "(0.7+0.4*cos(1.3*n))*exp(i*(0.5*n+0.2))",
+            "abs(log(n))*e**(pi*j/n)",
+            "+n/(n+1)-sin(n)**3",
+        ],
+    )
+    def test_matches_python_eval(self, expression):
+        # the evaluator applies Python's own operators to the same objects
+        functions = {f: getattr(cmath, f) for f in ("exp", "cos", "sin", "sqrt", "log")}
+        namespace = dict(functions, abs=abs, pi=cmath.pi, e=cmath.e, i=1j, j=1j)
+        expected = [
+            complex(eval(expression, {"__builtins__": {}}, dict(namespace, n=n)))
+            for n in range(1, 9)
+        ]
+        assert _lambda_values(expression, 8).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["n.real", "(1).__class__", "__import__('os')", "[n][0]", "n if n else 1", "n//2",
+         "exp(x=n)", "True", "'n'", "x"],
+    )
+    def test_refuses_what_is_not_arithmetic(self, expression):
+        with pytest.raises(fk.ValidationError, match="is not allowed"):
+            _lambda_values(expression, 2)
+
+    def test_refuses_an_integer_power_beyond_the_cap(self):
+        with pytest.raises(fk.ValidationError, match="integer power"):
+            _lambda_values("9**9**9**9", 2)
+        bits = MAX_POWER_BITS
+        assert _lambda_values(f"2**{bits - 1}", 1)[0] == 2.0 ** (bits - 1)
+        with pytest.raises(fk.ValidationError, match="integer power"):
+            _lambda_values(f"2**{bits}", 1)
 
 
 class TestConvergenceReport:
