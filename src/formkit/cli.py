@@ -241,6 +241,9 @@ def _render(value, indent: str = "") -> list[str]:
         for key in value:
             sub = value[key]
             if isinstance(sub, np.ndarray):
+                if sub.dtype == np.float64 and sub.ndim and sub.size:
+                    lines.extend(_render_array(key, sub, indent))
+                    continue
                 sub = sub.tolist()
             if isinstance(sub, (dict, list)) and not _is_scalar_list(sub):
                 lines.append(f"{indent}{key}:")
@@ -257,6 +260,29 @@ def _render(value, indent: str = "") -> list[str]:
     else:
         lines.append(f"{indent}{_scalar(value)}")
     return lines
+
+
+def _render_array(key, array: np.ndarray, indent: str) -> list[str]:
+    """The lines ``_render`` gives a float64 array's ``tolist()``, a whole
+    row at a time: one ``repr`` map over the entries and one join per row of
+    the innermost axis, which is written inline; each outer axis is a "-" list."""
+    reprs = map(float.__repr__, array.ravel().tolist())
+    rows = ["[" + ", ".join(row) + "]" for row in zip(*[reprs] * array.shape[-1])]
+    if array.ndim == 1:
+        return [f"{indent}{key}: {rows[0]}"]
+    lines = [f"{indent}{key}:"]
+    _render_rows(rows, array.shape[:-1], indent + "  ", lines)
+    return lines
+
+
+def _render_rows(rows: list, shape: tuple, indent: str, lines: list) -> None:
+    if len(shape) == 1:
+        lines.extend([f"{indent}- {row}" for row in rows])
+        return
+    step = len(rows) // shape[0]
+    for start in range(0, len(rows), step):
+        lines.append(f"{indent}-")
+        _render_rows(rows[start : start + step], shape[1:], indent + "  ", lines)
 
 
 def _is_scalar_list(value) -> bool:
@@ -374,9 +400,7 @@ def _cmd_membership(instance: Instance, args) -> dict:
     report["member"] = bool(member)
     report["margin"] = None if margin == float("-inf") else float(margin)
     try:
-        eps = reg.epsilon_bound_check(
-            instance.omega, instance.psi, args.tol_rank, args.grid
-        )
+        eps = reg.epsilon_bound_check(instance.omega, instance.psi, args.tol_rank)
         report["quadratic_bound"] = {
             "holds": True,
             "epsilon": eps.epsilon,
@@ -514,9 +538,7 @@ def _cmd_solvable(instance: Instance, args) -> dict:
     try:
         if args.lam is not None:
             lam = _parse_lambda(args.lam)
-            result = scalar_solvability(
-                instance.omega, gram, lam, m=args.grid, rtol=args.tol_rank
-            )
+            result = scalar_solvability(instance.omega, gram, lam, rtol=args.tol_rank)
             report.update(
                 {
                     "lambda": [lam.real, lam.imag],

@@ -34,6 +34,9 @@ LIMIT_STOP = 1e-12  # parallel-sum limit converged (Frobenius step): max(|psi|_F
 LIMIT_STALL = 1e-6  # parallel-sum limit still moving at the doubling cap: max(|psi|_F, 1)
 SINGULAR_THRESHOLD = 1e-9  # mutual singularity, |parallel-sum limit|_F: |psi|_F
 BOUNDARY_RTOL = 1e-4  # hull margins reported inconclusive: the hull scale
+RADIUS_RTOL = 1e-9  # numerical-radius bracket closed (relative width): its upper end
+DISTANCE_RTOL = 1e-13  # hull distance maximized (concave bound on what is left): the hull scale
+HULL_ARC_FLOOR = 1e-8  # adaptive hull stops refining an arc this narrow: radians
 
 
 def as_matrix(entries) -> np.ndarray:

@@ -58,7 +58,7 @@ from .numerics import (
     rank_cut,
     specnorm,
 )
-from .solvable import DEFAULT_HULL_GRID, numerical_radius_bounds
+from .solvable import numerical_radius_bounds
 
 # The half-slope at which the sector search takes its frontier vertex.
 SECTOR_SLOPE_CAP = 2.0**20
@@ -108,7 +108,6 @@ def epsilon_bound_check(
     omega: Form,
     psi: PositiveForm,
     rtol: float = DEFAULT_RANK_TOL,
-    grid: int = DEFAULT_HULL_GRID,
 ) -> EpsilonBound:
     """Check |omega(xi, xi)| <= psi(xi, xi) and confirm class membership
     after scaling psi by 1 (symmetric) or 2 (general).
@@ -124,7 +123,7 @@ def epsilon_bound_check(
     if _kernel_obstructed(omega, psi, rtol):
         raise QuadraticBoundFails("the kernel of psi carries a nonzero quadratic of omega")
     emb = quotient_embedding(psi, rtol)
-    lower, upper = numerical_radius_bounds(emb.to_quotient(omega.matrix), grid)
+    lower, upper = numerical_radius_bounds(emb.to_quotient(omega.matrix))
     if lower > 1.0 + MEMBERSHIP_SLACK:
         raise QuadraticBoundFails(
             f"quadratic maximum {lower:.6e} over the psi-unit sphere exceeds 1"
@@ -146,12 +145,14 @@ def canonical_majorant(t, rtol: float = DEFAULT_RANK_TOL) -> PositiveForm:
     the form with matrix I + h + u h u^H majorizes the form of t.
 
     Raises:
-        ValidationError: if t^H t overflows the float range.
+        ValidationError: if t^H t, its Hermitian sum or its Frobenius norm
+            (which ``psd_sqrt`` forms) overflows the float range.
     """
     t = as_matrix(t)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = t.conj().T @ t
-    if not np.isfinite(gram).all():
+        finite = np.isfinite(gram + gram.conj().T).all() and np.isfinite(frob(gram))
+    if not finite:
         raise ValidationError("omega is too large for its canonical majorant: t^H t overflows")
     h = psd_sqrt(gram, rtol)
     u = t @ pinv(h, rtol)

@@ -22,7 +22,11 @@ from .forms import Form, PositiveForm
 from .numerics import (
     BOUNDARY_RTOL,
     DEFAULT_RANK_TOL,
+    DISTANCE_RTOL,
     EXACT_RADIUS_RTOL,
+    HULL_ARC_FLOOR,
+    MEMBERSHIP_SLACK,
+    RADIUS_RTOL,
     SYMMETRY_RTOL,
     HermEig,
     as_matrix,
@@ -35,6 +39,9 @@ from .numerics import (
 
 DEFAULT_HULL_GRID = 720
 MIN_HULL_GRID = 16
+# Rotated matrices stacked into one eigensolver call, in bytes: the default
+# grid at n <= 24 is still one call.
+HULL_BLOCK_BYTES = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,14 +139,51 @@ class NumericalRangeHull(SupportFunction):
         return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2)
 
 
-def _half_stack(mat: np.ndarray, m: int):
-    """Rotated Hermitian parts at the distinct reduced angles of an m-grid.
+def _parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H and K with M = H + iK, so that Re(e^(-i t) M) = cos(t) H + sin(t) K."""
+    return (mat + mat.conj().T) / 2, (mat - mat.conj().T) * -0.5j
 
-    Re(e^(-i(t + pi)) M) = -Re(e^(-i t) M), so grid angle t_k = 2 pi k / m
-    is served by the solve at pi ((2k) mod m) / m: by its top eigenpair when
-    2k < m and by its negated bottom eigenpair otherwise. An even grid needs
-    m/2 solves, an odd one m. Returns the grid angles, the stack, and per
-    grid angle its solve index, eigen-column and sign.
+
+def _extremes(parts, reduced: np.ndarray, vectors: bool):
+    """Bottom and top eigenvalues (columns 0 and 1) of cos(phi) H + sin(phi) K
+    at each reduced angle phi and, with ``vectors``, the matching eigenvectors
+    (shape (angles, n, 2)).
+
+    The rotated matrices are stacked and solved in blocks of at most
+    ``HULL_BLOCK_BYTES``, and only the two extreme eigenpairs of each solve
+    are kept, so memory does not grow with the number of angles.
+    """
+    n = parts[0].shape[0]
+    block = max(1, HULL_BLOCK_BYTES // (16 * n * n))
+    cos, sin = np.cos(reduced), np.sin(reduced)
+    solved = [
+        _extreme_block(parts, cos[start : start + block], sin[start : start + block], vectors)
+        for start in range(0, len(reduced), block)
+    ]
+    values = np.concatenate([w for w, _ in solved])
+    return values, np.concatenate([v for _, v in solved]) if vectors else None
+
+
+def _extreme_block(parts, cos: np.ndarray, sin: np.ndarray, vectors: bool):
+    """One block of ``_extremes``; its stack is freed on return."""
+    h, k = parts
+    stack = cos[:, None, None] * h
+    stack += sin[:, None, None] * k
+    if not vectors:
+        return np.linalg.eigvalsh(stack)[:, [0, -1]], None
+    w, v = np.linalg.eigh(stack)
+    return w[:, [0, -1]], v[:, :, [0, -1]]
+
+
+def _grid(m: int):
+    """The angles t_k = 2 pi k / m of an m-grid and the solves that serve them.
+
+    Re(e^(-i(t + pi)) M) = -Re(e^(-i t) M), so t_k is served by the solve at
+    the reduced angle pi ((2k) mod m) / m: by its top eigenpair when 2k < m
+    and by its negated bottom eigenpair otherwise. An even grid needs m/2
+    solves, an odd one m. Returns the grid angles, the reduced angles, and
+    per grid angle its solve index, extreme column (as in ``_extremes``) and
+    sign.
     """
     if m < MIN_HULL_GRID:
         raise ValueError(f"hull grid must have at least {MIN_HULL_GRID} angles")
@@ -147,21 +191,22 @@ def _half_stack(mat: np.ndarray, m: int):
     doubled = 2 * np.arange(m)
     flip = doubled >= m
     reduced = np.pi * step * np.arange(m // step) / m
-    h = (mat + mat.conj().T) / 2
-    k = (mat - mat.conj().T) * -0.5j
-    stack = np.cos(reduced)[:, None, None] * h
-    stack += np.sin(reduced)[:, None, None] * k
     angles = 2 * np.pi * np.arange(m) / m
-    column = np.where(flip, 0, mat.shape[0] - 1)
+    column = np.where(flip, 0, 1)
     sign = np.where(flip, -1.0, 1.0)
-    return angles, stack, (doubled % m) // step, column, sign
+    return angles, reduced, (doubled % m) // step, column, sign
+
+
+def _quadratic_values(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_k^H M x_k for the rows x_k of x."""
+    return np.einsum("ki,ij,kj->k", x.conj(), mat, x)
 
 
 def support_function(omega: Form, m: int = DEFAULT_HULL_GRID) -> SupportFunction:
     """Support values of the numerical range at m rotation angles, from
     eigenvalues only."""
-    angles, stack, index, column, sign = _half_stack(omega.matrix, m)
-    values = np.linalg.eigvalsh(stack)
+    angles, reduced, index, column, sign = _grid(m)
+    values, _ = _extremes(_parts(omega.matrix), reduced, vectors=False)
     return SupportFunction(angles=angles, support=sign * values[index, column])
 
 
@@ -173,30 +218,136 @@ def numerical_range_hull(omega: Form, m: int = DEFAULT_HULL_GRID) -> NumericalRa
     the corresponding eigenvector.
     """
     mat = omega.matrix
-    angles, stack, index, column, sign = _half_stack(mat, m)
-    values, vectors = np.linalg.eigh(stack)
-    top = vectors[index, :, column]
-    points = np.einsum("ki,ij,kj->k", top.conj(), mat, top)
+    angles, reduced, index, column, sign = _grid(m)
+    values, vectors = _extremes(_parts(mat), reduced, vectors=True)
+    points = _quadratic_values(mat, vectors[index, :, column])
     return NumericalRangeHull(
         angles=angles, support=sign * values[index, column], points=points
     )
 
 
-def numerical_radius_bounds(
-    mat: np.ndarray, m: int = DEFAULT_HULL_GRID
-) -> tuple[float, float]:
-    """Interval holding the numerical radius: exact for Hermitian input,
-    otherwise [max h_k, min(max h_k / cos(pi/m), |M|_2)] from m support
-    samples (the maximizing direction lies within pi/m of a grid angle, and
-    the radius never exceeds the spectral norm, which decides normal input)."""
+def _circular(x: np.ndarray) -> np.ndarray:
+    """Distance of each angle in x to the nearest multiple of pi."""
+    return np.abs((x + np.pi / 2) % np.pi - np.pi / 2)
+
+
+class _Sampler:
+    """Support samples of W(M) at adaptively chosen angles.
+
+    A solve at the reduced angle phi in [0, pi) gives h(phi) from its top
+    eigenvalue and h(phi + pi) from its negated bottom one. The samples, in
+    angle order, bound W(M) by two polygons: the outer one cut out by the
+    tangent lines Re(e^(-i t) z) = h(t), which contains W(M), and the inner
+    one through the boundary points (quadratic values at the extreme
+    eigenvectors), which W(M) contains. A decision uses at most
+    ``DEFAULT_HULL_GRID`` angles, seed included; the seed is the coarsest
+    rotation grid or a given hull.
+    """
+
+    def __init__(self, mat: np.ndarray, seed: Optional[SupportFunction] = None):
+        self.mat = mat
+        self.parts = _parts(mat)
+        if seed is None:
+            empty = np.zeros(0)
+            self.angles, self.support, self.reduced = empty, empty, empty
+            self.top, self.points = np.zeros(0, dtype=bool), np.zeros(0, dtype=complex)
+            self.add(_grid(MIN_HULL_GRID)[1])
+        else:
+            self.angles = np.asarray(seed.angles, dtype=float)
+            self.support = np.asarray(seed.support, dtype=float)
+            self.reduced = np.mod(self.angles, np.pi)
+            self.top = self.angles < np.pi
+            nan = np.full(self.angles.size, complex(np.nan, np.nan))
+            self.points = np.array(getattr(seed, "points", nan), dtype=complex)
+
+    @property
+    def scale(self) -> float:
+        return max(1.0, float(np.max(np.abs(self.support))))
+
+    def add(self, angles, vectors: bool = False) -> int:
+        """Solve at the given angles, in priority order, that lie farther than
+        ``HULL_ARC_FLOOR`` from every sampled angle (mod pi) and fit the
+        budget; returns the number of solves."""
+        phi = np.mod(np.asarray(angles, dtype=float), np.pi)
+        near = (_circular(phi[:, None] - self.reduced[None, :]) <= HULL_ARC_FLOOR).any(1)
+        repeat = np.tril(_circular(phi[:, None] - phi[None, :]) <= HULL_ARC_FLOOR, -1).any(1)
+        phi = phi[~(near | repeat)][: max(0, DEFAULT_HULL_GRID - self.angles.size) // 2]
+        if not phi.size:
+            return 0
+        values, vecs = _extremes(self.parts, phi, vectors)
+        if vectors:
+            ends = np.concatenate([vecs[:, :, 1], vecs[:, :, 0]])
+            points = _quadratic_values(self.mat, ends)
+        else:
+            points = np.full(2 * phi.size, complex(np.nan, np.nan))
+        top = np.arange(2 * phi.size) < phi.size
+        angles = np.concatenate([self.angles, phi, phi + np.pi])
+        order = np.argsort(angles, kind="stable")
+        self.angles = angles[order]
+        self.support = np.concatenate([self.support, values[:, 1], -values[:, 0]])[order]
+        self.reduced = np.concatenate([self.reduced, phi, phi])[order]
+        self.top = np.concatenate([self.top, top])[order]
+        self.points = np.concatenate([self.points, points])[order]
+        return int(phi.size)
+
+    def arcs(self) -> np.ndarray:
+        """Angle from each sample to the next, cyclically."""
+        return np.diff(self.angles, append=self.angles[0] + 2 * np.pi)
+
+    def vertices(self) -> np.ndarray:
+        """Vertices of the outer polygon: vertex k is where the tangent lines
+        of samples k and k + 1 meet."""
+        h, d = self.support, self.arcs()
+        h_next = np.roll(h, -1)
+        along = (h + h_next) / (2 * np.cos(d / 2)) + 1j * (h_next - h) / (2 * np.sin(d / 2))
+        return np.exp(1j * (self.angles + d / 2)) * along
+
+    def boundary_points(self) -> np.ndarray:
+        """Boundary points at every sampled angle; the missing ones come from
+        one ``eigh`` per distinct reduced angle."""
+        missing = np.isnan(self.points)
+        if missing.any():
+            phi, solve = np.unique(self.reduced[missing], return_inverse=True)
+            _, vecs = _extremes(self.parts, phi, vectors=True)
+            column = np.where(self.top[missing], 1, 0)
+            self.points[missing] = _quadratic_values(self.mat, vecs[solve, :, column])
+        return self.points
+
+
+def numerical_radius_bounds(mat: np.ndarray) -> tuple[float, float]:
+    """Interval holding the numerical radius w(M) = max |W(M)|.
+
+    Exact for Hermitian input. Otherwise the lower end is the largest
+    sampled support value and the upper end min(largest modulus of an
+    outer-polygon vertex, |M|_2), which holds because W(M) lies in the outer
+    polygon (and the spectral norm decides normal input). The sampler adds
+    the arguments of the vertices that keep the bracket open, worst first,
+    until the verdict against 1 + ``MEMBERSHIP_SLACK`` is decided and the
+    relative width is at most ``RADIUS_RTOL``, or until no vertex is left
+    on an arc wider than ``HULL_ARC_FLOOR`` or the angle budget is spent.
+    """
     mat = np.asarray(mat, dtype=complex)
     if mat.shape[0] == 0:
         return 0.0, 0.0
     if not asymmetry(mat, EXACT_RADIUS_RTOL):
         radius = float(np.max(np.abs(np.linalg.eigvalsh(hermitize(mat)))))
         return radius, radius
-    lower = float(np.max(support_function(Form(mat), m).support))
-    return lower, min(lower / math.cos(math.pi / m), specnorm(mat))
+    norm = specnorm(mat)
+    sampler = _Sampler(mat)
+    while True:
+        lower = float(np.max(sampler.support))
+        vertices = sampler.vertices()
+        modulus = np.abs(vertices)
+        upper = max(lower, min(float(np.max(modulus)), norm))
+        decided = lower > 1.0 + MEMBERSHIP_SLACK or upper <= 1.0 + MEMBERSHIP_SLACK
+        if decided and upper - lower <= RADIUS_RTOL * upper:
+            return lower, upper
+        open_ = np.flatnonzero(
+            (modulus > lower * (1.0 + RADIUS_RTOL)) & (sampler.arcs() > HULL_ARC_FLOOR)
+        )
+        worst = open_[np.argsort(-modulus[open_], kind="stable")]
+        if not sampler.add(np.angle(vertices[worst])):
+            return lower, upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,44 +445,116 @@ class ScalarSolvability:
     report: SolvabilityReport
 
 
+def _inner_depth(points: np.ndarray, lam: complex, band: float):
+    """Signed distance from lam to the boundary of the inner polygon
+    (positive inside, negative outside) and the outward normal angle of the
+    edge that lam comes closest to crossing (None for a degenerate polygon).
+
+    The polygon runs through the boundary points in angle order, skipping a
+    point within ``band`` of the previous one; any subset of points of W(M)
+    spans a polygon inside W(M).
+    """
+    kept = points[np.roll(np.abs(np.roll(points, -1) - points) > band, 1)]
+    if kept.size < 2:
+        return -float(np.min(np.abs(lam - points))), None
+    points = kept
+    edges = np.roll(points, -1) - points
+    length = np.abs(edges)
+    normal = -1j * edges / length
+    beyond = np.real(np.conj(normal) * (lam - points))
+    worst = int(np.argmax(beyond))
+    if beyond[worst] < 0:
+        depth = -float(beyond[worst])
+    else:
+        along = np.clip(np.real(np.conj(edges) * (lam - points)) / length**2, 0.0, 1.0)
+        depth = -float(np.min(np.abs(lam - points - along * edges)))
+    return depth, float(np.angle(normal[worst]))
+
+
+def _parabola_probes(t, top, dl, dr, low, high, scale) -> list:
+    """The vertex of the parabola through the best margin and its two
+    neighbours, and two angles either side of it close enough that the
+    concave bound can close there."""
+    drop_l, drop_r = top - low, top - high
+    denominator = dl * drop_r + dr * drop_l
+    if denominator <= 0:
+        return []
+    vertex = t - 0.5 * (dl * dl * drop_r - dr * dr * drop_l) / denominator
+    curvature = 2 * denominator / (dl * dr * (dl + dr))
+    step = max(np.sqrt(DISTANCE_RTOL * scale / curvature), 2 * HULL_ARC_FLOOR)
+    return [vertex, vertex - step, vertex + step]
+
+
+def _locate(sampler: _Sampler, lam: complex) -> tuple[str, float]:
+    """Status of lam against W(M) and the lower bound max_t Re(e^(-i t) lam) - h(t)
+    on its distance to W(M), from adaptively refined samples.
+
+    "outside": a sampled half-plane excludes lam by more than the band; the
+    samples around the best angle are then refined until the margin, which
+    is concave where positive, provably lies within ``DISTANCE_RTOL`` of its
+    maximum. "inside": lam lies deeper than the band in the inner polygon.
+    Neither is possible once lam is within the band of both polygons; until
+    then the sampler refines the inner edge lam is nearest and the arcs
+    beside the best angle, and at the budget reports "boundary-inconclusive".
+    """
+    while True:
+        angles, n = sampler.angles, sampler.angles.size
+        margins = np.real(np.exp(-1j * angles) * lam) - sampler.support
+        best = int(np.argmax(margins))
+        margin = float(margins[best])
+        band = BOUNDARY_RTOL * sampler.scale
+        left = angles[best - 1] - (2 * np.pi if best == 0 else 0.0)
+        right = angles[(best + 1) % n] + (2 * np.pi if best == n - 1 else 0.0)
+        beside = [(left + angles[best]) / 2, (angles[best] + right) / 2]
+        if margin > band:
+            low, high = margins[best - 1], margins[(best + 1) % n]
+            dl, dr = angles[best] - left, right - angles[best]
+            if min(low, high) > 0:
+                rest = max(dr * (margin - low) / dl, dl * (margin - high) / dr)
+                if rest <= DISTANCE_RTOL * sampler.scale:
+                    return "outside", margin
+                beside += _parabola_probes(angles[best], margin, dl, dr, low, high, sampler.scale)
+            if not sampler.add(beside):
+                return "outside", margin
+            continue
+        depth, normal = _inner_depth(sampler.boundary_points(), lam, band)
+        if depth > band:
+            return "inside", max(0.0, margin)
+        stuck = margin >= -band and depth >= -band
+        new = beside if normal is None else [normal] + beside
+        if stuck or not sampler.add(new, vectors=True):
+            return "boundary-inconclusive", max(0.0, margin)
+
+
 def scalar_solvability(
     omega: Form,
     gram: NormGram,
     lam: complex,
     hull: Optional[SupportFunction] = None,
-    m: int = DEFAULT_HULL_GRID,
     rtol: float = DEFAULT_RANK_TOL,
 ) -> ScalarSolvability:
     """Decide solvability of the scalar perturbation -lam via the hull.
 
-    If lam sits strictly outside the numerical range the perturbation must
-    be solvable; that implication is asserted and its failure raises
-    TheoremViolation. Within the boundary band (relative width
-    ``BOUNDARY_RTOL``) the hull is inconclusive and the direct inf-sup check
-    decides, as it also does inside. A solvable shift's report carries lam
-    and the resolvent norm.
+    The status comes from an adaptive sampler (``_locate``) seeded with the
+    given hull, or else with the coarsest rotation grid. If lam sits
+    strictly outside the numerical range the perturbation must be solvable;
+    that implication is asserted and its failure raises TheoremViolation.
+    Within the boundary band (relative width ``BOUNDARY_RTOL``) the hull is
+    inconclusive and the direct inf-sup check decides, as it also does
+    inside. A solvable shift's report carries lam and the resolvent norm.
     """
     shift = Form(-complex(lam) * np.eye(omega.dim, dtype=complex))
     report = solvability_with(omega, gram, shift, rtol)  # checks the norm first
     if report.solvable:
         report = _with_resolvent(report, complex(lam))
-    if hull is None:
-        hull = support_function(omega, m)
-    margin = hull.signed_margin(lam)
-    band = BOUNDARY_RTOL * hull.scale
-    if margin > band:
-        if not report.solvable:
-            raise TheoremViolation(
-                f"point at distance {margin:.3e} outside the hull was reported unsolvable"
-            )
-        status = "outside"
-    elif margin < -band:
-        status = "inside"
-    else:
-        status = "boundary-inconclusive"
+    status, distance = _locate(_Sampler(omega.matrix, hull), complex(lam))
+    if status == "outside" and not report.solvable:
+        raise TheoremViolation(
+            f"point at distance {distance:.3e} outside the hull was reported unsolvable"
+        )
     return ScalarSolvability(
         solvable=bool(report.solvable),
-        distance=max(0.0, margin),
+        distance=distance,
         status=status,
         report=report,
     )

@@ -89,13 +89,18 @@ class TestEpsilonBound:
                 fk.Form(np.eye(2)), fk.PositiveForm(np.diag([1.0, 0.0]))
             )
 
-    def test_sampled_maximum_is_not_certified(self):
-        # |omega(e1, e1)| = 1 + 1e-6, but the nearest grid angles sit pi/720
-        # away, so the sampled maximum alone reads 0.99999148
+    def test_corner_probe_exceeds(self, monkeypatch):
+        # |omega(e1, e1)| = 1 + 1e-6 at the corner e^(i pi/720), which no
+        # seed angle hits; the worst outer vertex is that corner, so the first
+        # refinement samples its direction and the bound is refused outright
         lam = (1 + 1e-6) * np.exp(1j * np.pi / 720)
-        with pytest.raises(fk.QuadraticBoundFails, match="inconclusive") as info:
+        calls = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solve(a))
+        with pytest.raises(fk.QuadraticBoundFails, match="exceeds 1") as info:
             fk.epsilon_bound_check(fk.Form(np.diag([lam, 0.0])), fk.identity_form(2))
-        assert "[9.999915e-01, 1.000001e+00]" in str(info.value)
+        assert "1.000001e+00" in str(info.value)
+        assert len([shape for shape in calls if len(shape) == 3]) == 2
 
     def test_normal_member_holds(self):
         # the compressed matrix is unitary-diagonal: radius 1 exactly, which

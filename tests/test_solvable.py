@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import formkit as fk
-from formkit.numerics import frob, hermitize
+from formkit import solvable
+from formkit.cli import encode_matrix, main
+from formkit.numerics import BOUNDARY_RTOL, RADIUS_RTOL, frob, hermitize
 
 from conftest import complex_randn, random_psd
 
@@ -136,7 +140,7 @@ class TestSupportFunction:
         monkeypatch.setattr(np.linalg, name, recording)
         return shapes
 
-    def test_even_grid_solves_half_stack(self, monkeypatch):
+    def test_hull_solves_half_stack_in_blocks(self, monkeypatch):
         m = complex_randn(np.random.default_rng(57), 5, 5)
         values = self._record(monkeypatch, "eigvalsh")
         vectors = self._record(monkeypatch, "eigh")
@@ -146,8 +150,22 @@ class TestSupportFunction:
         assert vectors == [(45, 5, 5)]
         fk.support_function(fk.Form(m), 17)
         assert values[-1] == (17, 5, 5)
+        # the default grid at n = 48 is solved in blocks, bit for bit as one call
+        n = 48
+        big = fk.Form(complex_randn(np.random.default_rng(63), n, n))
+        vectors.clear()
+        hull = fk.numerical_range_hull(big)
+        block = solvable.HULL_BLOCK_BYTES // (16 * n * n)
+        assert len(vectors) > 1
+        assert all(shape[0] <= block for shape in vectors)
+        assert sum(shape[0] for shape in vectors) == solvable.DEFAULT_HULL_GRID // 2
+        monkeypatch.setattr(solvable, "HULL_BLOCK_BYTES", 2**40)
+        whole = fk.numerical_range_hull(big)
+        assert vectors[-1] == (solvable.DEFAULT_HULL_GRID // 2, n, n)
+        assert np.array_equal(hull.support, whole.support)
+        assert np.array_equal(hull.points, whole.points)
 
-    def test_support_only_callers_skip_eigenvectors(self, monkeypatch):
+    def test_decisions_solve_few_angles_without_eigenvectors(self, monkeypatch):
         m = complex_randn(np.random.default_rng(58), 4, 4)
         gram = fk.NormGram(np.eye(4) + random_psd(np.random.default_rng(59), 4))
         values = self._record(monkeypatch, "eigvalsh")
@@ -156,10 +174,26 @@ class TestSupportFunction:
         assert vectors == []
         result = fk.scalar_solvability(fk.Form(m), gram, 10.0)
         assert result.status == "outside"
-        # the hull stacks went to eigvalsh; the norm-compatibility check is
-        # read from the Gram's construction, so no eigh call is left
-        assert values.count((360, 4, 4)) == 2
+        # the norm-compatibility check is read from the Gram's construction,
+        # and an outside point needs support values only
         assert all(len(shape) == 2 for shape in vectors)
+        assert _solves(values) < solvable.DEFAULT_HULL_GRID // 4
+
+    def test_membership_solves_few_angles(self, monkeypatch, tmp_path, capsys):
+        # a seeded n = 48 member of the identity's class; the default grid
+        # would solve 360 rotated matrices for its radius bracket
+        n = 48
+        mat = complex_randn(np.random.default_rng(64), n, n)
+        path = tmp_path / "member.json"
+        omega = encode_matrix(0.8 * mat / np.linalg.norm(mat, 2)).tolist()
+        psi = encode_matrix(np.eye(n)).tolist()
+        path.write_text(json.dumps({"n": n, "omega": omega, "psi": psi}))
+        values = self._record(monkeypatch, "eigvalsh")
+        vectors = self._record(monkeypatch, "eigh")
+        assert main(["membership", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["quadratic_bound"]["holds"] is True
+        assert _solves(values) < 100
+        assert _solves(vectors) == 0
 
     def test_given_hull_needs_no_eigh(self, monkeypatch):
         m = complex_randn(np.random.default_rng(60), 4, 4)
@@ -169,6 +203,124 @@ class TestSupportFunction:
         result = fk.scalar_solvability(fk.Form(m), gram, 10.0, hull=hull)
         assert result.status == "outside" and result.solvable
         assert vectors == []
+
+
+def _solves(shapes):
+    """Rotated matrices passed to the recorded solver in stacked calls."""
+    return sum(shape[0] for shape in shapes if len(shape) == 3)
+
+
+def _reference_radius(m):
+    """[max h, max h / cos(pi / 2^16)] from a 2^16-angle support scan, which
+    holds the numerical radius: its maximizing angle lies within pi / 2^16 of
+    a scanned one."""
+    count = 2**16
+    h, k = hermitize(m), (m - m.conj().T) * -0.5j
+    top = -np.inf
+    phi = np.pi * np.arange(count // 2) / (count // 2)
+    for start in range(0, phi.size, 4096):
+        part = phi[start : start + 4096]
+        stack = np.cos(part)[:, None, None] * h + np.sin(part)[:, None, None] * k
+        w = np.linalg.eigvalsh(stack)
+        top = max(top, float(np.max(w[:, -1])), float(np.max(-w[:, 0])))
+    return top, top / np.cos(np.pi / count)
+
+
+def _bracket_cases():
+    rng = np.random.default_rng(65)
+    cases = [complex_randn(rng, n, n) for n in rng.integers(1, 13, size=50)]
+    cases += [
+        np.array([[0.0, 1.98], [0.0, 0.0]]),  # the disk of radius 0.99
+        np.array([[0.0, 2 * (1 - 1e-6)], [0.0, 0.0]]),  # the non-normal knife edge
+        np.diag([1.0 + 1j, 2.0]),  # a segment
+        np.diag([(1 + 1e-6) * np.exp(1j * np.pi / 720), 0.0]),  # the ROADMAP 2c probe
+        np.diag(np.exp(1j * np.arange(1, 9))),  # unitary diagonal
+        hermitize(complex_randn(rng, 6, 6)),
+    ]
+    return cases
+
+
+class TestAdaptiveDecisions:
+    """Soundness oracles for the adaptive sampler behind the radius bracket
+    and the scalar status, against independent scans."""
+
+    @pytest.mark.parametrize("index", range(56))
+    def test_radius_bracket_overlaps_fine_scan(self, index, monkeypatch):
+        m = _bracket_cases()[index]
+        values = TestSupportFunction._record(monkeypatch, "eigvalsh")
+        lower, upper = fk.numerical_radius_bounds(m)
+        monkeypatch.undo()
+        ref_lower, ref_upper = _reference_radius(m)
+        slack = 1e-13 * max(ref_upper, 1.0)
+        assert lower <= upper
+        assert lower <= ref_upper + slack and ref_lower <= upper + slack
+        assert 2 * _solves(values) <= solvable.DEFAULT_HULL_GRID
+
+    def test_bracket_closes_on_normal_and_corner_input(self):
+        unitary = np.diag(np.exp(1j * np.arange(1, 9)))
+        lower, upper = fk.numerical_radius_bounds(unitary)
+        assert upper - lower <= RADIUS_RTOL * upper
+        assert abs(upper - 1.0) <= 1e-12
+        corner = np.diag([(1 + 1e-6) * np.exp(1j * np.pi / 720), 0.0])
+        lower, upper = fk.numerical_radius_bounds(corner)
+        assert lower > 1.0 + 1e-9
+
+    def test_spectral_norm_closes_normal_bracket_at_any_budget(self, monkeypatch):
+        # with the seed angles alone the outer polygon still reaches past 1,
+        # but the spectral norm is the radius of a normal matrix
+        monkeypatch.setattr(solvable, "DEFAULT_HULL_GRID", solvable.MIN_HULL_GRID)
+        lower, upper = fk.numerical_radius_bounds(np.diag(np.exp(1j * np.arange(1, 9))))
+        assert 0.9 < lower <= upper <= 1.0 + 1e-12
+
+    def test_convex_combinations_never_outside(self):
+        rng = np.random.default_rng(66)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            m = complex_randn(rng, n, n)
+            omega = fk.Form(m)
+            gram = fk.NormGram(np.eye(n))
+            # quadratic values at random unit vectors and at boundary points
+            xs = [complex_randn(rng, n) for _ in range(3)]
+            t = rng.uniform(0, 2 * np.pi)
+            rotated = hermitize(np.exp(-1j * t) * m)
+            xs += list(np.linalg.eigh(rotated)[1][:, -1:].T)
+            values = np.array([x.conj() @ m @ x / (x.conj() @ x) for x in xs])
+            for weights in (np.eye(len(xs))[-1], rng.dirichlet(np.ones(len(xs)))):
+                result = fk.scalar_solvability(omega, gram, complex(weights @ values))
+                assert result.status != "outside"
+
+    def test_beyond_spectral_norm_always_outside(self):
+        rng = np.random.default_rng(67)
+        for k in range(40):
+            n = int(rng.integers(1, 13))
+            if k % 2:
+                m = complex_randn(rng, n, n)
+            else:
+                # normal with its spectrum on a circle: W reaches the norm
+                m = 2.0 * np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+            norm = np.linalg.norm(m, 2)
+            scale = max(norm, 1.0)
+            step = 2 * BOUNDARY_RTOL * scale * (1 + rng.uniform(0, 10.0) ** 2)
+            eigen = np.linalg.eigvals(m)
+            target = eigen[int(np.argmax(np.abs(eigen)))]
+            lam = (norm + step) * target / abs(target)
+            result = fk.scalar_solvability(fk.Form(m), fk.NormGram(np.eye(n)), lam)
+            assert result.status == "outside"
+            assert result.solvable
+
+    def test_distance_not_below_grid(self):
+        rng = np.random.default_rng(68)
+        for _ in range(50):
+            n = int(rng.integers(1, 13))
+            m = complex_randn(rng, n, n)
+            grid = fk.support_function(fk.Form(m))
+            radius = float(np.max(grid.support))
+            lam = (radius + rng.uniform(0.01, 2.0) * grid.scale) * np.exp(
+                1j * rng.uniform(0, 2 * np.pi)
+            )
+            result = fk.scalar_solvability(fk.Form(m), fk.NormGram(np.eye(n)), lam)
+            assert result.status == "outside"
+            assert result.distance >= grid.distance(lam) - 1e-12 * grid.scale
 
 
 def _on_segment(point, ends):
