@@ -112,9 +112,18 @@ def decode_matrix(rows, n: int, where: str) -> np.ndarray:
     return out
 
 
+def _finite_norm(mat: np.ndarray, name: str) -> np.ndarray:
+    """The instance matrix ``name``, refused if its Frobenius norm, by which
+    the checks downstream measure it, overflows the float range."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(frob(mat)):
+            raise ValidationError(f"{name} is too large: its Frobenius norm overflows")
+    return mat
+
+
 def _positive(mat: np.ndarray, name: str, tol: float) -> PositiveForm:
     try:
-        return PositiveForm(mat, tol=tol)
+        return PositiveForm(_finite_norm(mat, name), tol=tol)
     except NotPSD as exc:
         raise ValidationError(f"{name} is not positive semidefinite: {exc}") from exc
 
@@ -199,6 +208,8 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
             psi = _positive(decode_matrix(doc["psi"], n, "psi"), "psi", rank_tol)
         else:
             psi = canonical_majorant(omega.matrix, rank_tol)
+        # after the majorant, which refuses such an omega in its own words
+        _finite_norm(omega.matrix, "omega")
         if "norm_gram" in doc:
             norm_gram = decode_matrix(doc["norm_gram"], n, "norm_gram")
         instance = Instance(
@@ -209,7 +220,7 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
             check_membership=False,
         )
     if norm_gram is not None:
-        instance.extras["norm_gram"] = norm_gram
+        instance.extras["norm_gram"] = _finite_norm(norm_gram, "norm_gram")
     return instance
 
 
@@ -566,9 +577,6 @@ def _cmd_solvable(instance: Instance, args) -> dict:
                     "solvable": bool(result.solvable),
                     "c1": result.c1,
                     "c2": result.c2,
-                    # transposition preserves singular values
-                    "c1_adjoint": result.c1,
-                    "c2_adjoint": result.c2,
                 }
             )
             if not result.solvable:

@@ -10,6 +10,7 @@ controlled by the numerical range via its support function.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -102,43 +103,6 @@ def validate_compatible_norm(
     return min_eig_herm(diff) >= -rtol * scale
 
 
-@dataclass(frozen=True, eq=False)
-class SupportFunction:
-    """Support function of the numerical range sampled on a rotation grid.
-
-    ``support[k]`` is the largest eigenvalue of Re(e^(-i angle_k) M), the
-    support value h(t) = max Re(e^(-i t) W(M)) at ``angles[k]``.
-    """
-
-    angles: np.ndarray
-    support: np.ndarray
-
-    @property
-    def scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.support))) if self.support.size else 0.0)
-
-    def signed_margin(self, z: complex) -> float:
-        """Max over grid directions of Re(e^(-i t) z) - h(t); positive means
-        outside the hull by at least that distance, negative means inside."""
-        return float(np.max(np.real(np.exp(-1j * self.angles) * z) - self.support))
-
-    def distance(self, z: complex) -> float:
-        return max(0.0, self.signed_margin(z))
-
-
-@dataclass(frozen=True, eq=False)
-class NumericalRangeHull(SupportFunction):
-    """Support samples plus ``points[k]``, the boundary value of the
-    quadratic form that attains ``support[k]``."""
-
-    points: np.ndarray
-
-    def area(self) -> float:
-        """Shoelace area of the polygon of boundary points."""
-        x, y = self.points.real, self.points.imag
-        return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2)
-
-
 def _parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H and K with M = H + iK, so that Re(e^(-i t) M) = cos(t) H + sin(t) K."""
     return (mat + mat.conj().T) / 2, (mat - mat.conj().T) * -0.5j
@@ -202,67 +166,50 @@ def _quadratic_values(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ij,kj->k", x.conj(), mat, x)
 
 
-def support_function(omega: Form, m: int = DEFAULT_HULL_GRID) -> SupportFunction:
-    """Support values of the numerical range at m rotation angles, from
-    eigenvalues only."""
-    angles, reduced, index, column, sign = _grid(m)
-    values, _ = _extremes(_parts(omega.matrix), reduced, vectors=False)
-    return SupportFunction(angles=angles, support=sign * values[index, column])
-
-
-def numerical_range_hull(omega: Form, m: int = DEFAULT_HULL_GRID) -> NumericalRangeHull:
-    """Rotation-method hull of {omega(xi, xi) : |xi| = 1}.
-
-    For each grid angle the support value is the top eigenvalue of the
-    rotated Hermitian part, and the boundary point is the quadratic value at
-    the corresponding eigenvector.
-    """
-    mat = omega.matrix
-    angles, reduced, index, column, sign = _grid(m)
-    values, vectors = _extremes(_parts(mat), reduced, vectors=True)
-    points = _quadratic_values(mat, vectors[index, :, column])
-    return NumericalRangeHull(
-        angles=angles, support=sign * values[index, column], points=points
-    )
-
-
 def _circular(x: np.ndarray) -> np.ndarray:
     """Distance of each angle in x to the nearest multiple of pi."""
     return np.abs((x + np.pi / 2) % np.pi - np.pi / 2)
 
 
-class _Sampler:
-    """Support samples of W(M) at adaptively chosen angles.
+class NumericalRangeHull:
+    """Support samples of the numerical range W(M) by the rotation method.
 
-    A solve at the reduced angle phi in [0, pi) gives h(phi) from its top
-    eigenvalue and h(phi + pi) from its negated bottom one. The samples, in
-    angle order, bound W(M) by two polygons: the outer one cut out by the
-    tangent lines Re(e^(-i t) z) = h(t), which contains W(M), and the inner
-    one through the boundary points (quadratic values at the extreme
-    eigenvectors), which W(M) contains. A decision uses at most
-    ``DEFAULT_HULL_GRID`` angles, seed included; the seed is the coarsest
-    rotation grid or a given hull.
+    ``support[k]`` is the support value h(t) = max Re(e^(-i t) W(M)), the
+    top eigenvalue of Re(e^(-i t) M), at t = ``angles[k]``, and ``points[k]``
+    the boundary value of the quadratic form that attains it (NaN until
+    ``boundary_points``). Construction samples the m-grid, with eigenvectors
+    when ``vectors`` is set; ``add`` refines, within ``DEFAULT_HULL_GRID``
+    angles in all. A solve at the reduced angle phi in [0, pi) gives h(phi)
+    from its top eigenvalue and h(phi + pi) from its negated bottom one. The
+    samples, in angle order, bound W(M) by two polygons: the outer one cut
+    out by the tangent lines Re(e^(-i t) z) = h(t), which contains W(M), and
+    the inner one through the boundary points, which W(M) contains.
     """
 
-    def __init__(self, mat: np.ndarray, seed: Optional[SupportFunction] = None):
-        self.mat = mat
-        self.parts = _parts(mat)
-        if seed is None:
-            empty = np.zeros(0)
-            self.angles, self.support, self.reduced = empty, empty, empty
-            self.top, self.points = np.zeros(0, dtype=bool), np.zeros(0, dtype=complex)
-            self.add(_grid(MIN_HULL_GRID)[1])
-        else:
-            self.angles = np.asarray(seed.angles, dtype=float)
-            self.support = np.asarray(seed.support, dtype=float)
-            self.reduced = np.mod(self.angles, np.pi)
-            self.top = self.angles < np.pi
-            nan = np.full(self.angles.size, complex(np.nan, np.nan))
-            self.points = np.array(getattr(seed, "points", nan), dtype=complex)
+    def __init__(self, mat: np.ndarray, m: int = DEFAULT_HULL_GRID, vectors: bool = True):
+        self.mat = np.asarray(mat, dtype=complex)
+        self.parts = _parts(self.mat)
+        self.angles, reduced, index, column, sign = _grid(m)
+        values, vecs = _extremes(self.parts, reduced, vectors)
+        self.support = sign * values[index, column]
+        self.reduced = reduced[index]
+        self.top = column == 1
+        nan = np.full(m, complex(np.nan, np.nan))
+        self.points = _quadratic_values(self.mat, vecs[index, :, column]) if vectors else nan
 
     @property
     def scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.support))))
+
+    def distance(self, z: complex) -> float:
+        """Max over sampled directions of Re(e^(-i t) z) - h(t), clamped at 0:
+        a lower bound on the distance from z to W(M)."""
+        return max(0.0, float(np.max(np.real(np.exp(-1j * self.angles) * z) - self.support)))
+
+    def area(self) -> float:
+        """Shoelace area of the polygon of boundary points."""
+        x, y = self.points.real, self.points.imag
+        return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2)
 
     def add(self, angles, vectors: bool = False) -> int:
         """Solve at the given angles, in priority order, that lie farther than
@@ -310,8 +257,14 @@ class _Sampler:
             phi, solve = np.unique(self.reduced[missing], return_inverse=True)
             _, vecs = _extremes(self.parts, phi, vectors=True)
             column = np.where(self.top[missing], 1, 0)
+            self.points = self.points.copy()  # a copied hull shares its seed's array
             self.points[missing] = _quadratic_values(self.mat, vecs[solve, :, column])
         return self.points
+
+
+def numerical_range_hull(omega: Form, m: int = DEFAULT_HULL_GRID) -> NumericalRangeHull:
+    """Rotation-method hull of {omega(xi, xi) : |xi| = 1} on the m-grid."""
+    return NumericalRangeHull(omega.matrix, m)
 
 
 def numerical_radius_bounds(mat: np.ndarray) -> tuple[float, float]:
@@ -320,7 +273,7 @@ def numerical_radius_bounds(mat: np.ndarray) -> tuple[float, float]:
     Exact for Hermitian input. Otherwise the lower end is the largest
     sampled support value and the upper end min(largest modulus of an
     outer-polygon vertex, |M|_2), which holds because W(M) lies in the outer
-    polygon (and the spectral norm decides normal input). The sampler adds
+    polygon (and the spectral norm decides normal input). The hull adds
     the arguments of the vertices that keep the bracket open, worst first,
     until the verdict against 1 + ``MEMBERSHIP_SLACK`` is decided and the
     relative width is at most ``RADIUS_RTOL``, or until no vertex is left
@@ -333,20 +286,20 @@ def numerical_radius_bounds(mat: np.ndarray) -> tuple[float, float]:
         radius = float(np.max(np.abs(np.linalg.eigvalsh(hermitize(mat)))))
         return radius, radius
     norm = specnorm(mat)
-    sampler = _Sampler(mat)
+    hull = NumericalRangeHull(mat, MIN_HULL_GRID, vectors=False)
     while True:
-        lower = float(np.max(sampler.support))
-        vertices = sampler.vertices()
+        lower = float(np.max(hull.support))
+        vertices = hull.vertices()
         modulus = np.abs(vertices)
         upper = max(lower, min(float(np.max(modulus)), norm))
         decided = lower > 1.0 + MEMBERSHIP_SLACK or upper <= 1.0 + MEMBERSHIP_SLACK
         if decided and upper - lower <= RADIUS_RTOL * upper:
             return lower, upper
         open_ = np.flatnonzero(
-            (modulus > lower * (1.0 + RADIUS_RTOL)) & (sampler.arcs() > HULL_ARC_FLOOR)
+            (modulus > lower * (1.0 + RADIUS_RTOL)) & (hull.arcs() > HULL_ARC_FLOOR)
         )
         worst = open_[np.argsort(-modulus[open_], kind="stable")]
-        if not sampler.add(np.angle(vertices[worst])):
+        if not hull.add(np.angle(vertices[worst])):
             return lower, upper
 
 
@@ -485,7 +438,7 @@ def _parabola_probes(t, top, dl, dr, low, high, scale) -> list:
     return [vertex, vertex - step, vertex + step]
 
 
-def _locate(sampler: _Sampler, lam: complex) -> tuple[str, float]:
+def _locate(hull: NumericalRangeHull, lam: complex) -> tuple[str, float]:
     """Status of lam against W(M) and the lower bound max_t Re(e^(-i t) lam) - h(t)
     on its distance to W(M), from adaptively refined samples.
 
@@ -494,15 +447,15 @@ def _locate(sampler: _Sampler, lam: complex) -> tuple[str, float]:
     is concave where positive, provably lies within ``DISTANCE_RTOL`` of its
     maximum. "inside": lam lies deeper than the band in the inner polygon.
     Neither is possible once lam is within the band of both polygons; until
-    then the sampler refines the inner edge lam is nearest and the arcs
+    then it refines the inner edge lam is nearest and the arcs
     beside the best angle, and at the budget reports "boundary-inconclusive".
     """
     while True:
-        angles, n = sampler.angles, sampler.angles.size
-        margins = np.real(np.exp(-1j * angles) * lam) - sampler.support
+        angles, n = hull.angles, hull.angles.size
+        margins = np.real(np.exp(-1j * angles) * lam) - hull.support
         best = int(np.argmax(margins))
         margin = float(margins[best])
-        band = BOUNDARY_RTOL * sampler.scale
+        band = BOUNDARY_RTOL * hull.scale
         left = angles[best - 1] - (2 * np.pi if best == 0 else 0.0)
         right = angles[(best + 1) % n] + (2 * np.pi if best == n - 1 else 0.0)
         beside = [(left + angles[best]) / 2, (angles[best] + right) / 2]
@@ -511,18 +464,18 @@ def _locate(sampler: _Sampler, lam: complex) -> tuple[str, float]:
             dl, dr = angles[best] - left, right - angles[best]
             if min(low, high) > 0:
                 rest = max(dr * (margin - low) / dl, dl * (margin - high) / dr)
-                if rest <= DISTANCE_RTOL * sampler.scale:
+                if rest <= DISTANCE_RTOL * hull.scale:
                     return "outside", margin
-                beside += _parabola_probes(angles[best], margin, dl, dr, low, high, sampler.scale)
-            if not sampler.add(beside):
+                beside += _parabola_probes(angles[best], margin, dl, dr, low, high, hull.scale)
+            if not hull.add(beside):
                 return "outside", margin
             continue
-        depth, normal = _inner_depth(sampler.boundary_points(), lam, band)
+        depth, normal = _inner_depth(hull.boundary_points(), lam, band)
         if depth > band:
             return "inside", max(0.0, margin)
         stuck = margin >= -band and depth >= -band
         new = beside if normal is None else [normal] + beside
-        if stuck or not sampler.add(new, vectors=True):
+        if stuck or not hull.add(new, vectors=True):
             return "boundary-inconclusive", max(0.0, margin)
 
 
@@ -530,13 +483,14 @@ def scalar_solvability(
     omega: Form,
     gram: NormGram,
     lam: complex,
-    hull: Optional[SupportFunction] = None,
+    hull: Optional[NumericalRangeHull] = None,
     rtol: float = DEFAULT_RANK_TOL,
 ) -> ScalarSolvability:
     """Decide solvability of the scalar perturbation -lam via the hull.
 
-    The status comes from an adaptive sampler (``_locate``) seeded with the
-    given hull, or else with the coarsest rotation grid. If lam sits
+    The status comes from adaptively refined samples (``_locate``) seeded
+    with a copy of the given hull of omega, which is left as it was, or else
+    with the coarsest rotation grid. If lam sits
     strictly outside the numerical range the perturbation must be solvable;
     that implication is asserted and its failure raises TheoremViolation.
     Within the boundary band (relative width ``BOUNDARY_RTOL``) the hull is
@@ -547,7 +501,8 @@ def scalar_solvability(
     report = solvability_with(omega, gram, shift, rtol)  # checks the norm first
     if report.solvable:
         report = _with_resolvent(report, complex(lam))
-    status, distance = _locate(_Sampler(omega.matrix, hull), complex(lam))
+    hull = hull or NumericalRangeHull(omega.matrix, MIN_HULL_GRID, vectors=False)
+    status, distance = _locate(copy.copy(hull), complex(lam))
     if status == "outside" and not report.solvable:
         raise TheoremViolation(
             f"point at distance {distance:.3e} outside the hull was reported unsolvable"

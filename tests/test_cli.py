@@ -603,6 +603,35 @@ class TestCommands:
         assert first == f"== a.json\n{message}\n"
         assert second.startswith(f"command: {command}\n")
 
+    @pytest.mark.parametrize(
+        "command, doc, name",
+        [
+            (
+                "decompose",
+                {"n": 2, "omega": [[1, 0], [0, 1]], "theta": [[1e200, 0], [0, 1]]},
+                "theta",
+            ),
+            ("inspect", {"n": 1, "omega": [[1e154]], "psi": [[1e300]]}, "psi"),
+            ("inspect", {"n": 1, "omega": [[1e200]], "psi": [[1]]}, "omega"),
+            ("solvable", {"n": 1, "omega": [[1]], "norm_gram": [[1e200]]}, "norm_gram"),
+        ],
+        ids=["theta", "psi", "omega-with-psi", "norm-gram"],
+    )
+    def test_overflowing_norm_is_an_error(self, tmp_path, capsys, command, doc, name):
+        # the Frobenius norm of an entry above about 1.3e154 overflows; every
+        # check downstream measures the matrix by it
+        bad = write(tmp_path, "a.json", doc)
+        write(tmp_path, "b.json", {"n": 1, "omega": [[[2, 0]]]})
+        message = f"error: {name} is too large: its Frobenius norm overflows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, bad]) == 1
+            assert capsys.readouterr().err == message + "\n"
+            assert main([command, str(tmp_path), "--batch"]) == 1
+        first, second = capsys.readouterr().out.split("== b.json\n")
+        assert first == f"== a.json\n{message}\n"
+        assert second.startswith(f"command: {command}\n")
+
     def test_power_tower_is_an_error_at_once(self, tmp_path, capsys):
         family = {"name": "diag", "lambda": "9**9**9**9", "N": 2}
         path = write(tmp_path, "a.json", {"family": family})

@@ -109,19 +109,17 @@ class TestSupportFunction:
             out.append(np.linalg.eigvalsh((rotated + rotated.conj().T) / 2)[-1])
         return np.asarray(out)
 
-    @pytest.mark.parametrize("grid", [16, 17, 90, 721])
+    # 1441 exceeds twice the decisions' angle budget: the grid is not cut
+    @pytest.mark.parametrize("grid", [16, 17, 90, 721, 1441])
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_matches_per_angle_reference(self, grid, n):
         rng = np.random.default_rng(1000 * grid + n)
         m = complex_randn(rng, n, n)
-        support = fk.support_function(fk.Form(m), grid)
         hull = fk.numerical_range_hull(fk.Form(m), grid)
         angles = 2 * np.pi * np.arange(grid) / grid
-        assert np.array_equal(support.angles, angles)
         assert np.array_equal(hull.angles, angles)
         reference = self._reference(m, angles)
         scale = max(1.0, float(np.max(np.abs(reference))))
-        assert np.max(np.abs(support.support - reference)) <= 1e-12 * scale
         assert np.max(np.abs(hull.support - reference)) <= 1e-12 * scale
         # eigenvectors are not unique, so each point is checked to attain
         # its support value rather than compared with a reference point
@@ -144,12 +142,11 @@ class TestSupportFunction:
         m = complex_randn(np.random.default_rng(57), 5, 5)
         values = self._record(monkeypatch, "eigvalsh")
         vectors = self._record(monkeypatch, "eigh")
-        fk.support_function(fk.Form(m), 90)
         fk.numerical_range_hull(fk.Form(m), 90)
-        assert values == [(45, 5, 5)]
+        assert values == []
         assert vectors == [(45, 5, 5)]
-        fk.support_function(fk.Form(m), 17)
-        assert values[-1] == (17, 5, 5)
+        fk.numerical_range_hull(fk.Form(m), 17)
+        assert vectors[-1] == (17, 5, 5)
         # the default grid at n = 48 is solved in blocks, bit for bit as one call
         n = 48
         big = fk.Form(complex_randn(np.random.default_rng(63), n, n))
@@ -198,11 +195,23 @@ class TestSupportFunction:
     def test_given_hull_needs_no_eigh(self, monkeypatch):
         m = complex_randn(np.random.default_rng(60), 4, 4)
         gram = fk.NormGram(np.eye(4) + random_psd(np.random.default_rng(61), 4))
-        hull = fk.support_function(fk.Form(m), 90)
+        hull = fk.numerical_range_hull(fk.Form(m), 90)
+        bare = fk.NumericalRangeHull(m, 90, vectors=False)
+        seeds = [(h, h.angles.copy(), h.support.copy(), h.points.copy()) for h in (hull, bare)]
+        values = self._record(monkeypatch, "eigvalsh")
         vectors = self._record(monkeypatch, "eigh")
         result = fk.scalar_solvability(fk.Form(m), gram, 10.0, hull=hull)
         assert result.status == "outside" and result.solvable
-        assert vectors == []
+        assert vectors == [] and _solves(values) > 0
+        # the mean of the diagonal lies in W; the bare seed's boundary
+        # points are solved for on the decision's copy only
+        centre = complex(np.trace(m)) / 4
+        assert fk.scalar_solvability(fk.Form(m), gram, centre, hull=bare).status == "inside"
+        assert _solves(vectors) > 0
+        for seed, angles, support, points in seeds:
+            assert np.array_equal(seed.angles, angles)
+            assert np.array_equal(seed.support, support)
+            assert np.array_equal(seed.points, points, equal_nan=True)
 
 
 def _solves(shapes):
@@ -313,7 +322,7 @@ class TestAdaptiveDecisions:
         for _ in range(50):
             n = int(rng.integers(1, 13))
             m = complex_randn(rng, n, n)
-            grid = fk.support_function(fk.Form(m))
+            grid = fk.numerical_range_hull(fk.Form(m))
             radius = float(np.max(grid.support))
             lam = (radius + rng.uniform(0.01, 2.0) * grid.scale) * np.exp(
                 1j * rng.uniform(0, 2 * np.pi)
