@@ -31,7 +31,8 @@ from .errors import (
     ValidationError,
 )
 from .forms import Form, PositiveForm, identity_form, re_im_split
-from .numerics import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, frob, min_eig_herm, rank_cut
+from .numerics import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, finite_norm, frob, min_eig_herm
+from .numerics import rank_cut
 from .regularity import canonical_majorant
 from .solvable import (
     DEFAULT_HULL_GRID,
@@ -112,18 +113,9 @@ def decode_matrix(rows, n: int, where: str) -> np.ndarray:
     return out
 
 
-def _finite_norm(mat: np.ndarray, name: str) -> np.ndarray:
-    """The instance matrix ``name``, refused if its Frobenius norm, by which
-    the checks downstream measure it, overflows the float range."""
-    with np.errstate(over="ignore"):
-        if not np.isfinite(frob(mat)):
-            raise ValidationError(f"{name} is too large: its Frobenius norm overflows")
-    return mat
-
-
 def _positive(mat: np.ndarray, name: str, tol: float) -> PositiveForm:
     try:
-        return PositiveForm(_finite_norm(mat, name), tol=tol)
+        return PositiveForm(finite_norm(mat, name), tol=tol)
     except NotPSD as exc:
         raise ValidationError(f"{name} is not positive semidefinite: {exc}") from exc
 
@@ -209,7 +201,7 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
         else:
             psi = canonical_majorant(omega.matrix, rank_tol)
         # after the majorant, which refuses such an omega in its own words
-        _finite_norm(omega.matrix, "omega")
+        finite_norm(omega.matrix, "omega")
         if "norm_gram" in doc:
             norm_gram = decode_matrix(doc["norm_gram"], n, "norm_gram")
         instance = Instance(
@@ -220,7 +212,7 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
             check_membership=False,
         )
     if norm_gram is not None:
-        instance.extras["norm_gram"] = _finite_norm(norm_gram, "norm_gram")
+        instance.extras["norm_gram"] = finite_norm(norm_gram, "norm_gram")
     return instance
 
 

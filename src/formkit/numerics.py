@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD
+from .errors import NotHermitian, NotPSD, ValidationError
 
 # Tolerances; each comment names the decision and the scale the value is relative to.
 DEFAULT_RANK_TOL = 1e-10  # rank cuts and PSD checks: largest eigenvalue or singular value
@@ -51,6 +51,15 @@ def as_matrix(entries) -> np.ndarray:
 
 def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m)) if m.size else 0.0
+
+
+def finite_norm(mat: np.ndarray, name: str) -> np.ndarray:
+    """The matrix ``name``, refused if its Frobenius norm, by which the checks
+    downstream measure it, overflows the float range."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(frob(mat)):
+            raise ValidationError(f"{name} is too large: its Frobenius norm overflows")
+    return mat
 
 
 def specnorm(m: np.ndarray) -> float:

@@ -104,21 +104,28 @@ def validate_compatible_norm(
 
 
 def _parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H and K with M = H + iK, so that Re(e^(-i t) M) = cos(t) H + sin(t) K."""
+    """H and K with M = H + iK, so that Re(e^(-i t) M) = cos(t) H + sin(t) K.
+
+    For a structurally diagonal M (every off-diagonal entry exactly 0) they
+    are the diagonals Re(lambda) and Im(lambda), and ``_extreme_block`` reads
+    the extremes off them without an eigensolve.
+    """
+    if np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()):
+        return mat.diagonal().real, mat.diagonal().imag
     return (mat + mat.conj().T) / 2, (mat - mat.conj().T) * -0.5j
 
 
 def _extremes(parts, reduced: np.ndarray, vectors: bool):
     """Bottom and top eigenvalues (columns 0 and 1) of cos(phi) H + sin(phi) K
-    at each reduced angle phi and, with ``vectors``, the matching eigenvectors
-    (shape (angles, n, 2)).
+    at each reduced angle phi and, with ``vectors``, what gives the matching
+    boundary points to ``_points``: eigenvectors (shape (angles, n, 2)), or
+    for diagonal parts the indices of the attaining entries (angles, 2).
 
     The rotated matrices are stacked and solved in blocks of at most
     ``HULL_BLOCK_BYTES``, and only the two extreme eigenpairs of each solve
     are kept, so memory does not grow with the number of angles.
     """
-    n = parts[0].shape[0]
-    block = max(1, HULL_BLOCK_BYTES // (16 * n * n))
+    block = max(1, HULL_BLOCK_BYTES // (16 * parts[0].size))
     cos, sin = np.cos(reduced), np.sin(reduced)
     solved = [
         _extreme_block(parts, cos[start : start + block], sin[start : start + block], vectors)
@@ -131,6 +138,13 @@ def _extremes(parts, reduced: np.ndarray, vectors: bool):
 def _extreme_block(parts, cos: np.ndarray, sin: np.ndarray, vectors: bool):
     """One block of ``_extremes``; its stack is freed on return."""
     h, k = parts
+    if h.ndim == 1:
+        # diagonal M is normal, so W(M) = conv{lambda_j} and the extremes are
+        # min and max of r_j, formed in the stack's own operation order
+        r = cos[:, None] * h
+        r += sin[:, None] * k
+        ends = np.stack([r.argmin(1), r.argmax(1)], 1)
+        return np.take_along_axis(r, ends, 1), ends if vectors else None
     stack = cos[:, None, None] * h
     stack += sin[:, None, None] * k
     if not vectors:
@@ -161,9 +175,13 @@ def _grid(m: int):
     return angles, reduced, (doubled % m) // step, column, sign
 
 
-def _quadratic_values(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x_k^H M x_k for the rows x_k of x."""
-    return np.einsum("ki,ij,kj->k", x.conj(), mat, x)
+def _points(mat: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Boundary points from selected ``_extremes`` ends: x_k^H M x_k for the
+    rows x_k of eigenvectors, or the indexed diagonal entries (signed zeros
+    made positive, as the quadratic form gives them)."""
+    if ends.dtype.kind == "i":
+        return mat.diagonal()[ends] + 0.0
+    return np.einsum("ki,ij,kj->k", ends.conj(), mat, ends)
 
 
 def _circular(x: np.ndarray) -> np.ndarray:
@@ -184,10 +202,20 @@ class NumericalRangeHull:
     samples, in angle order, bound W(M) by two polygons: the outer one cut
     out by the tangent lines Re(e^(-i t) z) = h(t), which contains W(M), and
     the inner one through the boundary points, which W(M) contains.
+
+    A structurally diagonal M (every off-diagonal entry exactly 0) is
+    normal, so W(M) = conv{lambda_j} (Horn and Johnson, Topics in Matrix
+    Analysis, 1991, 1.2): h(t) is then max_j Re(e^(-i t) lambda_j) and the
+    boundary point the attaining lambda_j, read off with no eigensolve. They
+    equal the eigensolver's bit for bit (up to the choice among tied
+    entries) unless LAPACK rescales the matrix (moduli outside about
+    [1e-146, 1e146]), where the exact values are the correctly rounded ones.
     """
 
     def __init__(self, mat: np.ndarray, m: int = DEFAULT_HULL_GRID, vectors: bool = True):
         self.mat = np.asarray(mat, dtype=complex)
+        if self.mat.shape[0] == 0:
+            raise ValidationError("the numerical range of a 0-dimensional form is empty")
         self.parts = _parts(self.mat)
         self.angles, reduced, index, column, sign = _grid(m)
         values, vecs = _extremes(self.parts, reduced, vectors)
@@ -195,7 +223,7 @@ class NumericalRangeHull:
         self.reduced = reduced[index]
         self.top = column == 1
         nan = np.full(m, complex(np.nan, np.nan))
-        self.points = _quadratic_values(self.mat, vecs[index, :, column]) if vectors else nan
+        self.points = _points(self.mat, vecs[index, ..., column]) if vectors else nan
 
     @property
     def scale(self) -> float:
@@ -223,8 +251,7 @@ class NumericalRangeHull:
             return 0
         values, vecs = _extremes(self.parts, phi, vectors)
         if vectors:
-            ends = np.concatenate([vecs[:, :, 1], vecs[:, :, 0]])
-            points = _quadratic_values(self.mat, ends)
+            points = _points(self.mat, np.concatenate([vecs[..., 1], vecs[..., 0]]))
         else:
             points = np.full(2 * phi.size, complex(np.nan, np.nan))
         top = np.arange(2 * phi.size) < phi.size
@@ -258,7 +285,7 @@ class NumericalRangeHull:
             _, vecs = _extremes(self.parts, phi, vectors=True)
             column = np.where(self.top[missing], 1, 0)
             self.points = self.points.copy()  # a copied hull shares its seed's array
-            self.points[missing] = _quadratic_values(self.mat, vecs[solve, :, column])
+            self.points[missing] = _points(self.mat, vecs[solve, ..., column])
         return self.points
 
 

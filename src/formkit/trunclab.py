@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotSectorial, ValidationError
 from .forms import Form, PositiveForm, identity_form
-from .numerics import DEFAULT_RANK_TOL, as_matrix, hermitize, psd_sqrt
+from .numerics import DEFAULT_RANK_TOL, as_matrix, finite_norm, hermitize, psd_sqrt
 from .regularity import in_class_M, sectorial_parameters
 from .solvable import NormGram, numerical_range_hull, represent_operator
 
@@ -64,7 +64,7 @@ def diag_family(values, provenance: str = "diag") -> Instance:
     if lam.size < 1:
         raise ValidationError("the diagonal family needs at least one entry")
     n = lam.size
-    omega = Form(np.diag(lam))
+    omega = Form(finite_norm(np.diag(lam), "'lambda'"))
     theta = identity_form(n)
     psi = PositiveForm(np.diag(np.abs(lam)))
     phases = np.where(lam == 0, 1.0 + 0j, np.exp(1j * np.angle(lam)))
@@ -91,8 +91,8 @@ def measure_family(theta_weights, omega_weights, provenance: str = "measure") ->
         raise ValidationError("weight vectors must share a positive length")
     if np.any(th < 0):
         raise ValidationError("reference weights must be nonnegative")
-    theta = PositiveForm(np.diag(th).astype(complex))
-    omega = Form(np.diag(om))
+    theta = PositiveForm(finite_norm(np.diag(th).astype(complex), "theta"))
+    omega = Form(finite_norm(np.diag(om), "omega"))
     psi = PositiveForm(np.diag(np.abs(om)))
     support_theta = th > 0
     support_omega = np.abs(om) > 0
@@ -229,7 +229,9 @@ def convergence_report(
     the least half-slope there), hull extent and area, the distance from a deterministic
     probe point placed outside the hull, the resolvent norm there, and the
     condition number of the normalized system under the natural
-    majorant-augmented Gram.
+    majorant-augmented Gram. Each instance is diagonal, so its hull is the
+    exact polygon conv{lambda_j} (a normal matrix's numerical range is the
+    convex hull of its spectrum) and costs no eigensolve.
     """
     if sorted(sizes) != list(sizes) or len(sizes) == 0:
         raise ValidationError("sizes must be a nonempty ascending list")

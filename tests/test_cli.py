@@ -614,8 +614,22 @@ class TestCommands:
             ("inspect", {"n": 1, "omega": [[1e154]], "psi": [[1e300]]}, "psi"),
             ("inspect", {"n": 1, "omega": [[1e200]], "psi": [[1]]}, "omega"),
             ("solvable", {"n": 1, "omega": [[1]], "norm_gram": [[1e200]]}, "norm_gram"),
+            ("inspect", {"family": {"name": "diag", "lambda": [1e200, 1], "N": 2}}, "'lambda'"),
+            (
+                "inspect",
+                {"family": {"name": "measure", "theta": [1e200, 1], "omega": [1, 1]}},
+                "theta",
+            ),
+            (
+                "decompose",
+                {"family": {"name": "measure", "theta": [1, 1], "omega": [1e200, 1]}},
+                "omega",
+            ),
         ],
-        ids=["theta", "psi", "omega-with-psi", "norm-gram"],
+        ids=[
+            "theta", "psi", "omega-with-psi", "norm-gram",
+            "diag-family", "measure-theta", "measure-omega",
+        ],
     )
     def test_overflowing_norm_is_an_error(self, tmp_path, capsys, command, doc, name):
         # the Frobenius norm of an entry above about 1.3e154 overflows; every
@@ -631,6 +645,19 @@ class TestCommands:
         first, second = capsys.readouterr().out.split("== b.json\n")
         assert first == f"== a.json\n{message}\n"
         assert second.startswith(f"command: {command}\n")
+
+    def test_lab_refuses_an_overflowing_lambda(self, tmp_path, capsys):
+        bad = write(tmp_path, "a.json", {"family": {"name": "diag", "lambda": [1e200, 1], "N": 2}})
+        write(tmp_path, "b.json", {"family": {"name": "diag", "lambda": "n", "N": 2}})
+        message = "error: 'lambda' is too large: its Frobenius norm overflows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lab", bad, "--sizes", "1,2"]) == 1
+            assert capsys.readouterr().err == message + "\n"
+            assert main(["lab", str(tmp_path), "--batch", "--sizes", "1,2"]) == 1
+        first, second = capsys.readouterr().out.split("== b.json\n")
+        assert first == f"== a.json\n{message}\n"
+        assert second.startswith("command: lab\n")
 
     def test_power_tower_is_an_error_at_once(self, tmp_path, capsys):
         family = {"name": "diag", "lambda": "9**9**9**9", "N": 2}

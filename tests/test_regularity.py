@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import formkit as fk
+from formkit import solvable
 from formkit.numerics import frob, hermitize, min_eig_herm
 
 from conftest import complex_randn, member_form, random_operator_instance, random_psd
@@ -94,13 +95,20 @@ class TestEpsilonBound:
         # seed angle hits; the worst outer vertex is that corner, so the first
         # refinement samples its direction and the bound is refused outright
         lam = (1 + 1e-6) * np.exp(1j * np.pi / 720)
-        calls = []
-        solve = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solve(a))
+        rounds = []
+        add = solvable.NumericalRangeHull.add
+
+        def recording(hull, angles, vectors=False):
+            rounds.append((np.mod(angles[0], np.pi), add(hull, angles, vectors)))
+            return rounds[-1][1]
+
+        monkeypatch.setattr(solvable.NumericalRangeHull, "add", recording)
         with pytest.raises(fk.QuadraticBoundFails, match="exceeds 1") as info:
             fk.epsilon_bound_check(fk.Form(np.diag([lam, 0.0])), fk.identity_form(2))
         assert "1.000001e+00" in str(info.value)
-        assert len([shape for shape in calls if len(shape) == 3]) == 2
+        assert len(rounds) == 1
+        direction, solves = rounds[0]
+        assert solves == 1 and abs(direction - np.pi / 720) <= 1e-12
 
     def test_normal_member_holds(self):
         # the compressed matrix is unitary-diagonal: radius 1 exactly, which

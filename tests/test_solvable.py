@@ -214,6 +214,106 @@ class TestSupportFunction:
             assert np.array_equal(seed.points, points, equal_nan=True)
 
 
+def _diagonal_cases():
+    rng = np.random.default_rng(69)
+    z = complex_randn(rng, 8)
+    return {
+        "repeated": np.concatenate([z[:4], z[:3], z[1:2]]),
+        "zeros": np.array([0j, z[0], 0j, z[1], 0j]),
+        "signed-zeros": np.array(
+            [complex(-0.0, -0.0), complex(-0.0, 1.0), complex(2.0, -0.0), z[2], 0j]
+        ),
+        "real": rng.normal(size=6) + 0j,
+        "imaginary": 1j * rng.normal(size=6),
+        "single": z[:1],
+        "general": complex_randn(rng, 12),
+    }
+
+
+_LINALG = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "solve", "inv", "pinv", "norm")
+
+
+def _bits(a):
+    """The bit patterns of a complex array's parts, so -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=complex).view(np.int64).reshape(-1, 2)
+
+
+class TestDiagonalHull:
+    """The exact path for structurally diagonal input against the eigensolved
+    path on the same parts, as matrices."""
+
+    @staticmethod
+    def _pair(monkeypatch, lam, build):
+        """``build`` on diag(lam) by the exact path, with no numpy.linalg call,
+        and by the eigensolver on the parts as diagonal matrices."""
+        calls = [TestSupportFunction._record(monkeypatch, name) for name in _LINALG]
+        exact = build(np.diag(lam))
+        assert calls == [[]] * len(_LINALG)
+        monkeypatch.undo()
+        diagonal = solvable._parts
+
+        def as_matrices(mat):
+            return tuple(np.diag(part).astype(complex) for part in diagonal(mat))
+
+        monkeypatch.setattr(solvable, "_parts", as_matrices)
+        reference = build(np.diag(lam))
+        monkeypatch.undo()
+        return exact, reference
+
+    @staticmethod
+    def _match(exact, reference, lam):
+        assert np.array_equal(exact.angles, reference.angles)
+        assert np.array_equal(_bits(exact.support), _bits(reference.support))
+        differ = np.any(_bits(exact.points) != _bits(reference.points), axis=1)
+        for k in np.flatnonzero(differ):
+            # a tie on the supporting line may be attained at another entry
+            cos, sin = np.cos(exact.reduced[k]), np.sin(exact.reduced[k])
+            a, b = exact.points[k], reference.points[k]
+            assert a != b and a in lam
+            assert cos * a.real + sin * a.imag == cos * b.real + sin * b.imag
+
+    @pytest.mark.parametrize("grid", [16, 17, 360, 720, 1441])
+    @pytest.mark.parametrize("case", sorted(_diagonal_cases()))
+    def test_grid_matches_eigensolved_path(self, monkeypatch, grid, case):
+        lam = _diagonal_cases()[case]
+        exact, reference = self._pair(monkeypatch, lam, lambda m: fk.NumericalRangeHull(m, grid))
+        self._match(exact, reference, lam)
+
+    @pytest.mark.parametrize("case", sorted(_diagonal_cases()))
+    def test_refinements_match_eigensolved_path(self, monkeypatch, case):
+        lam = _diagonal_cases()[case]
+        angles = np.random.default_rng(70).uniform(0, 2 * np.pi, 40)
+
+        def refined(mat):
+            hull = fk.NumericalRangeHull(mat, 16)
+            assert hull.add(angles, vectors=True) == angles.size
+            return hull
+
+        def completed(mat):
+            hull = fk.NumericalRangeHull(mat, 17, vectors=False)
+            hull.add(angles)
+            hull.boundary_points()
+            return hull
+
+        for build in (refined, completed):
+            self._match(*self._pair(monkeypatch, lam, build), lam)
+
+    def test_tiny_off_diagonal_entry_is_eigensolved(self, monkeypatch):
+        mat = np.diag(_diagonal_cases()["general"])
+        mat[0, 1] = 1e-300
+        vectors = TestSupportFunction._record(monkeypatch, "eigh")
+        fk.NumericalRangeHull(mat, 16)
+        assert [len(shape) for shape in vectors] == [3]
+
+    def test_empty_form_refused(self):
+        empty = fk.Form(np.zeros((0, 0)))
+        message = "numerical range of a 0-dimensional form is empty"
+        with pytest.raises(fk.ValidationError, match=message):
+            fk.numerical_range_hull(empty)
+        with pytest.raises(fk.ValidationError, match=message):
+            fk.scalar_solvability(empty, fk.NormGram(np.zeros((0, 0))), 1.0)
+
+
 def _solves(shapes):
     """Rotated matrices passed to the recorded solver in stacked calls."""
     return sum(shape[0] for shape in shapes if len(shape) == 3)

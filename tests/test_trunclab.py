@@ -72,6 +72,14 @@ class TestMeasureFamily:
         ac, sing = fk.positive_lebesgue(inst.psi, inst.theta)
         assert frob(ac.matrix) == 0.0 and frob(sing.matrix) == 0.0
 
+    def test_overflowing_weights_refused(self):
+        with pytest.raises(fk.ValidationError, match="theta is too large"):
+            fk.measure_family([1e200, 1.0], [1.0, 1.0])
+        with pytest.raises(fk.ValidationError, match="omega is too large"):
+            fk.measure_family([1.0, 1.0], [1e200, 1.0])
+        with pytest.raises(fk.ValidationError, match="'lambda' is too large"):
+            fk.diag_family([1e200, 1.0])
+
     def test_validation(self):
         with pytest.raises(fk.ValidationError):
             fk.measure_family([1.0], [1.0, 2.0])
@@ -182,6 +190,27 @@ class TestConvergenceReport:
         for row in rows:
             assert row["probe_distance"] > 0
             assert row["resolvent_norm"] is not None
+
+    def test_lab_sweep_families_solve_no_stacked_eigenproblem(self, monkeypatch):
+        # every lab instance is diagonal, so its hulls are exact polygons
+        stacked = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+
+            def recording(a, *args, solve=solve, **kwargs):
+                if np.ndim(a) == 3:
+                    stacked.append(np.shape(a))
+                return solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        for spec in ("n*exp(i*n)", "n+i*sqrt(n)", "i*n*n*n*n"):
+            rows = fk.convergence_report("diag", {"lambda": spec}, [8, 16, 32, 48])
+            assert [row["size"] for row in rows] == [8, 16, 32, 48]
+        assert stacked == []
+
+    def test_overflowing_lambda_refused(self):
+        with pytest.raises(fk.ValidationError, match="'lambda' is too large"):
+            fk.convergence_report("diag", {"lambda": [1e200, 1]}, [1, 2])
 
     def test_validation(self):
         with pytest.raises(fk.ValidationError):
