@@ -32,7 +32,7 @@ from .errors import (
 )
 from .forms import Form, PositiveForm, identity_form, re_im_split
 from .numerics import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, finite_norm, frob, min_eig_herm
-from .numerics import rank_cut
+from .numerics import rank_cut, relative
 from .regularity import canonical_majorant
 from .solvable import (
     DEFAULT_HULL_GRID,
@@ -450,9 +450,7 @@ def _cmd_represent(instance: Instance, args) -> dict:
     residuals = reg.representation_residuals(rep, instance.omega, instance.theta, instance.psi)
     emb = rep.theta_embedding
     kato_matrix = emb.from_quotient(rep.scale @ middle @ rep.scale)
-    kato_residual = frob(kato_matrix - instance.omega.matrix) / max(
-        frob(instance.omega.matrix), 1e-300
-    ) if frob(instance.omega.matrix) > 0 else frob(kato_matrix)
+    kato_residual = relative(frob(kato_matrix - instance.omega.matrix), frob(instance.omega.matrix))
     report.update(
         {
             "H": encode_matrix(rep.scale),
@@ -469,10 +467,8 @@ def _cmd_represent(instance: Instance, args) -> dict:
 def _cmd_decompose(instance: Instance, args) -> dict:
     report = _base_report("decompose", instance, args)
     split = leb.lebesgue_decompose(instance.omega, instance.theta, instance.psi, args.tol_rank)
-    total = frob(instance.omega.matrix)
-    additivity = frob(
-        split.regular.matrix + split.singular.matrix - instance.omega.matrix
-    ) / max(total, 1e-300) if total > 0 else 0.0
+    recombined = split.regular.matrix + split.singular.matrix
+    additivity = relative(frob(recombined - instance.omega.matrix), frob(instance.omega.matrix))
     worst_theta, worst_sing = 0.0, 0.0
     n = instance.dim
     theta_norm = max(instance.theta.spectral_norm, 1e-300)
@@ -602,9 +598,12 @@ def _parse_lambda(text: str) -> complex:
     if len(parts) != 2:
         raise ValidationError("--lambda expects 're,im'")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        lam = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise ValidationError("--lambda expects two real numbers 're,im'")
+    if not cmath.isfinite(lam):
+        raise ValidationError(f"--lambda must be finite, got {text!r}")
+    return lam
 
 
 _INSTANCE_COMMANDS = {
@@ -675,6 +674,11 @@ def main(argv=None) -> int:
     try:
         if args.grid < MIN_HULL_GRID:
             raise ValidationError(f"--grid must be at least {MIN_HULL_GRID}, got {args.grid}")
+        # a relative rank cut of 1 or more cuts every rank
+        if not 0.0 <= args.tol_rank < 1.0:
+            raise ValidationError(f"--tol-rank must be in [0, 1), got {args.tol_rank}")
+        if not 0.0 <= args.tol_residual < np.inf:
+            raise ValidationError(f"--tol-residual must be in [0, inf), got {args.tol_residual}")
         if args.batch:
             target = Path(args.instance)
             if not target.is_dir():

@@ -62,6 +62,11 @@ def finite_norm(mat: np.ndarray, name: str) -> np.ndarray:
     return mat
 
 
+def relative(err: float, scale: float) -> float:
+    """A residual relative to the norm of its form, or absolute when that is 0."""
+    return err / max(scale, 1e-300) if scale > 0 else err
+
+
 def specnorm(m: np.ndarray) -> float:
     if min(m.shape) == 0:
         return 0.0

@@ -56,6 +56,7 @@ from .numerics import (
     pinv,
     psd_sqrt,
     rank_cut,
+    relative,
     specnorm,
 )
 from .solvable import numerical_radius_bounds
@@ -315,20 +316,17 @@ def representation_residuals(
     emb_t, emb_s = rep.theta_embedding, rep.sum_embedding
     h2 = rep.scale @ rep.scale
 
-    def rel(err: float, scale: float) -> float:
-        return err / max(scale, 1e-300) if scale > 0 else err
-
     iso = rep.isometry.conj().T @ rep.isometry
     iso_res = frob(iso - np.eye(emb_t.rank))
 
     density = emb_t.from_quotient(rep.density_root @ rep.density_root)
-    density_res = rel(frob(density - psi.matrix), frob(psi.matrix))
+    density_res = relative(frob(density - psi.matrix), frob(psi.matrix))
 
     pairing = rep.sum_to_theta.conj().T @ h2 @ rep.sum_to_theta
     pairing_res = frob(pairing - np.eye(emb_s.rank))
 
     fundamental = emb_t.from_quotient(h2 @ rep.core_factor)
-    fundamental_res = rel(frob(fundamental - omega.matrix), frob(omega.matrix))
+    fundamental_res = relative(frob(fundamental - omega.matrix), frob(omega.matrix))
 
     return {
         "isometry": float(iso_res),
@@ -393,7 +391,6 @@ class SectorialityCertificate:
     delta: float
     gamma: float
     margin: float                 # least normalized eigenvalue margin of the checks
-    majorant_margin: float        # membership margin of the induced majorant
 
 
 def _floor(a: np.ndarray, eig: HermEig, scale: float, rtol: float) -> float:
@@ -431,15 +428,17 @@ def sectorial_parameters(
 ) -> SectorialityCertificate:
     """Verify (or search for) sector parameters.
 
-    Explicit (delta, gamma) are checked as two matrix inequalities: the
-    shifted real part must be PSD and must gamma-dominate both signs of the
-    imaginary part. When neither is supplied, the vertex is the sector
-    frontier at the slope cap, the least of sup{d : re +- im / cap - d theta
-    PSD} over both signs (in closed form, through the Schur complement on the
-    kernel of theta), backed off by ``MEMBERSHIP_SLACK`` times the scale so
-    that the check sees a positive margin. The half-slope is the least one
-    at that vertex, at most ``SECTOR_SLOPE_CAP``, and the pair then goes
-    through the explicit check.
+    The certificate is two matrix inequalities, each least eigenvalue within
+    ``MEMBERSHIP_SLACK`` times the scale: re - delta theta is PSD and
+    gamma-dominates both signs of im. By Kato's bound (*Perturbation Theory
+    for Linear Operators*, VI 1.2) they make (1 + gamma)(re - delta theta) a
+    majorant of omega - delta theta. When neither is supplied, the vertex is
+    the sector frontier at the slope cap, the least of sup{d : re +- im / cap
+    - d theta PSD} over both signs (in closed form, through the Schur
+    complement on the kernel of theta), backed off by ``MEMBERSHIP_SLACK``
+    times the scale so that the check sees a positive margin. The half-slope
+    is the least one at that vertex, at most ``SECTOR_SLOPE_CAP``, and the
+    pair then goes through the same check.
 
     Raises:
         NotSectorial: naming the violated inequality, or, for a search, a
@@ -480,23 +479,10 @@ def sectorial_parameters(
             f"least eigenvalue {least * scale:.4g} "
             f"(margin {least:.3e} relative to scale {scale:.4g})"
         )
-    shifted = Form(omega.matrix - delta * theta.matrix)
-    # widen the majorant by the vertex slack, so that membership accepts what
-    # the vertex test accepted: against a base that is singular up to that
-    # slack (a vertex at the frontier of a Hermitian form) the bound 1 is
-    # attained, and rounding alone would decide the check
-    widened = base + MEMBERSHIP_SLACK * scale * np.eye(base.shape[0])
-    majorant = PositiveForm((1.0 + gamma) * widened, tol=BUILT_PSD_TOL)
-    member, member_margin = in_class_M(shifted, majorant, rtol)
-    if not member:
-        raise NotSectorial(
-            "sector inequalities hold but the induced majorant fails membership"
-        )
     return SectorialityCertificate(
         delta=float(delta),
         gamma=float(gamma),
         margin=float(min(m_vertex, m_plus, m_minus)),
-        majorant_margin=float(member_margin),
     )
 
 

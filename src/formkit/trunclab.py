@@ -214,11 +214,13 @@ def _lambda_values(expression, size: int) -> np.ndarray:
     return values
 
 
+LAB_HULL_GRID = 360  # support angles of each size's exact hull; the least one places the probe
+
+
 def convergence_report(
     family: str,
     params: dict,
     sizes: list[int],
-    hull_grid: int = 360,
     rtol: float = DEFAULT_RANK_TOL,
 ) -> list[dict]:
     """Truncation diagnostics per size for the diagonal family.
@@ -249,7 +251,7 @@ def convergence_report(
             verdict = {"sectorial": True, "delta": cert.delta, "gamma": cert.gamma}
         except NotSectorial:
             verdict = {"sectorial": False}
-        hull = numerical_range_hull(inst.omega, hull_grid)
+        hull = numerical_range_hull(inst.omega, LAB_HULL_GRID)
         direction = int(np.argmin(hull.support))
         angle = float(hull.angles[direction])
         gap = 1.0 + 0.1 * hull.scale

@@ -667,6 +667,31 @@ class TestCommands:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("error: 'lambda': an integer power")
 
+    @pytest.mark.parametrize("lam", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_lambda_is_an_error(self, tmp_path, capsys, lam):
+        path = write(tmp_path, "a.json", {"n": 1, "omega": [[[2, 0]]]})
+        write(tmp_path, "b.json", {"n": 1, "omega": [[[3, 0]]]})
+        message = f"error: --lambda must be finite, got {lam!r}"
+        assert main(["solvable", path, f"--lambda={lam}"]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert main(["solvable", str(tmp_path), "--batch", f"--lambda={lam}"]) == 1
+        assert capsys.readouterr().out == f"== a.json\n{message}\n== b.json\n{message}\n"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol-rank", value) for value in ("nan", "inf", "1e300", "1", "-1")]
+        + [("--tol-residual", value) for value in ("nan", "inf", "-1")],
+    )
+    def test_hostile_tolerance_is_an_error(self, tmp_path, capsys, flag, value):
+        # omega = 2 is outside the class of psi = 1, so a cut of every rank
+        # would have read it as a member
+        path = write(tmp_path, "a.json", {"n": 1, "omega": [[[2, 0]]], "psi": [[[1, 0]]]})
+        for argv in (["membership", path], ["membership", str(tmp_path), "--batch"]):
+            assert main([*argv, f"{flag}={value}"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {flag} must be")
+            assert captured.out == ""
+
     def test_batch_mode(self, tmp_path, capsys):
         write(tmp_path, "a.json", {"n": 1, "omega": [[[1, 0]]]})
         write(tmp_path, "b.json", {"n": 1, "omega": [[[2, 0]]]})

@@ -6,7 +6,14 @@ import pytest
 
 import formkit as fk
 from formkit import solvable
-from formkit.numerics import frob, hermitize, min_eig_herm
+from formkit.numerics import (
+    BUILT_PSD_TOL,
+    MEMBERSHIP_SLACK,
+    frob,
+    hermitize,
+    min_eig_herm,
+    specnorm,
+)
 
 from conftest import complex_randn, member_form, random_operator_instance, random_psd
 
@@ -343,12 +350,33 @@ class TestFloor:
             assert self._feasible(a, p, t) == (expected > 0)
 
 
+def kato_majorant_holds(omega, theta, cert):
+    """Kato's bound as an oracle: a sector (delta, gamma) makes
+    (1 + gamma)(Re omega - delta theta) a Cauchy-Schwarz majorant of
+    omega - delta theta. The majorant is widened by the vertex slack, which
+    the sector check grants Re omega - delta theta."""
+    real = hermitize(omega.matrix)
+    scale = max(1.0, specnorm(omega.matrix), specnorm(theta.matrix))
+    base = hermitize(real - cert.delta * theta.matrix)
+    widened = base + MEMBERSHIP_SLACK * scale * np.eye(base.shape[0])
+    majorant = fk.PositiveForm((1.0 + cert.gamma) * widened, tol=BUILT_PSD_TOL)
+    member, _ = fk.in_class_M(fk.Form(omega.matrix - cert.delta * theta.matrix), majorant)
+    return member
+
+
+def near_singular_rotation(seed):
+    """U diag(1e6, 1e6 + 1e-3, 1e6 + 2e-3) U^H for a seeded random unitary U."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return fk.Form(u @ np.diag([1e6, 1e6 + 1e-3, 1e6 + 2e-3]) @ u.conj().T)
+
+
 class TestSectoriality:
     def test_explicit_certificate(self):
         omega = fk.Form(np.diag([1 + 1j, 2.0]))
         cert = fk.sectorial_parameters(omega, fk.identity_form(2), 0.0, 1.0)
         assert cert.margin >= -1e-9
-        assert cert.majorant_margin >= -1e-9
+        assert kato_majorant_holds(omega, fk.identity_form(2), cert)
 
     def test_tight_certificate(self):
         cert = fk.sectorial_parameters(fk.Form(np.eye(2)), fk.identity_form(2), 1.0, 0.0)
@@ -474,13 +502,58 @@ class TestSectoriality:
         # every vertex below 1e6, but for most rotations U the verify call
         # refuses the vertex 1e6 itself; the frontier vertex, backed off by
         # the slack, must pass it
-        rng = np.random.default_rng(seed)
-        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        omega = fk.Form(u @ np.diag([1e6, 1e6 + 1e-3, 1e6 + 2e-3]) @ u.conj().T)
+        omega = near_singular_rotation(seed)
         theta = fk.identity_form(3)
         cert = fk.sectorial_parameters(omega, theta)
         again = fk.sectorial_parameters(omega, theta, cert.delta, cert.gamma)
-        assert again.majorant_margin >= -fk.regularity.MEMBERSHIP_SLACK
+        assert kato_majorant_holds(omega, theta, again)
+
+    @staticmethod
+    def _kato_corpus():
+        """(omega, theta) pairs: the near-singular rotations, random pairs
+        whose theta has a kernel, and the lab families."""
+        for seed in range(10):
+            yield near_singular_rotation(seed), fk.identity_form(3)
+        rng = np.random.default_rng(14)
+        for k in range(40):
+            n = int(rng.integers(2, 6))
+            theta = random_psd(rng, n, int(rng.integers(0, n)))
+            g = complex_randn(rng, n, n)
+            # a real part that dominates on ker theta leaves a vertex to find
+            values, vectors = np.linalg.eigh(theta)
+            null = vectors[:, values <= 1e-8 * max(values[-1], 1.0)]
+            g = g + (1 + k % 3) * np.linalg.norm(g, 2) * null @ null.conj().T
+            yield fk.Form(hermitize(g) if k % 5 == 0 else g), fk.PositiveForm(theta)
+        for expression, value in TestSectoriality.LAB_FAMILIES.items():
+            for size in (8, 48):
+                lam = [value(j) for j in range(1, size + 1)]
+                yield fk.Form(np.diag(lam)), fk.identity_form(size)
+
+    def test_kato_bound_holds_on_every_certificate(self):
+        # the sector check is the two matrix inequalities alone; Kato's bound
+        # says they make the induced form a majorant, and the oracle re-proves
+        # it on search certificates and on explicit pairs near the frontier
+        searched = 0
+        for omega, theta in self._kato_corpus():
+            try:
+                cert = fk.sectorial_parameters(omega, theta)
+            except fk.NotSectorial:
+                continue
+            searched += 1
+            assert kato_majorant_holds(omega, theta, cert)
+            scale = max(1.0, specnorm(omega.matrix), specnorm(theta.matrix))
+            for step in (1e-6, 1e-9, 1e-11):
+                for delta, gamma in (
+                    (cert.delta, cert.gamma * (1 + step)),
+                    (cert.delta - step * scale, cert.gamma),
+                    (cert.delta + step * scale, cert.gamma * (1 + step)),
+                ):
+                    try:
+                        explicit = fk.sectorial_parameters(omega, theta, delta, gamma)
+                    except fk.NotSectorial:
+                        continue
+                    assert kato_majorant_holds(omega, theta, explicit)
+        assert searched >= 40
 
     LAB_FAMILIES = {
         "n*exp(i*n)": lambda k: k * cmath.exp(1j * k),

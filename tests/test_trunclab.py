@@ -176,15 +176,13 @@ class TestLambdaValues:
 
 class TestConvergenceReport:
     def test_constant_family_constant_diagnostics(self):
-        rows = fk.convergence_report("diag", {"lambda": "1"}, [2, 4, 8], hull_grid=90)
+        rows = fk.convergence_report("diag", {"lambda": "1"}, [2, 4, 8])
         for key in ("re_spectrum_min", "hull_radius", "resolvent_norm"):
             vals = [row[key] for row in rows]
             assert max(vals) - min(vals) <= 1e-9
 
     def test_rotating_family_semibound_decays(self):
-        rows = fk.convergence_report(
-            "diag", {"lambda": "n*exp(i*n)"}, [8, 16, 32], hull_grid=90
-        )
+        rows = fk.convergence_report("diag", {"lambda": "n*exp(i*n)"}, [8, 16, 32])
         mins = [row["re_spectrum_min"] for row in rows]
         assert all(b <= a + 1e-12 for a, b in zip(mins, mins[1:]))
         for row in rows:
