@@ -131,14 +131,19 @@ def _family_instance(block: dict) -> Instance:
     if name == "diag":
         if "N" not in block or "lambda" not in block:
             raise ParseError("diag family needs 'lambda' and 'N'")
-        size = int(block["N"])
-        if size < 1:
-            raise ValidationError("diag family needs N >= 1")
+        size = block["N"]
+        if type(size) is not int or size < 1:  # bool is an int, but not a size
+            raise ParseError("family.N must be a positive integer")
         values = _lambda_values(block["lambda"], size)
         return diag_family(values, provenance=f"diag[N={size}]")
     if name == "measure":
         if "theta" not in block or "omega" not in block:
             raise ParseError("measure family needs 'theta' and 'omega'")
+        for key in ("theta", "omega"):
+            if not isinstance(block[key], list):
+                raise ParseError(f"family.{key} must be a list")
+        if not all(isinstance(x, (int, float)) for x in block["theta"]):
+            raise ParseError("family.theta: entries must be real numbers")
         try:
             th = [float(x) for x in block["theta"]]
         except OverflowError:  # an integer beyond the float range
@@ -189,7 +194,7 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
         if "n" not in doc or "omega" not in doc:
             raise ParseError(f"{path}: 'n' and 'omega' are required without a family block")
         n = doc["n"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ParseError(f"{path}: 'n' must be a positive integer")
         omega = Form(decode_matrix(doc["omega"], n, "omega"))
         if "theta" in doc:
@@ -534,43 +539,30 @@ def _cmd_solvable(instance: Instance, args) -> dict:
         report["norm_gram"] = "from instance file"
     if args.lam is not None and args.upsilon is not None:
         raise ValidationError("give either --lambda or --upsilon, not both")
-    try:
-        if args.lam is not None:
-            lam = _parse_lambda(args.lam)
-            result = scalar_solvability(instance.omega, gram, lam, rtol=args.tol_rank)
-            report.update(
-                {
-                    "lambda": [lam.real, lam.imag],
-                    "status": result.status,
-                    "distance": float(result.distance),
-                    "solvable": bool(result.solvable),
-                    "c1": result.report.c1,
-                    "c2": result.report.c2,
-                    "note": "norm-compatibility and the closing condition are "
-                    "automatic at finite dimension",
-                }
-            )
-            if not result.solvable:
-                raise _Refusal(report, "perturbed form is not solvable")
-            report["resolvent_norm"] = result.report.resolvent_norm
-        else:
-            if args.upsilon is not None:
+    note = {}
+    if args.lam is not None:
+        lam = _parse_lambda(args.lam)
+        result = scalar_solvability(instance.omega, gram, lam, rtol=args.tol_rank)
+        report.update(
+            {"lambda": [lam.real, lam.imag], "status": result.status, "distance": result.distance}
+        )
+        note["note"] = (
+            "norm-compatibility and the closing condition are automatic at finite dimension"
+        )
+    else:
+        upsilon = np.zeros((instance.dim, instance.dim), dtype=complex)
+        if args.upsilon is not None:
+            try:
                 rows = json.loads(args.upsilon)
-                upsilon = Form(decode_matrix(rows, instance.dim, "--upsilon"))
-            else:
-                upsilon = Form(np.zeros((instance.dim, instance.dim), dtype=complex))
-            result = solvability_with(instance.omega, gram, upsilon, args.tol_rank)
-            report.update(
-                {
-                    "solvable": bool(result.solvable),
-                    "c1": result.c1,
-                    "c2": result.c2,
-                }
-            )
-            if not result.solvable:
-                raise _Refusal(report, "perturbed form is not solvable")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"--upsilon: {exc.msg}")
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"--upsilon: {exc.msg}")
+            upsilon = decode_matrix(rows, instance.dim, "--upsilon")
+        result = solvability_with(instance.omega, gram, Form(upsilon), args.tol_rank)
+    report.update({"solvable": bool(result.solvable), "c1": result.c1, "c2": result.c2, **note})
+    if not result.solvable:
+        raise _Refusal(report, "perturbed form is not solvable")
+    if result.lam is not None:
+        report["resolvent_norm"] = result.resolvent_norm
     return report
 
 
@@ -581,7 +573,7 @@ def _cmd_lab(path: str, args) -> dict:
     if doc_family is None:
         raise ValidationError("the lab command needs an instance file with a family block")
     try:
-        sizes = [int(x) for x in args.sizes.split(",")] if args.sizes else [8, 16, 32, 64]
+        sizes = [8, 16, 32, 64] if args.sizes is None else [int(x) for x in args.sizes.split(",")]
     except ValueError:
         sizes = [0]
     if min(sizes) < 1:

@@ -10,7 +10,6 @@ controlled by the numerical range via its support function.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -284,7 +283,6 @@ class NumericalRangeHull:
             phi, solve = np.unique(self.reduced[missing], return_inverse=True)
             _, vecs = _extremes(self.parts, phi, vectors=True)
             column = np.where(self.top[missing], 1, 0)
-            self.points = self.points.copy()  # a copied hull shares its seed's array
             self.points[missing] = _points(self.mat, vecs[solve, ..., column])
         return self.points
 
@@ -332,16 +330,18 @@ def numerical_radius_bounds(mat: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class SolvabilityReport:
-    """Outcome of perturbing a form into an invertible triplet map."""
+    """Outcome of perturbing a form into an invertible triplet map. A solvable
+    scalar shift -lam carries lam and the resolvent norm; ``scalar_solvability``
+    adds where lam lies against the hull."""
 
-    upsilon: Form
     system: np.ndarray          # matrix of the perturbed form
     c1: float                   # smallest singular value, G-normalized
     c2: float                   # largest singular value, G-normalized
     solvable: bool
-    operator: np.ndarray        # representing operator T
     lam: Optional[complex] = None
     resolvent_norm: Optional[float] = None
+    status: Optional[str] = None  # "outside", "inside", or "boundary-inconclusive"
+    distance: Optional[float] = None
 
 
 def solvability_with(
@@ -364,65 +364,39 @@ def solvability_with(
     c2 = float(sing[0]) if sing.size else 0.0
     c1 = float(sing[-1]) if sing.size else 0.0
     solvable = c1 > rtol * c2 if c2 > 0 else False
-    return SolvabilityReport(
-        upsilon=upsilon,
-        system=a,
-        c1=c1,
-        c2=c2,
-        solvable=solvable,
-        operator=omega.matrix,
-    )
+    return SolvabilityReport(system=a, c1=c1, c2=c2, solvable=solvable)
 
 
-def _scalar_shift(upsilon: Form) -> Optional[complex]:
-    """Detect upsilon = -lam * identity exactly; return lam or None."""
-    m = upsilon.matrix
-    if m.shape[0] == 0:
-        return None
-    lam = -m[0, 0]
-    if np.array_equal(m, -lam * np.eye(m.shape[0], dtype=complex)):
-        return complex(lam)
-    return None
-
-
-def represent_operator(
-    omega: Form,
-    gram: NormGram,
-    upsilon: Form,
-    rtol: float = DEFAULT_RANK_TOL,
-) -> SolvabilityReport:
-    """Representing operator for a solvable perturbed form.
-
-    At finite dimension the operator is the representing matrix itself and
-    is defined on the whole space. When the perturbation is a scalar shift
-    -lam * inner product, the inf-sup test has put lam in the resolvent set
-    and the report carries the resolvent norm.
-
-    Raises:
-        NotSolvable: if the perturbation fails the inf-sup test.
-    """
-    report = solvability_with(omega, gram, upsilon, rtol)
+def _shifted(omega: Form, gram: NormGram, lam: complex, rtol: float) -> SolvabilityReport:
+    """The report of the scalar shift -lam * inner product. The inf-sup test
+    decides; a solvable shift also carries lam and the resolvent norm
+    1 / sigma_min(omega - lam)."""
+    lam = complex(lam)
+    report = solvability_with(omega, gram, Form(-lam * np.eye(omega.dim, dtype=complex)), rtol)
     if not report.solvable:
-        raise NotSolvable(
-            f"inf-sup constant {report.c1:.3e} is not positive relative to {report.c2:.3e}"
-        )
-    lam = _scalar_shift(upsilon)
-    return report if lam is None else _with_resolvent(report, lam)
-
-
-def _with_resolvent(report: SolvabilityReport, lam: complex) -> SolvabilityReport:
-    """The report of the solvable shift -lam with lam and the resolvent norm
-    1 / sigma_min(omega - lam) attached; the inf-sup test made the decision."""
+        return report
     sing = np.linalg.svd(report.system, compute_uv=False)
     return replace(report, lam=lam, resolvent_norm=float(1.0 / sing[-1]))
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarSolvability:
-    solvable: bool
-    distance: float
-    status: str                 # "outside", "inside", or "boundary-inconclusive"
-    report: SolvabilityReport
+def represent_operator(
+    omega: Form, gram: NormGram, lam: complex, rtol: float = DEFAULT_RANK_TOL
+) -> SolvabilityReport:
+    """Representing operator for the solvable shifted form omega - lam.
+
+    At finite dimension the operator is omega's matrix itself and is
+    defined on the whole space; the inf-sup test puts lam in its resolvent
+    set, and the report carries lam and the resolvent norm.
+
+    Raises:
+        NotSolvable: if the shift fails the inf-sup test.
+    """
+    report = _shifted(omega, gram, lam, rtol)
+    if not report.solvable:
+        raise NotSolvable(
+            f"inf-sup constant {report.c1:.3e} is not positive relative to {report.c2:.3e}"
+        )
+    return report
 
 
 def _inner_depth(points: np.ndarray, lam: complex, band: float):
@@ -507,36 +481,23 @@ def _locate(hull: NumericalRangeHull, lam: complex) -> tuple[str, float]:
 
 
 def scalar_solvability(
-    omega: Form,
-    gram: NormGram,
-    lam: complex,
-    hull: Optional[NumericalRangeHull] = None,
-    rtol: float = DEFAULT_RANK_TOL,
-) -> ScalarSolvability:
+    omega: Form, gram: NormGram, lam: complex, rtol: float = DEFAULT_RANK_TOL
+) -> SolvabilityReport:
     """Decide solvability of the scalar perturbation -lam via the hull.
 
-    The status comes from adaptively refined samples (``_locate``) seeded
-    with a copy of the given hull of omega, which is left as it was, or else
-    with the coarsest rotation grid. If lam sits
+    The status and distance come from adaptively refined samples
+    (``_locate``) seeded with the coarsest rotation grid. If lam sits
     strictly outside the numerical range the perturbation must be solvable;
     that implication is asserted and its failure raises TheoremViolation.
     Within the boundary band (relative width ``BOUNDARY_RTOL``) the hull is
     inconclusive and the direct inf-sup check decides, as it also does
-    inside. A solvable shift's report carries lam and the resolvent norm.
+    inside.
     """
-    shift = Form(-complex(lam) * np.eye(omega.dim, dtype=complex))
-    report = solvability_with(omega, gram, shift, rtol)  # checks the norm first
-    if report.solvable:
-        report = _with_resolvent(report, complex(lam))
-    hull = hull or NumericalRangeHull(omega.matrix, MIN_HULL_GRID, vectors=False)
-    status, distance = _locate(copy.copy(hull), complex(lam))
+    report = _shifted(omega, gram, lam, rtol)  # checks the norm first
+    hull = NumericalRangeHull(omega.matrix, MIN_HULL_GRID, vectors=False)
+    status, distance = _locate(hull, complex(lam))
     if status == "outside" and not report.solvable:
         raise TheoremViolation(
             f"point at distance {distance:.3e} outside the hull was reported unsolvable"
         )
-    return ScalarSolvability(
-        solvable=bool(report.solvable),
-        distance=distance,
-        status=status,
-        report=report,
-    )
+    return replace(report, status=status, distance=distance)

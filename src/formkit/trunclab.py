@@ -259,8 +259,7 @@ def convergence_report(
         probe = complex((hull.support[direction] + gap) * np.exp(1j * angle))
         distance = hull.distance(probe)
         gram = NormGram(np.eye(size, dtype=complex) + inst.psi.matrix)
-        shift = Form(-probe * np.eye(size, dtype=complex))
-        report = represent_operator(inst.omega, gram, shift, rtol)
+        report = represent_operator(inst.omega, gram, probe, rtol)
         rows.append(
             {
                 "size": size,

@@ -158,7 +158,7 @@ def test_criterion_05_numerical_range_pipeline():
             assert d > 0.1 * scale
             resolvent = np.linalg.inv(mat - lam * np.eye(n))
             assert np.linalg.norm(resolvent, 2) <= (1 + 1e-6) / d
-            result = fk.scalar_solvability(omega, gram, lam, hull=hull)
+            result = fk.scalar_solvability(omega, gram, lam)
             assert result.solvable
     verdict(5, "numerical-range-pipeline", True)
 

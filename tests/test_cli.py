@@ -57,6 +57,12 @@ class TestParseInstance:
         with pytest.raises(fk.ParseError, match="rows"):
             parse_instance(path)
 
+    @pytest.mark.parametrize("n", [True, 2.0, "2", 0], ids=["bool", "float", "string", "zero"])
+    def test_n_must_be_a_positive_integer(self, tmp_path, n):
+        path = write(tmp_path, "bad.json", {"n": n, "omega": [[[1, 0]]]})
+        with pytest.raises(fk.ParseError, match="'n' must be a positive integer"):
+            parse_instance(path)
+
     def test_malformed_json_has_location(self, tmp_path):
         path = write(tmp_path, "bad3.json", "{\n  broken\n}")
         with pytest.raises(fk.ParseError, match="line 2"):
@@ -550,8 +556,20 @@ class TestCommands:
             ({"name": "diag", "lambda": "exp(1000*n)", "N": 3}, "'lambda' 'exp(1000*n)' does not"),
             ({"name": "diag", "lambda": "n*", "N": 3}, "'lambda' 'n*' does not evaluate"),
             ({"name": "diag", "lambda": ["x", 1], "N": 2}, "'lambda' ['x', 1] does not"),
+            ({"name": "diag", "lambda": "n", "N": "abc"}, "family.N must be a positive integer"),
+            ({"name": "diag", "lambda": "n", "N": None}, "family.N must be a positive integer"),
+            ({"name": "diag", "lambda": "n", "N": 2.7}, "family.N must be a positive integer"),
+            ({"name": "diag", "lambda": "n", "N": 0}, "family.N must be a positive integer"),
+            ({"name": "diag", "lambda": "n", "N": True}, "family.N must be a positive integer"),
+            ({"name": "measure", "theta": 5, "omega": [1]}, "family.theta must be a list"),
+            ({"name": "measure", "theta": [1], "omega": 3}, "family.omega must be a list"),
+            ({"name": "measure", "theta": ["a"], "omega": [1]}, "family.theta: entries must be real"),
         ],
-        ids=["operator-pair", "nan-literal", "exp-overflow", "syntax", "string-literal"],
+        ids=[
+            "operator-pair", "nan-literal", "exp-overflow", "syntax", "string-literal",
+            "N-string", "N-null", "N-fraction", "N-zero", "N-bool",
+            "theta-scalar", "omega-scalar", "theta-string",
+        ],
     )
     def test_overflowing_family_is_an_error(self, tmp_path, capsys, family, message):
         bad = write(tmp_path, "a.json", {"family": family})
@@ -575,9 +593,10 @@ class TestCommands:
         [
             ({"name": "diag", "lambda": "1", "N": 2}, ["--sizes", "x"], "--sizes expects"),
             ({"name": "diag", "lambda": "1", "N": 2}, ["--sizes", "4,0"], "--sizes expects"),
+            ({"name": "diag", "lambda": "1", "N": 2}, ["--sizes", ""], "--sizes expects"),
             ({"lambda": "1", "N": 2}, [], "family block must be an object with a 'name'"),
         ],
-        ids=["sizes-not-integers", "sizes-not-positive", "family-without-name"],
+        ids=["sizes-not-integers", "sizes-not-positive", "sizes-empty", "family-without-name"],
     )
     def test_lab_input_is_an_error(self, tmp_path, capsys, family, argv, message):
         bad = write(tmp_path, "a.json", {"family": family})

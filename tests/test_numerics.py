@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -186,3 +187,16 @@ def test_tolerances_are_named_only_in_numerics():
             ):
                 stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert stray == []
+
+
+def test_readme_tolerance_table_matches_numerics():
+    """The README's tolerance table names exactly the float constants of
+    ``formkit.numerics``, with their values."""
+    from formkit import numerics
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = re.findall(r"^\| `(\w+)` \| ([^ |]+) \|", readme.read_text(encoding="utf-8"), re.M)
+    table = {name: float(value) for name, value in rows}
+    assert len(table) == len(rows)
+    constants = {k: v for k, v in vars(numerics).items() if isinstance(v, float)}
+    assert table == constants

@@ -43,7 +43,7 @@ class TestCompatibleNorm:
         with pytest.raises(fk.IncompatibleNorm):
             fk.solvability_with(omega, gram, fk.Form(np.zeros((2, 2))))
         with pytest.raises(fk.IncompatibleNorm):
-            fk.represent_operator(omega, gram, fk.Form(-3.0 * np.eye(2)))
+            fk.represent_operator(omega, gram, 3.0)
 
     def test_gram_validation(self):
         with pytest.raises(fk.ValidationError):
@@ -191,27 +191,6 @@ class TestSupportFunction:
         assert json.loads(capsys.readouterr().out)["quadratic_bound"]["holds"] is True
         assert _solves(values) < 100
         assert _solves(vectors) == 0
-
-    def test_given_hull_needs_no_eigh(self, monkeypatch):
-        m = complex_randn(np.random.default_rng(60), 4, 4)
-        gram = fk.NormGram(np.eye(4) + random_psd(np.random.default_rng(61), 4))
-        hull = fk.numerical_range_hull(fk.Form(m), 90)
-        bare = fk.NumericalRangeHull(m, 90, vectors=False)
-        seeds = [(h, h.angles.copy(), h.support.copy(), h.points.copy()) for h in (hull, bare)]
-        values = self._record(monkeypatch, "eigvalsh")
-        vectors = self._record(monkeypatch, "eigh")
-        result = fk.scalar_solvability(fk.Form(m), gram, 10.0, hull=hull)
-        assert result.status == "outside" and result.solvable
-        assert vectors == [] and _solves(values) > 0
-        # the mean of the diagonal lies in W; the bare seed's boundary
-        # points are solved for on the decision's copy only
-        centre = complex(np.trace(m)) / 4
-        assert fk.scalar_solvability(fk.Form(m), gram, centre, hull=bare).status == "inside"
-        assert _solves(vectors) > 0
-        for seed, angles, support, points in seeds:
-            assert np.array_equal(seed.angles, angles)
-            assert np.array_equal(seed.support, support)
-            assert np.array_equal(seed.points, points, equal_nan=True)
 
 
 def _diagonal_cases():
@@ -511,26 +490,18 @@ class TestSolvability:
 
 class TestRepresentOperator:
     def test_identity_shift(self):
-        report = fk.represent_operator(
-            fk.Form(np.eye(2)), fk.NormGram(np.eye(2)), fk.Form(-2.0 * np.eye(2))
-        )
-        assert np.array_equal(report.operator, np.eye(2, dtype=complex))
+        report = fk.represent_operator(fk.Form(np.eye(2)), fk.NormGram(np.eye(2)), 2.0)
+        assert np.array_equal(report.system, -np.eye(2, dtype=complex))
         assert report.lam == 2.0
         assert abs(report.resolvent_norm - 1.0) <= 1e-12
 
     def test_segment_distance(self):
-        report = fk.represent_operator(
-            fk.Form(np.diag([0.0, 1.0])), fk.NormGram(np.eye(2)), fk.Form(-2.0 * np.eye(2))
-        )
+        report = fk.represent_operator(fk.Form(np.diag([0.0, 1.0])), fk.NormGram(np.eye(2)), 2.0)
         assert abs(report.resolvent_norm - 1.0) <= 1e-12
 
     def test_not_solvable(self):
         with pytest.raises(fk.NotSolvable):
-            fk.represent_operator(
-                fk.Form([[0.0, 1.0], [0.0, 0.0]]),
-                fk.NormGram(np.eye(2)),
-                fk.Form(np.zeros((2, 2))),
-            )
+            fk.represent_operator(fk.Form([[0.0, 1.0], [0.0, 0.0]]), fk.NormGram(np.eye(2)), 0.0)
 
     def test_resolvent_norm_follows_the_inf_sup_verdict(self):
         # normalized, c1 / c2 = 0.55 passes rtol 0.3; the unnormalized
@@ -538,27 +509,42 @@ class TestRepresentOperator:
         report = fk.represent_operator(
             fk.Form(np.diag([1.0, 10.0])),
             fk.NormGram(np.diag([2.0, 11.0])),
-            fk.Form(-0.0 * np.eye(2)),
+            0.0,
             rtol=0.3,
         )
         assert report.solvable
         assert report.resolvent_norm == 1.0
 
-    def test_representation_identity(self):
-        rng = np.random.default_rng(55)
-        n = 5
-        omega = fk.Form(complex_randn(rng, n, n))
-        lam = 100.0 + 0j  # far outside
-        report = fk.represent_operator(
-            omega, fk.NormGram(np.eye(n)), fk.Form(-lam * np.eye(n))
-        )
-        xi, eta = complex_randn(rng, n), complex_randn(rng, n)
-        assert abs(omega(xi, eta) - eta.conj() @ (report.operator @ xi)) <= 1e-10 * max(
-            1.0, abs(omega(xi, eta))
-        )
-
 
 class TestScalarSolvability:
+    def test_one_path_with_represent_operator(self):
+        rng = np.random.default_rng(69)
+        nilpotent = fk.Form([[0.0, 1.0], [0.0, 0.0]])
+        unit = fk.NormGram(np.eye(2))
+        cases = [
+            (nilpotent, unit, 2.0, "outside"),
+            (nilpotent, unit, 0.4, "inside"),
+            (fk.Form(complex_randn(rng, 3, 3)), fk.NormGram(np.eye(3) + random_psd(rng, 3)),
+             10.0 + 3.0j, "outside"),
+            # W(I) = {1}: the shift -1 is not solvable
+            (fk.Form(np.eye(2)), unit, 1.0, "boundary-inconclusive"),
+        ]
+        verdicts = []
+        for omega, gram, lam, status in cases:
+            result = fk.scalar_solvability(omega, gram, lam)
+            assert result.status == status
+            try:
+                report = fk.represent_operator(omega, gram, lam)
+            except fk.NotSolvable:
+                assert not result.solvable
+                verdicts.append(False)
+                continue
+            assert result.solvable
+            for name in ("c1", "c2", "lam", "resolvent_norm"):
+                assert getattr(report, name) == getattr(result, name)
+            verdicts.append(True)
+        assert verdicts == [True, True, True, False]
+
     def test_outside_segment(self):
         result = fk.scalar_solvability(fk.Form(np.diag([0.0, 1.0])), fk.NormGram(np.eye(2)), 2.0)
         assert result.solvable and result.status == "outside"
@@ -568,11 +554,11 @@ class TestScalarSolvability:
         omega = fk.Form([[0.0, 1.0], [0.0, 0.0]])
         solvable = fk.scalar_solvability(omega, fk.NormGram(np.eye(2)), 2.0)
         sigma_min = np.linalg.svd(omega.matrix - 2.0 * np.eye(2), compute_uv=False)[-1]
-        assert solvable.report.lam == 2.0
-        assert abs(solvable.report.resolvent_norm - 1 / sigma_min) <= 1e-12
+        assert solvable.lam == 2.0
+        assert abs(solvable.resolvent_norm - 1 / sigma_min) <= 1e-12
         refused = fk.scalar_solvability(fk.Form(np.eye(2)), fk.NormGram(np.eye(2)), 1.0)
         assert not refused.solvable
-        assert refused.report.lam is None and refused.report.resolvent_norm is None
+        assert refused.lam is None and refused.resolvent_norm is None
 
     def test_inside_disk_still_checked(self):
         result = fk.scalar_solvability(
@@ -596,6 +582,6 @@ class TestScalarSolvability:
             hull = fk.numerical_range_hull(omega)
             radius = float(np.max(np.abs(hull.points)))
             lam = (radius + 0.2 + rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            result = fk.scalar_solvability(omega, fk.NormGram(np.eye(n)), lam, hull=hull)
+            result = fk.scalar_solvability(omega, fk.NormGram(np.eye(n)), lam)
             assert result.status == "outside"
             assert result.solvable
