@@ -657,8 +657,9 @@ def _run_single(path: str, args) -> tuple[str, int]:
 
 
 # errors that end one file's run with exit 1: bad input, an unreadable file,
-# a failed internal check, or a LAPACK breakdown on extreme entries
-_INPUT_ERRORS = (FormkitError, OSError, np.linalg.LinAlgError)
+# a failed internal check, a LAPACK breakdown on extreme entries, or an
+# instance too large to allocate
+_INPUT_ERRORS = (FormkitError, OSError, np.linalg.LinAlgError, MemoryError)
 
 
 def main(argv=None) -> int:

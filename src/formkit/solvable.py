@@ -105,10 +105,13 @@ def validate_compatible_norm(
 def _parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H and K with M = H + iK, so that Re(e^(-i t) M) = cos(t) H + sin(t) K.
 
-    For a structurally diagonal M (every off-diagonal entry exactly 0) they
-    are the diagonals Re(lambda) and Im(lambda), and ``_extreme_block`` reads
-    the extremes off them without an eigensolve.
+    For a structurally diagonal M (every off-diagonal entry exactly 0), or
+    a 1-D array lambda standing for diag(lambda), they are the diagonals
+    Re(lambda) and Im(lambda), and ``_extreme_block`` reads the extremes off
+    them without an eigensolve.
     """
+    if mat.ndim == 1:
+        return mat.real, mat.imag
     if np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()):
         return mat.diagonal().real, mat.diagonal().imag
     return (mat + mat.conj().T) / 2, (mat - mat.conj().T) * -0.5j
@@ -179,7 +182,8 @@ def _points(mat: np.ndarray, ends: np.ndarray) -> np.ndarray:
     rows x_k of eigenvectors, or the indexed diagonal entries (signed zeros
     made positive, as the quadratic form gives them)."""
     if ends.dtype.kind == "i":
-        return mat.diagonal()[ends] + 0.0
+        diagonal = mat if mat.ndim == 1 else mat.diagonal()
+        return diagonal[ends] + 0.0
     return np.einsum("ki,ij,kj->k", ends.conj(), mat, ends)
 
 
@@ -205,7 +209,8 @@ class NumericalRangeHull:
     A structurally diagonal M (every off-diagonal entry exactly 0) is
     normal, so W(M) = conv{lambda_j} (Horn and Johnson, Topics in Matrix
     Analysis, 1991, 1.2): h(t) is then max_j Re(e^(-i t) lambda_j) and the
-    boundary point the attaining lambda_j, read off with no eigensolve. They
+    boundary point the attaining lambda_j, read off with no eigensolve. A
+    1-D array lambda is taken as diag(lambda), which is never built. They
     equal the eigensolver's bit for bit (up to the choice among tied
     entries) unless LAPACK rescales the matrix (moduli outside about
     [1e-146, 1e146]), where the exact values are the correctly rounded ones.

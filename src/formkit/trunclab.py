@@ -15,11 +15,19 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import NotSectorial, ValidationError
+from .errors import IncompatibleNorm, NotSolvable, ValidationError
 from .forms import Form, PositiveForm, identity_form
-from .numerics import DEFAULT_RANK_TOL, as_matrix, finite_norm, hermitize, psd_sqrt
-from .regularity import in_class_M, sectorial_parameters
-from .solvable import NormGram, numerical_range_hull, represent_operator
+from .numerics import (
+    DEFAULT_RANK_TOL,
+    MEMBERSHIP_SLACK,
+    as_matrix,
+    finite_norm,
+    hermitize,
+    psd_sqrt,
+    rank_cut,
+)
+from .regularity import SECTOR_SLOPE_CAP, in_class_M
+from .solvable import NumericalRangeHull
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,15 +233,24 @@ def convergence_report(
 ) -> list[dict]:
     """Truncation diagnostics per size for the diagonal family.
 
-    For each size: the spectral minimum of the real part (semiboundedness
-    proxy), the sector certificate of ``sectorial_parameters`` (the closed-
-    form frontier vertex at the half-slope cap, backed off by the slack, and
-    the least half-slope there), hull extent and area, the distance from a deterministic
-    probe point placed outside the hull, the resolvent norm there, and the
-    condition number of the normalized system under the natural
-    majorant-augmented Gram. Each instance is diagonal, so its hull is the
-    exact polygon conv{lambda_j} (a normal matrix's numerical range is the
-    convex hull of its spectrum) and costs no eigensolve.
+    Size N is omega = diag(lambda_1..lambda_N) against the inner product,
+    with the majorant psi = |lambda|, so every diagnostic is elementwise in
+    lambda and read off in closed form: the spectral minimum of the real
+    part, the sector certificate of ``sectorial_parameters`` (the frontier
+    vertex at the half-slope cap, backed off by the slack, and the least
+    half-slope there), the exact hull conv{lambda_j} on ``LAB_HULL_GRID``
+    angles, the distance from a deterministic probe point outside it, the
+    resolvent norm 1 / min |lambda_j - probe|, and the condition number of
+    the system normalized by the Gram I + psi, whose singular values are
+    |lambda_j - probe| / (1 + |lambda_j|). A size costs O(N) plus
+    O(``LAB_HULL_GRID`` N) for its hull, and no N x N matrix is built. The
+    dense ``diag_family``, ``sectorial_parameters``, ``NormGram`` and
+    ``represent_operator`` give the same rows, to within a few ulps.
+
+    Raises:
+        ValidationError: for a malformed request, or a ``lambda`` whose
+            entries are not finite or whose Frobenius norm overflows.
+        NotSolvable: if the probe shift fails the inf-sup test.
     """
     if sorted(sizes) != list(sizes) or len(sizes) == 0:
         raise ValidationError("sizes must be a nonempty ascending list")
@@ -242,43 +259,68 @@ def convergence_report(
     spec = params.get("lambda")
     if spec is None:
         raise ValidationError("diagonal family needs a 'lambda' entry")
-    rows = []
-    for size in sizes:
-        inst = diag_family(_lambda_values(spec, size), provenance=f"diag[N={size}]")
-        re_min = float(np.min(inst.omega.matrix.diagonal().real))
-        try:
-            cert = sectorial_parameters(inst.omega, inst.theta, rtol=rtol)
-            verdict = {"sectorial": True, "delta": cert.delta, "gamma": cert.gamma}
-        except NotSectorial:
-            verdict = {"sectorial": False}
-        hull = numerical_range_hull(inst.omega, LAB_HULL_GRID)
-        direction = int(np.argmin(hull.support))
-        angle = float(hull.angles[direction])
-        gap = 1.0 + 0.1 * hull.scale
-        # beyond the least supporting half-plane: outside by at least the gap
-        probe = complex((hull.support[direction] + gap) * np.exp(1j * angle))
-        distance = hull.distance(probe)
-        gram = NormGram(np.eye(size, dtype=complex) + inst.psi.matrix)
-        report = represent_operator(inst.omega, gram, probe, rtol)
-        rows.append(
-            {
-                "size": size,
-                "re_spectrum_min": re_min,
-                "sectorial": verdict,
-                "hull_radius": float(np.max(np.abs(hull.points))),
-                "hull_re_extent": [
-                    float(np.min(hull.points.real)),
-                    float(np.max(hull.points.real)),
-                ],
-                "hull_im_extent": [
-                    float(np.min(hull.points.imag)),
-                    float(np.max(hull.points.imag)),
-                ],
-                "hull_area": hull.area(),
-                "probe": probe,
-                "probe_distance": distance,
-                "resolvent_norm": report.resolvent_norm,
-                "normalized_condition": report.c2 / report.c1,
-            }
-        )
-    return rows
+    # entry n does not depend on N, so the largest size's entries serve all
+    try:
+        values = _lambda_values(spec, sizes[-1])
+    except ValidationError:
+        # evaluated size by size, the first size that fails names the error
+        values = None
+    return [
+        _diagonal_row(_lambda_values(spec, size) if values is None else values[:size], rtol)
+        for size in sizes
+    ]
+
+
+def _diagonal_row(lam: np.ndarray, rtol: float) -> dict:
+    """One ``convergence_report`` row, from the diagonal lambda alone."""
+    size = lam.size
+    if size < 1:
+        raise ValidationError("the diagonal family needs at least one entry")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(lam.real @ lam.real + lam.imag @ lam.imag):
+            raise ValidationError("'lambda' is too large: its Frobenius norm overflows")
+    psi = np.abs(lam)
+    # Instance's membership check and NormGram's domination check, elementwise
+    if not np.all(np.abs(lam) <= (1.0 + MEMBERSHIP_SLACK) * psi):
+        raise ValidationError(f"instance 'diag[N={size}]': psi does not majorize omega")
+    scale = max(1.0, float(np.max(psi)))
+    re, im = lam.real, lam.imag
+    frontier = min(float(np.min(re + sign * im / SECTOR_SLOPE_CAP)) for sign in (1.0, -1.0))
+    delta = frontier - MEMBERSHIP_SLACK * scale
+    base = re - delta
+    keep = rank_cut(base, rtol)
+    verdict = {"sectorial": False}
+    if not np.any(np.abs(im[~keep]) > MEMBERSHIP_SLACK * scale):
+        # times 1 / base, as sectorial_parameters' quotient push scales, to match it bit for bit
+        gamma = float(np.max(np.abs(im[keep]) * (1.0 / base[keep]), initial=0.0))
+        least = min(np.min(base), np.min(gamma * base - im), np.min(gamma * base + im))
+        if least / scale >= -MEMBERSHIP_SLACK:
+            verdict = {"sectorial": True, "delta": delta, "gamma": gamma}
+    hull = NumericalRangeHull(lam, LAB_HULL_GRID)
+    direction = int(np.argmin(hull.support))
+    angle = float(hull.angles[direction])
+    gap = 1.0 + 0.1 * hull.scale
+    # beyond the least supporting half-plane: outside by at least the gap
+    probe = complex((hull.support[direction] + gap) * np.exp(1j * angle))
+    gram = 1.0 + psi
+    if np.min(gram) - 1.0 < -DEFAULT_RANK_TOL * max(float(np.max(gram)), 1.0):
+        raise IncompatibleNorm("Gram matrix does not dominate the inner product")
+    shifted = lam - probe
+    root = 1.0 / np.sqrt(gram)
+    normalized = np.abs(shifted * root * root)  # G^(-1/2) (omega - probe) G^(-1/2)
+    c1, c2 = float(np.min(normalized)), float(np.max(normalized))
+    if not (c2 > 0 and c1 > rtol * c2):
+        raise NotSolvable(f"inf-sup constant {c1:.3e} is not positive relative to {c2:.3e}")
+    return {
+        "size": size,
+        "re_spectrum_min": float(np.min(re)),
+        "sectorial": verdict,
+        "hull_radius": float(np.max(np.abs(hull.points))),
+        "hull_re_extent": [float(np.min(hull.points.real)), float(np.max(hull.points.real))],
+        "hull_im_extent": [float(np.min(hull.points.imag)), float(np.max(hull.points.imag))],
+        "hull_area": hull.area(),
+        "probe": probe,
+        "probe_distance": hull.distance(probe),
+        "resolvent_norm": float(1.0 / np.min(np.abs(shifted))),
+        "normalized_condition": c2 / c1,
+    }

@@ -487,6 +487,27 @@ class TestCommands:
         assert first == "== a.json\nerror: omega[0][0]: entries must be finite\n"
         assert second.startswith("command: inspect\n")
 
+    def test_batch_reports_an_allocation_failure_and_goes_on(self, tmp_path, capsys, monkeypatch):
+        # diag(lambda) at N = 100000 would need 149 GiB; the allocation is
+        # stubbed to fail as numpy's does, without trying it
+        message = "Unable to allocate 149. GiB for an array with shape (100000, 100000)"
+        original = fk.diag_family
+
+        def allocating(values, provenance):
+            if len(values) > 64:
+                raise MemoryError(message)
+            return original(values, provenance)
+
+        monkeypatch.setattr("formkit.cli.diag_family", allocating)
+        write(tmp_path, "a.json", {"family": {"name": "diag", "lambda": "n", "N": 100}})
+        write(tmp_path, "b.json", {"family": {"name": "diag", "lambda": "n", "N": 2}})
+        assert main(["inspect", str(tmp_path / "a.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["inspect", str(tmp_path), "--batch"]) == 1
+        first, second = capsys.readouterr().out.split("== b.json\n")
+        assert first == f"== a.json\nerror: {message}\n"
+        assert second.startswith("command: inspect\n")
+
     def test_solvable_shift_decided_once(self, tmp_path, capsys):
         # the inf-sup test accepts lambda = 0 (c1 / c2 = 0.55 > 0.3); the
         # unnormalized system's condition (sigma ratio 0.1) no longer refuses it

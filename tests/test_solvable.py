@@ -258,24 +258,41 @@ class TestDiagonalHull:
         exact, reference = self._pair(monkeypatch, lam, lambda m: fk.NumericalRangeHull(m, grid))
         self._match(exact, reference, lam)
 
+    ANGLES = np.random.default_rng(70).uniform(0, 2 * np.pi, 40)
+
+    @classmethod
+    def _refined(cls, mat):
+        hull = fk.NumericalRangeHull(mat, 16)
+        assert hull.add(cls.ANGLES, vectors=True) == cls.ANGLES.size
+        return hull
+
+    @classmethod
+    def _completed(cls, mat):
+        hull = fk.NumericalRangeHull(mat, 17, vectors=False)
+        hull.add(cls.ANGLES)
+        hull.boundary_points()
+        return hull
+
     @pytest.mark.parametrize("case", sorted(_diagonal_cases()))
     def test_refinements_match_eigensolved_path(self, monkeypatch, case):
         lam = _diagonal_cases()[case]
-        angles = np.random.default_rng(70).uniform(0, 2 * np.pi, 40)
-
-        def refined(mat):
-            hull = fk.NumericalRangeHull(mat, 16)
-            assert hull.add(angles, vectors=True) == angles.size
-            return hull
-
-        def completed(mat):
-            hull = fk.NumericalRangeHull(mat, 17, vectors=False)
-            hull.add(angles)
-            hull.boundary_points()
-            return hull
-
-        for build in (refined, completed):
+        for build in (self._refined, self._completed):
             self._match(*self._pair(monkeypatch, lam, build), lam)
+
+    @pytest.mark.parametrize("grid", [16, 17, 360, 720, 1441, "refined", "completed"])
+    @pytest.mark.parametrize("case", sorted(_diagonal_cases()))
+    def test_vector_is_its_diagonal_matrix(self, monkeypatch, grid, case):
+        # a 1-D lambda stands for diag(lambda), bit for bit and with no eigensolve
+        lam = _diagonal_cases()[case]
+        make = {"refined": self._refined, "completed": self._completed}.get(
+            grid, lambda mat: fk.NumericalRangeHull(mat, grid)
+        )
+        calls = [TestSupportFunction._record(monkeypatch, name) for name in _LINALG]
+        vector, matrix = make(lam), make(np.diag(lam))
+        assert calls == [[]] * len(_LINALG)
+        assert np.array_equal(vector.angles, matrix.angles)
+        assert np.array_equal(_bits(vector.support), _bits(matrix.support))
+        assert np.array_equal(_bits(vector.points), _bits(matrix.points))
 
     def test_tiny_off_diagonal_entry_is_eigensolved(self, monkeypatch):
         mat = np.diag(_diagonal_cases()["general"])

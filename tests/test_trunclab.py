@@ -1,11 +1,12 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import formkit as fk
 from formkit.numerics import frob
-from formkit.trunclab import MAX_POWER_BITS, _lambda_values
+from formkit.trunclab import LAB_HULL_GRID, MAX_POWER_BITS, _lambda_values
 
 from conftest import complex_randn
 
@@ -174,7 +175,121 @@ class TestLambdaValues:
             _lambda_values(f"2**{bits}", 1)
 
 
+def _dense_row(lam, rtol):
+    """A ``convergence_report`` row from the dense N x N forms: the oracle."""
+    inst = fk.diag_family(lam, provenance=f"diag[N={lam.size}]")
+    try:
+        cert = fk.sectorial_parameters(inst.omega, inst.theta, rtol=rtol)
+        verdict = {"sectorial": True, "delta": cert.delta, "gamma": cert.gamma}
+    except fk.NotSectorial:
+        verdict = {"sectorial": False}
+    hull = fk.numerical_range_hull(inst.omega, LAB_HULL_GRID)
+    direction = int(np.argmin(hull.support))
+    gap = 1.0 + 0.1 * hull.scale
+    probe = complex((hull.support[direction] + gap) * np.exp(1j * hull.angles[direction]))
+    gram = fk.NormGram(np.eye(lam.size, dtype=complex) + inst.psi.matrix)
+    report = fk.represent_operator(inst.omega, gram, probe, rtol)
+    points = hull.points
+    return {
+        "size": lam.size,
+        "re_spectrum_min": float(np.min(inst.omega.matrix.diagonal().real)),
+        "sectorial": verdict,
+        "hull_radius": float(np.max(np.abs(points))),
+        "hull_re_extent": [float(np.min(points.real)), float(np.max(points.real))],
+        "hull_im_extent": [float(np.min(points.imag)), float(np.max(points.imag))],
+        "hull_area": hull.area(),
+        "probe": probe,
+        "probe_distance": hull.distance(probe),
+        "resolvent_norm": report.resolvent_norm,
+        "normalized_condition": report.c2 / report.c1,
+    }
+
+
+def _numbers(row):
+    """A row's numbers by key, each as a list (the probe as its two parts)."""
+    parts = {}
+    for key, value in row.items():
+        value = [value.real, value.imag] if isinstance(value, complex) else value
+        parts[key] = value if isinstance(value, list) else [value]
+    return parts
+
+
+def _outcome(row, lam, rtol):
+    try:
+        return row(lam, rtol)
+    except fk.FormkitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _oracle_families():
+    rng = np.random.default_rng(71)
+    half_real = complex_randn(rng, 128)
+    half_real[::2] = half_real[::2].real
+    return {
+        "rotating": "n*exp(i*n)",
+        "parabolic": "n+i*sqrt(n)",
+        "quartic": "i*n*n*n*n",
+        "damped": "n*exp(i*n)/(1+n)",
+        "real": "n*cos(n)",
+        "random": complex_randn(rng, 128),
+        "half-real": half_real,
+    }
+
+
 class TestConvergenceReport:
+    @pytest.mark.parametrize("rtol", [1e-10, 1e-6, 1e-2, 0.5, 0.9])
+    @pytest.mark.parametrize("family", sorted(_oracle_families()))
+    def test_closed_form_matches_dense_oracle(self, family, rtol):
+        # same verdicts and refusals, delta bit for bit, the rest within 4 ulps
+        spec = _oracle_families()[family]
+
+        def closed(lam, rtol):
+            return fk.convergence_report("diag", {"lambda": spec}, [lam.size], rtol)[0]
+
+        def near(a, b):
+            return a == b or abs(a - b) <= 4 * np.spacing(max(abs(a), abs(b)))
+
+        for size in (1, 2, 3, 8, 17, 48, 128):
+            lam = _lambda_values(spec, size)
+            expected, row = _outcome(_dense_row, lam, rtol), _outcome(closed, lam, rtol)
+            if isinstance(expected, tuple) or isinstance(row, tuple):
+                assert row == expected
+                continue
+            assert row.keys() == expected.keys()
+            verdict, oracle = row.pop("sectorial"), expected.pop("sectorial")
+            assert verdict.keys() == oracle.keys()
+            if oracle["sectorial"]:
+                assert verdict["delta"] == oracle["delta"]
+                assert near(verdict["gamma"], oracle["gamma"])
+            got = _numbers(row)
+            for key, value in _numbers(expected).items():
+                assert all(map(near, got[key], value)), (key, size)
+
+    def test_large_size_builds_no_matrix(self, monkeypatch):
+        # one 4096 x 4096 complex matrix alone would take 268 MB
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name, value in vars(np.linalg).items():
+            if callable(value) and not isinstance(value, type):
+                monkeypatch.setattr(np.linalg, name, refused)
+        tracemalloc.start()
+        try:
+            rows = fk.convergence_report("diag", {"lambda": "n*exp(i*n)"}, [4096])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[0]["sectorial"]["sectorial"] is True
+        assert peak < 16 * 2**20
+
+    def test_errors_name_the_first_size_that_fails(self):
+        with pytest.raises(fk.ValidationError, match="sequence literal has 3 entries, need 4$"):
+            fk.convergence_report("diag", {"lambda": [1, 2, 3]}, [2, 4, 8])
+        with pytest.raises(fk.ValidationError, match="needs at least one entry"):
+            fk.convergence_report("diag", {"lambda": "n"}, [0, 4])
+        with pytest.raises(fk.ValidationError, match="'lambda' is too large"):
+            fk.convergence_report("diag", {"lambda": [1e200, 1, 2]}, [1, 3, 4])
+
     def test_constant_family_constant_diagnostics(self):
         rows = fk.convergence_report("diag", {"lambda": "1"}, [2, 4, 8])
         for key in ("re_spectrum_min", "hull_radius", "resolvent_norm"):
