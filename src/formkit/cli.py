@@ -30,9 +30,9 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .forms import Form, PositiveForm, identity_form, re_im_split
+from .forms import Form, PositiveForm, identity_form, quotient_embedding, re_im_split
 from .numerics import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, finite_norm, frob, min_eig_herm
-from .numerics import rank_cut, relative
+from .numerics import relative
 from .regularity import canonical_majorant
 from .solvable import (
     DEFAULT_HULL_GRID,
@@ -391,8 +391,8 @@ def _cmd_inspect(instance: Instance, args) -> dict:
                 min_eig_herm(im.matrix),
                 -min_eig_herm(-im.matrix) + 0.0,
             ],
-            "theta_rank": int(np.sum(rank_cut(theta.eig.values, args.tol_rank))),
-            "psi_rank": int(np.sum(rank_cut(psi.eig.values, args.tol_rank))),
+            "theta_rank": quotient_embedding(theta, args.tol_rank).rank,
+            "psi_rank": quotient_embedding(psi, args.tol_rank).rank,
             "psi_majorizes_omega": bool(member),
             "membership_margin": None if margin == float("-inf") else float(margin),
             # sorted like the JSON document, which fixes the text order

@@ -108,12 +108,15 @@ class QuotientEmbedding:
     eigenpairs it was built from, kept so that forms can be pushed to and
     pulled back from quotient coordinates without re-squaring square roots:
     the diagonal of the scaling kernel is the exact eigenvalue, which keeps
-    exactly-zero and exactly-diagonal data exact.
+    exactly-zero and exactly-diagonal data exact. ``null`` (n x (n - r)) holds
+    the eigenvectors the same rank cut drops: an orthonormal basis of the
+    kernel, so that [null, basis] is unitary.
     """
 
     matrix: np.ndarray
     basis: np.ndarray
     weights: np.ndarray
+    null: np.ndarray
 
     @property
     def rank(self) -> int:
@@ -157,11 +160,6 @@ class QuotientEmbedding:
         return self.basis @ scaled @ self.basis.conj().T
 
 
-def kernel(psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of a positive form."""
-    return psi.eig.vectors[:, ~rank_cut(psi.eig.values, rtol)]
-
-
 def quotient_embedding(
     psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL
 ) -> QuotientEmbedding:
@@ -176,7 +174,7 @@ def eigen_embedding(eig: HermEig, rtol: float = DEFAULT_RANK_TOL) -> QuotientEmb
     d = eig.values[keep]
     v = eig.vectors[:, keep]
     j = np.sqrt(d)[:, None] * v.conj().T
-    return QuotientEmbedding(matrix=j, basis=v, weights=d)
+    return QuotientEmbedding(matrix=j, basis=v, weights=d, null=eig.vectors[:, ~keep])
 
 
 def is_absolutely_continuous(
@@ -187,7 +185,7 @@ def is_absolutely_continuous(
     At finite dimension the closability half of the definition is automatic,
     so the kernel inclusion is the whole decision.
     """
-    null = kernel(theta, rtol)
+    null = quotient_embedding(theta, rtol).null
     top = max(float(psi.eig.values[-1]), 0.0) if psi.eig.values.size else 0.0
     if null.shape[1] == 0 or top == 0.0:
         return True
@@ -222,6 +220,9 @@ def domination_operator(
     """The PSD operator C on the psi-quotient with
     theta(xi, eta) = <C J xi, J eta> and 0 <= C <= gamma.
 
+    C is theta compressed to that quotient, (J^+)^H theta J^+, which equals
+    (J_theta J^+)^H (J_theta J^+) for theta's own embedding J_theta.
+
     Raises:
         DominationFails: if theta is not dominated by psi, or the optimal
             constant exceeds the supplied ``gamma``.
@@ -231,7 +232,4 @@ def domination_operator(
         raise DominationFails("kernel obstruction: N(psi) is not inside N(theta)")
     if gamma is not None and best > gamma * (1 + MEMBERSHIP_SLACK) + DOMINATION_FLOOR:
         raise DominationFails(f"optimal constant {best:.6e} exceeds gamma={gamma}")
-    emb_theta = quotient_embedding(theta, rtol)
-    emb_psi = quotient_embedding(psi, rtol)
-    connecting = emb_theta.matrix @ emb_psi.pseudo_inverse
-    return hermitize(connecting.conj().T @ connecting)
+    return hermitize(quotient_embedding(psi, rtol).to_quotient(theta.matrix))

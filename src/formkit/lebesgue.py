@@ -60,10 +60,10 @@ def lebesgue_decompose(
     member, _ = in_class_M(omega, psi, rtol)
     if not member:
         raise NotInClassM("psi does not majorize omega")
-    core = _rn_core(theta, psi, omega, rtol)
+    core = _rn_core(theta, psi, rtol)
     proj = core.kernel_projector
     comp = np.eye(proj.shape[0], dtype=complex) - proj
-    compressed = core.omega_on_sum
+    compressed = core.sum_embedding.to_quotient(omega.matrix)
     regular_q = comp @ compressed @ comp
     singular_q = comp @ compressed @ proj + proj @ compressed
     emb = core.sum_embedding
@@ -102,7 +102,7 @@ def positive_lebesgue(
     the density-root formula up to rounding and makes the additivity
     identity hold to the last bit.
     """
-    core = _rn_core(theta, psi, None, rtol)
+    core = _rn_core(theta, psi, rtol)
     total = frob(theta.matrix + psi.matrix)
     singular_mat = _snap_zero(
         core.sum_embedding.from_quotient(core.kernel_projector), total

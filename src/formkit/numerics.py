@@ -1,13 +1,12 @@
 """Dense complex-matrix primitives with explicit tolerance contracts.
 
-Everything downstream is built from four operations: a Hermitian
-eigendecomposition, the PSD square root, a thresholded Moore-Penrose
-pseudoinverse, and the orthogonal projector onto a near-null eigenspace.
-Every rank decision goes through ``rank_cut`` with one relative threshold
-(``DEFAULT_RANK_TOL``, overridable per call) and every PSD check through
-``psd_eig``, so that compositions of these primitives make mutually
-consistent kernel/range decisions. Every threshold the package compares
-against is named once, in the table below.
+Everything downstream is built from three operations: a Hermitian
+eigendecomposition, the PSD square root and a thresholded Moore-Penrose
+pseudoinverse. Every rank decision goes through ``rank_cut`` with one
+relative threshold (``DEFAULT_RANK_TOL``, overridable per call) and every
+PSD check through ``psd_eig``, so that compositions of these primitives
+make mutually consistent kernel/range decisions. Every threshold the
+package compares against is named once, in the table below.
 """
 
 from __future__ import annotations
@@ -175,11 +174,3 @@ def pinv(m, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vh.conj().T * inv) @ u.conj().T
-
-
-def kernel_projector(m, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors with eigenvalue
-    at most ``rtol * sigma_max`` of a PSD Hermitian matrix."""
-    eig = psd_eig(m, rtol)
-    null = eig.vectors[:, ~rank_cut(eig.values, rtol)]
-    return null @ null.conj().T

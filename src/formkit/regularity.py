@@ -39,7 +39,6 @@ from .forms import (
     QuotientEmbedding,
     eigen_embedding,
     is_absolutely_continuous,
-    kernel,
     quotient_embedding,
     re_im_split,
 )
@@ -65,16 +64,19 @@ from .solvable import numerical_radius_bounds
 SECTOR_SLOPE_CAP = 2.0**20
 
 
-def _kernel_obstructed(omega: Form, psi: PositiveForm, rtol: float) -> bool:
-    """True when the kernel of psi fails to annihilate omega's matrix on either
-    side (relative to omega's spectral norm)."""
-    null = kernel(psi, rtol)
-    if null.shape[1] == 0 or omega.spectral_norm == 0:
-        return False
+def _on_quotient(omega: Form, psi: PositiveForm, rtol: float) -> Optional[np.ndarray]:
+    """Omega's matrix compressed to the psi-quotient, (J^+)^H omega J^+, or None
+    when the kernel of psi, the ``null`` of the same rank cut, fails to
+    annihilate that matrix on either side (relative to omega's spectral norm)."""
+    emb = quotient_embedding(psi, rtol)
+    null = emb.null
     mat = omega.matrix
-    right = np.linalg.norm(mat @ null, 2)
-    left = np.linalg.norm(null.conj().T @ mat, 2)
-    return max(right, left) > rtol * omega.spectral_norm
+    if null.shape[1] and omega.spectral_norm != 0:
+        right = np.linalg.norm(mat @ null, 2)
+        left = np.linalg.norm(null.conj().T @ mat, 2)
+        if max(right, left) > rtol * omega.spectral_norm:
+            return None
+    return emb.to_quotient(mat)
 
 
 def in_class_M(
@@ -87,10 +89,9 @@ def in_class_M(
     has norm at most 1 (with ``MEMBERSHIP_SLACK`` of slack). The margin is
     1 minus that norm; a kernel obstruction reports margin -inf.
     """
-    if _kernel_obstructed(omega, psi, rtol):
+    compressed = _on_quotient(omega, psi, rtol)
+    if compressed is None:
         return False, float("-inf")
-    emb = quotient_embedding(psi, rtol)
-    compressed = emb.to_quotient(omega.matrix)
     norm = specnorm(compressed)
     return norm <= 1.0 + MEMBERSHIP_SLACK, 1.0 - norm
 
@@ -121,10 +122,10 @@ def epsilon_bound_check(
         QuadraticBoundFails: if the quadratic bound is violated, or if the
             bracket straddles 1 (reported as inconclusive).
     """
-    if _kernel_obstructed(omega, psi, rtol):
+    compressed = _on_quotient(omega, psi, rtol)
+    if compressed is None:
         raise QuadraticBoundFails("the kernel of psi carries a nonzero quadratic of omega")
-    emb = quotient_embedding(psi, rtol)
-    lower, upper = numerical_radius_bounds(emb.to_quotient(omega.matrix))
+    lower, upper = numerical_radius_bounds(compressed)
     if lower > 1.0 + MEMBERSHIP_SLACK:
         raise QuadraticBoundFails(
             f"quadratic maximum {lower:.6e} over the psi-unit sphere exceeds 1"
@@ -135,7 +136,7 @@ def epsilon_bound_check(
             f"lies in [{lower:.6e}, {upper:.6e}], which reaches past 1"
         )
     eps = 1 if omega.is_symmetric() else 2
-    member, margin = in_class_M(omega, PositiveForm(eps * psi.matrix), rtol)
+    member, margin = in_class_M(omega, PositiveForm(eps * psi.matrix, tol=psi.tol), rtol)
     return EpsilonBound(epsilon=eps, quadratic_norm=lower, member=member, margin=margin)
 
 
@@ -164,10 +165,9 @@ def canonical_majorant(t, rtol: float = DEFAULT_RANK_TOL) -> PositiveForm:
 
 @dataclass(frozen=True, eq=False)
 class RNCore:
-    """Shared skeleton of the quotient construction.
+    """Shared skeleton of the quotient construction for the pair (theta, psi).
 
-    ``omega_on_sum`` (the compressed omega on the sum quotient) is None when
-    the construction is run for a pair of positive forms only. The kernel
+    A form omega enters through ``sum_embedding.to_quotient``. The kernel
     projector of the contraction is the exact obstruction to absolute
     continuity; it is the zero matrix iff psi is theta-absolutely continuous.
     """
@@ -183,7 +183,6 @@ class RNCore:
     density_root: np.ndarray       # k, with psi = <k j ., k j .> up to the kernel block
     scale: np.ndarray              # h = (1 + k^2)^(1/2)
     sum_to_theta: np.ndarray       # u, the connecting map
-    omega_on_sum: Optional[np.ndarray]
 
     @property
     def dim(self) -> int:
@@ -205,13 +204,9 @@ def _tangent(t: np.ndarray, vectors: np.ndarray, active: np.ndarray) -> np.ndarr
     return (vectors * weights) @ vectors.conj().T
 
 
-def _rn_core(
-    theta: PositiveForm,
-    psi: PositiveForm,
-    omega: Optional[Form],
-    rtol: float = DEFAULT_RANK_TOL,
-) -> RNCore:
-    phi = PositiveForm(theta.matrix + psi.matrix)
+def _rn_core(theta: PositiveForm, psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL) -> RNCore:
+    # the least eigenvalue of a sum is at least the sum of the least eigenvalues
+    phi = PositiveForm(theta.matrix + psi.matrix, tol=theta.tol + psi.tol)
     emb_theta = quotient_embedding(theta, rtol)
     emb_sum = quotient_embedding(phi, rtol)
 
@@ -240,8 +235,6 @@ def _rn_core(
     dvals = np.clip(dvals, 0.0, None)
     scale = hermitize((dvecs * np.sqrt(1.0 + dvals * dvals)) @ dvecs.conj().T)
 
-    omega_on_sum = emb_sum.to_quotient(omega.matrix) if omega is not None else None
-
     return RNCore(
         theta_embedding=emb_theta,
         sum_embedding=emb_sum,
@@ -254,7 +247,6 @@ def _rn_core(
         density_root=density_root,
         scale=scale,
         sum_to_theta=u_map,
-        omega_on_sum=omega_on_sum,
     )
 
 
@@ -297,10 +289,10 @@ def radon_nikodym(
         raise NotInClassM("psi does not majorize omega")
     if not is_absolutely_continuous(psi, theta, rtol):
         raise NotAbsolutelyContinuous("psi does not vanish on the kernel of theta")
-    core = _rn_core(theta, psi, omega, rtol)
+    core = _rn_core(theta, psi, rtol)
     factor = (
         core.sum_to_theta
-        @ core.omega_on_sum
+        @ core.sum_embedding.to_quotient(omega.matrix)
         @ core.sum_embedding.matrix
         @ core.theta_embedding.pseudo_inverse
     )
@@ -362,7 +354,7 @@ def dominated_sequence(
         raise ValueError("truncation index must be a positive integer")
     if not is_absolutely_continuous(psi, theta, rtol):
         raise NotAbsolutelyContinuous("psi does not vanish on the kernel of theta")
-    core = _rn_core(theta, psi, None, rtol)
+    core = _rn_core(theta, psi, rtol)
     truncated = core.tangent_truncated(1.0 / n)
     k_n = hermitize(core.isometry.conj().T @ truncated @ core.isometry)
     mat = core.theta_embedding.from_quotient(k_n @ k_n)
@@ -374,7 +366,7 @@ def dominated_sequence_stabilization(
 ) -> int:
     """Smallest index from which the dominated sequence is constant:
     the first n with 1/n strictly below the least positive spectral point."""
-    core = _rn_core(theta, psi, None, rtol)
+    core = _rn_core(theta, psi, rtol)
     positive = core.spectrum[(~core.kernel_mask) & (core.spectrum < 1.0)]
     relevant = positive[positive > 0]
     if relevant.size == 0:
@@ -404,8 +396,7 @@ def _floor(a: np.ndarray, eig: HermEig, scale: float, rtol: float) -> float:
     to ran p), compressed to the p-quotient.
     """
     emb = eigen_embedding(eig, rtol)
-    # eigenvalues ascend, so the rank cut keeps the last emb.rank columns
-    null = eig.vectors[:, : emb.dim - emb.rank]
+    null = emb.null
     values, vectors = eigh_or_empty(hermitize(null.conj().T @ a @ null))
     if values.size and values[0] < -MEMBERSHIP_SLACK * scale:
         return float("-inf")

@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import IncompatibleNorm, NotSolvable, ValidationError
+from .errors import NotSolvable, ValidationError
 from .forms import Form, PositiveForm, identity_form
 from .numerics import (
     DEFAULT_RANK_TOL,
@@ -280,9 +280,6 @@ def _diagonal_row(lam: np.ndarray, rtol: float) -> dict:
         if not np.isfinite(lam.real @ lam.real + lam.imag @ lam.imag):
             raise ValidationError("'lambda' is too large: its Frobenius norm overflows")
     psi = np.abs(lam)
-    # Instance's membership check and NormGram's domination check, elementwise
-    if not np.all(np.abs(lam) <= (1.0 + MEMBERSHIP_SLACK) * psi):
-        raise ValidationError(f"instance 'diag[N={size}]': psi does not majorize omega")
     scale = max(1.0, float(np.max(psi)))
     re, im = lam.real, lam.imag
     frontier = min(float(np.min(re + sign * im / SECTOR_SLOPE_CAP)) for sign in (1.0, -1.0))
@@ -303,8 +300,6 @@ def _diagonal_row(lam: np.ndarray, rtol: float) -> dict:
     # beyond the least supporting half-plane: outside by at least the gap
     probe = complex((hull.support[direction] + gap) * np.exp(1j * angle))
     gram = 1.0 + psi
-    if np.min(gram) - 1.0 < -DEFAULT_RANK_TOL * max(float(np.max(gram)), 1.0):
-        raise IncompatibleNorm("Gram matrix does not dominate the inner product")
     shifted = lam - probe
     root = 1.0 / np.sqrt(gram)
     normalized = np.abs(shifted * root * root)  # G^(-1/2) (omega - probe) G^(-1/2)

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import formkit as fk
-from formkit.cli import _dump, decode_matrix, emit_instance, main, parse_instance, render_report
+from formkit.cli import (
+    _dump,
+    decode_matrix,
+    emit_instance,
+    encode_matrix,
+    main,
+    parse_instance,
+    render_report,
+)
 
 
 def write(tmp_path, name, doc):
@@ -739,6 +747,41 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert out.index("== a.json") < out.index("== b.json")
+
+
+class TestBuiltFormsKeepRankTolerance:
+    """theta = psi has the eigenvalue -1e-8, which --tol-rank 1e-6 accepts;
+    the forms built from them, eps * psi and theta + psi, accept it too."""
+
+    @staticmethod
+    def _instance(tmp_path):
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        near_psd = encode_matrix(q @ np.diag([-1e-8, 1.0, 2.0]) @ q.T).tolist()
+        omega = encode_matrix(0.2 * q @ np.diag([0.0, 1.0, 2.0]) @ q.T).tolist()
+        doc = {"n": 3, "omega": omega, "theta": near_psd, "psi": near_psd}
+        return write(tmp_path, "near.json", doc)
+
+    def test_membership_scaled_majorant(self, tmp_path, capsys):
+        path = self._instance(tmp_path)
+        assert main(["membership", path, "--json", "--tol-rank", "1e-6"]) == 0
+        bound = json.loads(capsys.readouterr().out)["quadratic_bound"]
+        assert bound["holds"] and bound["scaled_member"]
+
+    @pytest.mark.parametrize("command", ["regularity", "represent", "decompose"])
+    def test_sum_form(self, tmp_path, capsys, command):
+        path = self._instance(tmp_path)
+        assert main([command, path, "--json", "--tol-rank", "1e-6"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["command"] == command
+
+    def test_default_tolerance_still_refuses(self, tmp_path, capsys):
+        path = self._instance(tmp_path)
+        assert main(["membership", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: theta is not positive semidefinite: matrix is not PSD: "
+            "min eigenvalue -1.000000e-08"
+        )
 
 
 class TestDeterminism:

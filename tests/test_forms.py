@@ -65,13 +65,22 @@ class TestReImSplit:
 
 class TestKernel:
     def test_examples(self):
-        null = fk.kernel(fk.PositiveForm(np.diag([1.0, 0.0])))
+        null = fk.quotient_embedding(fk.PositiveForm(np.diag([1.0, 0.0]))).null
         assert null.shape == (2, 1)
         assert np.allclose(np.abs(null[:, 0]), [0.0, 1.0])
-        assert fk.kernel(fk.identity_form(2)).shape == (2, 0)
-        null = fk.kernel(fk.PositiveForm(np.ones((2, 2))))
+        assert fk.quotient_embedding(fk.identity_form(2)).null.shape == (2, 0)
+        null = fk.quotient_embedding(fk.PositiveForm(np.ones((2, 2)))).null
         assert null.shape == (2, 1)
         assert np.allclose(np.abs(null[:, 0]), [1 / np.sqrt(2)] * 2)
+
+    def test_null_completes_basis_to_unitary(self):
+        rng = np.random.default_rng(18)
+        for n in range(1, 7):
+            for rank in range(n + 1):
+                emb = fk.quotient_embedding(random_positive_form(rng, n, rank=rank))
+                assert emb.rank == rank and emb.null.shape == (n, n - rank)
+                full = np.hstack([emb.null, emb.basis])
+                assert frob(full.conj().T @ full - np.eye(n)) <= 1e-12
 
 
 class TestQuotientEmbedding:
@@ -181,6 +190,10 @@ class TestDominationOperator:
             gamma = fk.dominates(theta, psi)
             assert gamma is not None
             c = fk.domination_operator(theta, psi, gamma=gamma)
+            # the connecting-map square C = (J_theta J_psi^+)^H (J_theta J_psi^+)
+            connecting = fk.quotient_embedding(theta).matrix @ emb.pseudo_inverse
+            oracle = hermitize(connecting.conj().T @ connecting)
+            assert frob(c - oracle) <= 1e-12 * frob(oracle)
             recovered = emb.from_quotient(c)
             assert frob(recovered - theta.matrix) <= 1e-9 * max(frob(theta.matrix), 1e-300)
             eigs = np.linalg.eigvalsh(hermitize(c))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import formkit as fk
 from formkit.cli import encode_matrix, main
-from formkit.numerics import as_matrix, frob, hermitize
+from formkit.numerics import as_matrix, frob, hermitize, rank_cut
 
 from conftest import complex_randn, random_psd, random_unitary
 
@@ -123,23 +123,29 @@ class TestPinv:
         assert np.linalg.norm(plus @ a - (plus @ a).conj().T) <= 1e-9 * max(1.0, scale)
 
 
+def kernel_projector(m):
+    """The orthogonal projector onto the kernel that ``quotient_embedding`` cuts."""
+    null = fk.quotient_embedding(fk.PositiveForm(m)).null
+    return null @ null.conj().T
+
+
 class TestKernelProjector:
     def test_diagonal(self):
-        assert np.allclose(fk.kernel_projector(np.diag([1.0, 0.0])), np.diag([0.0, 1.0]))
+        assert np.allclose(kernel_projector(np.diag([1.0, 0.0])), np.diag([0.0, 1.0]))
 
     def test_full_rank(self):
-        assert np.allclose(fk.kernel_projector(np.eye(3)), np.zeros((3, 3)))
+        assert np.allclose(kernel_projector(np.eye(3)), np.zeros((3, 3)))
 
     def test_rank_one(self):
         expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        assert np.allclose(fk.kernel_projector(np.ones((2, 2))), expected, atol=1e-14)
+        assert np.allclose(kernel_projector(np.ones((2, 2))), expected, atol=1e-14)
 
     def test_annihilates_matrix(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             n = int(rng.integers(1, 9))
             m = random_psd(rng, n, rank=int(rng.integers(0, n + 1)))
-            proj = fk.kernel_projector(m)
+            proj = kernel_projector(m)
             assert frob(proj @ m) <= 1e-9 * max(frob(m), 1e-300)
             assert frob(proj @ proj - proj) <= 1e-10
             assert frob(proj - proj.conj().T) <= 1e-10
@@ -159,9 +165,11 @@ class TestRankCutAgreement:
     def test_every_site_agrees(self, tmp_path, capsys, factor, rank):
         m = self._matrix(factor)
         psi = fk.PositiveForm(m)
-        assert fk.quotient_embedding(psi).rank == rank
-        assert fk.kernel(psi).shape[1] == 4 - rank
-        assert round(np.trace(fk.kernel_projector(m)).real) == 4 - rank
+        emb = fk.quotient_embedding(psi)
+        assert emb.rank == rank
+        assert emb.null.shape[1] == 4 - rank
+        assert np.array_equal(emb.null, psi.eig.vectors[:, ~rank_cut(psi.eig.values)])
+        assert round(np.trace(kernel_projector(m)).real) == 4 - rank
         assert round(np.trace(fk.pinv(m) @ m).real) == rank
         path = tmp_path / "cut.json"
         doc = {"n": 4, "omega": encode_matrix(np.eye(4)).tolist(), "psi": encode_matrix(m).tolist()}
@@ -187,6 +195,36 @@ def test_tolerances_are_named_only_in_numerics():
             ):
                 stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert stray == []
+
+
+def test_rank_cut_has_four_call_sites():
+    """The rank cut is taken in exactly four functions: the pseudoinverse, the
+    quotient embedding (whose ``null`` is the kernel), the kernel block of
+    the Radon-Nikodym core and the closed-form lab row."""
+
+    def cuts(node):
+        return [
+            call
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and "rank_cut" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        ]
+
+    package = Path(fk.__file__).parent
+    sites, total = [], 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total += len(cuts(tree))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                sites += [f"{path.stem}.{func.name}"] * len(cuts(func))
+    assert total == len(sites)
+    assert sorted(sites) == [
+        "forms.eigen_embedding",
+        "numerics.pinv",
+        "regularity._rn_core",
+        "trunclab._diagonal_row",
+    ]
 
 
 def test_readme_tolerance_table_matches_numerics():

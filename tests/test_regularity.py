@@ -132,6 +132,42 @@ class TestEpsilonBound:
             fk.epsilon_bound_check(omega, fk.identity_form(2))
 
 
+class TestOneKernelCut:
+    """Membership takes psi's rank cut once: the quotient embedding carries
+    the kernel for the obstruction test and the basis for the compression."""
+
+    @staticmethod
+    def _count_cuts(monkeypatch, psi):
+        calls = []
+        original = fk.forms.rank_cut
+
+        def counting(values, *args, **kwargs):
+            calls.append(values is psi.eig.values)
+            return original(values, *args, **kwargs)
+
+        monkeypatch.setattr(fk.forms, "rank_cut", counting)
+        return calls
+
+    def test_in_class_M(self, monkeypatch):
+        psi = fk.PositiveForm(np.diag([1.0, 0.5, 0.0]))
+        calls = self._count_cuts(monkeypatch, psi)
+        assert fk.in_class_M(fk.Form(np.diag([0.5, 0.25, 0.0])), psi)[0]
+        assert calls == [True]
+        calls.clear()
+        # an obstruction is decided from the same single cut
+        assert fk.in_class_M(fk.Form(np.eye(3)), psi) == (False, float("-inf"))
+        assert calls == [True]
+
+    def test_epsilon_bound_check(self, monkeypatch):
+        psi = fk.PositiveForm(np.diag([1.0, 0.5, 0.0]))
+        calls = self._count_cuts(monkeypatch, psi)
+        omega = fk.Form([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        check = fk.epsilon_bound_check(omega, psi)
+        assert check.epsilon == 2 and check.member
+        # one cut of psi, and one of 2 psi for the membership of the scaled form
+        assert calls == [True, False]
+
+
 class TestAbsoluteContinuity:
     def test_full_rank_reference(self):
         rng = np.random.default_rng(21)
