@@ -185,7 +185,12 @@ def is_absolutely_continuous(
     At finite dimension the closability half of the definition is automatic,
     so the kernel inclusion is the whole decision.
     """
-    null = quotient_embedding(theta, rtol).null
+    return _vanishes_on(psi, quotient_embedding(theta, rtol).null, rtol)
+
+
+def _vanishes_on(psi: PositiveForm, null: np.ndarray, rtol: float) -> bool:
+    """Whether psi vanishes on the span of the orthonormal columns ``null``
+    (a kernel from ``eigen_embedding``), relative to psi's top eigenvalue."""
     top = max(float(psi.eig.values[-1]), 0.0) if psi.eig.values.size else 0.0
     if null.shape[1] == 0 or top == 0.0:
         return True

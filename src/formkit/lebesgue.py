@@ -26,7 +26,8 @@ from .numerics import MEMBERSHIP_SLACK, ORDER_TOL, PARALLEL_SUM_SNAP, SINGULAR_T
 from .numerics import frob, hermitize, min_eig_herm, pinv, specnorm
 from .regularity import RNCore, _rn_core, in_class_M, scale_factor_majorant
 
-_LIMIT_MAX_DOUBLINGS = 40
+_LIMIT_MAX_DOUBLINGS = 20
+_LIMIT_COLUMNS = 3  # Romberg columns: column j cancels the 2^-jk term
 
 
 def _snap_zero(mat: np.ndarray, scale: float) -> np.ndarray:
@@ -134,31 +135,43 @@ def parallel_sum_limit(
     theta: PositiveForm,
     rtol: float = DEFAULT_RANK_TOL,
 ) -> np.ndarray:
-    """Increasing limit of psi : (n * theta) under a doubling schedule.
+    """Increasing limit of psi : (t * theta) as t -> inf, Romberg-extrapolated.
 
-    This is the largest theta-absolutely-continuous minorant of psi, used
-    as an oracle against the quotient construction. Doubling stops once the
-    Frobenius change drops below the stop threshold or after 2^40.
+    This is the largest theta-absolutely-continuous minorant of psi (Ando's
+    limit), used as an oracle against the quotient construction. The limit
+    does not change when theta is scaled, so theta is first scaled to the
+    Frobenius mass of psi and t doubles from 1. For t > 0, psi : (t theta) is
+    rational in 1/t with a finite limit at 0, so each doubling adds a tableau
+    row T[k][j] = T[k][j-1] + (T[k][j-1] - T[k-1][j-1]) / (2^j - 1) and
+    column 3 converges geometrically in 2^-k. The loop returns the column-3
+    entry whose step drops below the stop threshold, or, once a step is no
+    smaller than the one before (the rounding floor grows like 2^k), the
+    previous entry, provided its own step is below the stall threshold.
 
     Raises:
-        NoConvergence: if the loop reaches the cap with the sequence still
-            moving; reported, never silently resolved.
+        NoConvergence: if the extrapolated steps have not settled below the
+            stall threshold by t = 2^20; reported, never silently resolved.
     """
     scale = max(1.0, frob(psi.matrix))
-    previous = _parallel_sum_matrix(psi.matrix, theta.matrix, rtol)
-    delta = None
-    for k in range(1, _LIMIT_MAX_DOUBLINGS + 1):
-        current = _parallel_sum_matrix(psi.matrix, (2.0**k) * theta.matrix, rtol)
-        delta = frob(current - previous)
-        previous = current
-        if delta < LIMIT_STOP * scale:
-            return hermitize(previous)
-    if delta is not None and delta > LIMIT_STALL * scale:
+    base = theta.matrix * (frob(psi.matrix) / max(frob(theta.matrix), 1e-300))
+    row, step = [], np.inf
+    for k in range(_LIMIT_MAX_DOUBLINGS + 1):
+        previous, row = row, [_parallel_sum_matrix(psi.matrix, (2.0**k) * base, rtol)]
+        for j in range(1, min(k, _LIMIT_COLUMNS) + 1):
+            row.append(row[j - 1] + (row[j - 1] - previous[j - 1]) / (2.0**j - 1.0))
+        if k <= _LIMIT_COLUMNS:
+            continue
+        last_step, step = step, frob(row[-1] - previous[-1])
+        if step < LIMIT_STOP * scale:
+            return hermitize(row[-1])
+        if step >= last_step and last_step <= LIMIT_STALL * scale:
+            return hermitize(previous[-1])
+    if step > LIMIT_STALL * scale:
         raise NoConvergence(
-            f"doubling reached 2^{_LIMIT_MAX_DOUBLINGS} with the iterates still "
-            f"moving by {delta:.3e}"
+            f"extrapolated doubling reached 2^{_LIMIT_MAX_DOUBLINGS} with the "
+            f"iterates still moving by {step:.3e}"
         )
-    return hermitize(previous)
+    return hermitize(row[-1])
 
 
 def is_mutually_singular(

@@ -29,8 +29,8 @@ ORDER_TOL = 1e-10  # phi' <= psi in maximality_check: max(|psi|_2, 1)
 DEFAULT_RESIDUAL_TOL = 1e-8  # witness and identity residuals: the norm of their form
 ZERO_SNAP = 1e-12  # split components set to exact zero: total Frobenius mass
 PARALLEL_SUM_SNAP = 1e-11  # parallel sum set to exact zero: the smaller spectral norm
-LIMIT_STOP = 1e-12  # parallel-sum limit converged (Frobenius step): max(|psi|_F, 1)
-LIMIT_STALL = 1e-6  # parallel-sum limit still moving at the doubling cap: max(|psi|_F, 1)
+LIMIT_STOP = 1e-12  # parallel-sum limit converged (extrapolated Frobenius step): max(|psi|_F, 1)
+LIMIT_STALL = 1e-9  # parallel-sum limit not settled (extrapolated step): max(|psi|_F, 1)
 SINGULAR_THRESHOLD = 1e-9  # mutual singularity, |parallel-sum limit|_F: |psi|_F
 BOUNDARY_RTOL = 1e-4  # hull margins reported inconclusive: the hull scale
 RADIUS_RTOL = 1e-9  # numerical-radius bracket closed (relative width): its upper end

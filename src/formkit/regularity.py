@@ -37,6 +37,7 @@ from .forms import (
     Form,
     PositiveForm,
     QuotientEmbedding,
+    _vanishes_on,
     eigen_embedding,
     is_absolutely_continuous,
     quotient_embedding,
@@ -204,10 +205,20 @@ def _tangent(t: np.ndarray, vectors: np.ndarray, active: np.ndarray) -> np.ndarr
     return (vectors * weights) @ vectors.conj().T
 
 
-def _rn_core(theta: PositiveForm, psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL) -> RNCore:
+def _rn_core(
+    theta: PositiveForm,
+    psi: PositiveForm,
+    rtol: float = DEFAULT_RANK_TOL,
+    *,
+    absolutely_continuous: bool = False,
+) -> RNCore:
+    """With ``absolutely_continuous``, first raise NotAbsolutelyContinuous when
+    psi does not vanish on the kernel of theta's embedding, the core's own."""
+    emb_theta = quotient_embedding(theta, rtol)
+    if absolutely_continuous and not _vanishes_on(psi, emb_theta.null, rtol):
+        raise NotAbsolutelyContinuous("psi does not vanish on the kernel of theta")
     # the least eigenvalue of a sum is at least the sum of the least eigenvalues
     phi = PositiveForm(theta.matrix + psi.matrix, tol=theta.tol + psi.tol)
-    emb_theta = quotient_embedding(theta, rtol)
     emb_sum = quotient_embedding(phi, rtol)
 
     u_map = emb_theta.matrix @ emb_sum.pseudo_inverse
@@ -287,9 +298,7 @@ def radon_nikodym(
     member, _ = in_class_M(omega, psi, rtol)
     if not member:
         raise NotInClassM("psi does not majorize omega")
-    if not is_absolutely_continuous(psi, theta, rtol):
-        raise NotAbsolutelyContinuous("psi does not vanish on the kernel of theta")
-    core = _rn_core(theta, psi, rtol)
+    core = _rn_core(theta, psi, rtol, absolutely_continuous=True)
     factor = (
         core.sum_to_theta
         @ core.sum_embedding.to_quotient(omega.matrix)
@@ -352,9 +361,7 @@ def dominated_sequence(
     """
     if n < 1:
         raise ValueError("truncation index must be a positive integer")
-    if not is_absolutely_continuous(psi, theta, rtol):
-        raise NotAbsolutelyContinuous("psi does not vanish on the kernel of theta")
-    core = _rn_core(theta, psi, rtol)
+    core = _rn_core(theta, psi, rtol, absolutely_continuous=True)
     truncated = core.tangent_truncated(1.0 / n)
     k_n = hermitize(core.isometry.conj().T @ truncated @ core.isometry)
     mat = core.theta_embedding.from_quotient(k_n @ k_n)

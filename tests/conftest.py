@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import formkit as fk
+from formkit.numerics import hermitize
 
 
 def complex_randn(rng, *shape):
@@ -104,6 +105,34 @@ def positive_pair(rng, n, kind):
     theta = u @ np.block([[theta1, zero12], [zero21, np.zeros((n2, n2))]]) @ u.conj().T
     ac_part = u @ np.block([[psi1, zero12], [zero21, np.zeros((n2, n2))]]) @ u.conj().T
     return fk.PositiveForm(psi), fk.PositiveForm(theta), ac_part
+
+
+def coupled_hidden_pair(rng, n, hidden):
+    """(psi, theta, short) with psi = Q [[A, B], [B^H, D]] Q^H coupled across
+    the hidden block, theta = Q (T + 0) Q^H vanishing on its last ``hidden``
+    coordinates, and the construction truth Q (A - B D^-1 B^H + 0) Q^H for
+    the theta-absolutely continuous part of psi."""
+    k = n - hidden
+    q = random_unitary(rng, n)
+    low = complex_randn(rng, n, n)
+    block = low @ low.conj().T / n + np.eye(n)
+    a, b, d = block[:k, :k], block[:k, k:], block[k:, k:]
+    theta = np.zeros((n, n), dtype=complex)
+    theta[:k, :k] = random_psd(rng, k)
+    short = np.zeros((n, n), dtype=complex)
+    short[:k, :k] = a - b @ np.linalg.solve(d, b.conj().T)
+    psi, theta, short = (hermitize(q @ m @ q.conj().T) for m in (block, theta, short))
+    return fk.PositiveForm(psi), fk.PositiveForm(theta), short
+
+
+def schur_short(psi, theta, rtol=1e-10):
+    """The short of psi to ran(theta), from the pair alone: psi minus its
+    Schur complement correction on ker(theta) (W. N. Anderson and G. E.
+    Trapp, SIAM J. Appl. Math. 28, 1975)."""
+    values, vectors = np.linalg.eigh(theta)
+    null = vectors[:, values <= rtol * max(values[-1], 0.0)]
+    cross = psi @ null
+    return hermitize(psi - cross @ np.linalg.solve(null.conj().T @ cross, cross.conj().T))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,14 @@ import pytest
 import formkit as fk
 from formkit.numerics import frob, hermitize, min_eig_herm
 
-from conftest import mixed_rank_triple, positive_pair, random_positive_form
+from conftest import (
+    coupled_hidden_pair,
+    mixed_rank_triple,
+    positive_pair,
+    random_positive_form,
+    random_psd,
+    schur_short,
+)
 
 
 class TestLebesgueDecompose:
@@ -267,3 +274,94 @@ class TestOracleEquivalence:
         psi, theta, oracle = positive_pair(rng, 5, 2)
         limit = fk.parallel_sum_limit(psi, theta)
         assert frob(limit - oracle) <= 1e-6 * max(1.0, frob(psi.matrix))
+
+
+class TestExtrapolatedLimit:
+    """Ando's limit psi : (t theta) by Romberg extrapolation in 1/t: exact on
+    coupled hidden blocks, at most 21 parallel sums, and a refusal, never a
+    guess, when the extrapolated steps do not settle."""
+
+    @staticmethod
+    def _count_sums(monkeypatch):
+        calls = []
+        original = fk.lebesgue._parallel_sum_matrix
+
+        def counting(a, b, rtol):
+            calls.append(1)
+            return original(a, b, rtol)
+
+        monkeypatch.setattr(fk.lebesgue, "_parallel_sum_matrix", counting)
+        return calls
+
+    @staticmethod
+    def _sequence(monkeypatch, term):
+        """Replace the k-th parallel sum by ``term(k)``."""
+        calls = []
+
+        def fake(a, b, rtol):
+            calls.append(1)
+            return term(len(calls) - 1)
+
+        monkeypatch.setattr(fk.lebesgue, "_parallel_sum_matrix", fake)
+        return calls
+
+    @pytest.mark.parametrize("n", [4, 32, 48, 64])
+    def test_coupled_hidden_block_matches_schur_short(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(3):
+            psi, theta, truth = coupled_hidden_pair(rng, n, max(1, n // 4))
+            scale = frob(psi.matrix)
+            reference = schur_short(psi.matrix, theta.matrix)
+            assert frob(reference - truth) <= 1e-13 * scale
+            limit = fk.parallel_sum_limit(psi, theta)
+            assert frob(limit - reference) <= 1e-9 * scale
+
+    def test_at_most_21_parallel_sums(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        zero = fk.PositiveForm(np.zeros((8, 8)))
+        full = fk.PositiveForm(random_psd(rng, 8))
+        hidden_psi, hidden_theta, _ = coupled_hidden_pair(rng, 32, 8)
+        pairs = [(full, fk.PositiveForm(random_psd(rng, 8))), (hidden_psi, hidden_theta)]
+        pairs += [(zero, full), (full, zero), (zero, zero)]
+        calls = self._count_sums(monkeypatch)
+        for psi, theta in pairs:
+            calls.clear()
+            fk.parallel_sum_limit(psi, theta)
+            assert 5 <= len(calls) <= 21
+
+    def test_refuses_unsettled_steps(self, monkeypatch):
+        psi = fk.identity_form(3)
+        growing = self._sequence(monkeypatch, lambda k: 2.0**k * np.eye(3))
+        with pytest.raises(fk.NoConvergence):
+            fk.parallel_sum_limit(psi, psi)
+        assert len(growing) == 21
+        flat = np.diag([1.0, 0.0, 0.0])
+        self._sequence(monkeypatch, lambda k: (-1.0) ** k * flat)
+        with pytest.raises(fk.NoConvergence):
+            fk.parallel_sum_limit(psi, psi)
+
+    def test_stops_at_the_rounding_floor(self, monkeypatch):
+        # a 2^-k tail that column 1 cancels, plus noise growing like 2^k
+        limit = np.diag([2.0, 1.0, 0.0])
+        tail = np.ones((3, 3))
+        noise = 1e-12 * np.diag([1.0, -1.0, 1.0])
+        calls = self._sequence(
+            monkeypatch, lambda k: limit + 2.0**-k * tail + (-2.0) ** k * noise
+        )
+        result = fk.parallel_sum_limit(fk.identity_form(3), fk.identity_form(3))
+        # the step at k = 5 is the first that does not shrink: k = 4's entry
+        assert len(calls) == 6
+        assert frob(result - limit) <= 1e-9
+
+    def test_ill_conditioned_pencil_is_refused(self):
+        # theta's small eigenvalue is above the rank cut, so the limit is the
+        # identity, but t = 2^20 is far too small to see that direction
+        with pytest.raises(fk.NoConvergence):
+            fk.parallel_sum_limit(fk.identity_form(2), fk.PositiveForm(np.diag([1.0, 1e-9])))
+
+    def test_theta_scale_does_not_matter(self):
+        rng = np.random.default_rng(72)
+        psi, theta, truth = coupled_hidden_pair(rng, 8, 2)
+        for c in (1e-8, 1e6):
+            limit = fk.parallel_sum_limit(psi, fk.PositiveForm(c * theta.matrix))
+            assert frob(limit - truth) <= 1e-9 * frob(psi.matrix)

@@ -168,6 +168,49 @@ class TestOneKernelCut:
         assert calls == [True, False]
 
 
+class TestThetaCutOnce:
+    """The Radon-Nikodym construction takes theta's rank cut once: the
+    kernel inclusion is tested on the core's own theta embedding."""
+
+    @staticmethod
+    def _count_theta_cuts(monkeypatch, theta):
+        calls = []
+        original = fk.forms.rank_cut
+
+        def counting(values, *args, **kwargs):
+            calls.append(values is theta.eig.values)
+            return original(values, *args, **kwargs)
+
+        monkeypatch.setattr(fk.forms, "rank_cut", counting)
+        return calls
+
+    @pytest.mark.parametrize("theta_diag", [[1.0, 2.0, 0.5], [1.0, 2.0, 0.0]])
+    def test_radon_nikodym(self, monkeypatch, theta_diag):
+        theta = fk.PositiveForm(np.diag(theta_diag))
+        psi = fk.PositiveForm(np.diag([1.0, 0.5, 0.0]))
+        calls = self._count_theta_cuts(monkeypatch, theta)
+        fk.radon_nikodym(fk.Form(np.diag([0.5, 0.25, 0.0])), theta, psi)
+        assert calls.count(True) == 1
+
+    def test_refusal_takes_one_cut(self, monkeypatch):
+        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
+        calls = self._count_theta_cuts(monkeypatch, theta)
+        with pytest.raises(fk.NotAbsolutelyContinuous):
+            fk.radon_nikodym(fk.Form(np.eye(2)), theta, fk.identity_form(2))
+        assert calls.count(True) == 1
+        calls.clear()
+        with pytest.raises(fk.NotAbsolutelyContinuous):
+            fk.dominated_sequence(fk.identity_form(2), theta, 2)
+        assert calls.count(True) == 1
+
+    def test_membership_is_refused_first(self):
+        # both refusals apply; the class-M one is reported
+        with pytest.raises(fk.NotInClassM):
+            fk.radon_nikodym(
+                fk.Form(2 * np.eye(2)), fk.PositiveForm(np.diag([1.0, 0.0])), fk.identity_form(2)
+            )
+
+
 class TestAbsoluteContinuity:
     def test_full_rank_reference(self):
         rng = np.random.default_rng(21)

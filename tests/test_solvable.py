@@ -8,7 +8,7 @@ from formkit import solvable
 from formkit.cli import encode_matrix, main
 from formkit.numerics import BOUNDARY_RTOL, RADIUS_RTOL, frob, hermitize
 
-from conftest import complex_randn, random_psd
+from conftest import complex_randn, random_psd, random_unitary
 
 
 class TestCompatibleNorm:
@@ -97,6 +97,76 @@ class TestNumericalRangeHull:
             assert d > 0
             resolvent = np.linalg.inv(m - lam * np.eye(n))
             assert np.linalg.norm(resolvent, 2) <= (1 + 1e-6) / d
+
+
+def _merged_hull(points, tol):
+    """Counter-clockwise hull (monotone chain) of the points, after merging
+    points within ``tol`` of a kept one, so that no edge is shorter than tol."""
+    kept = []
+    for p in points:
+        if all(abs(p - q) > tol for q in kept):
+            kept.append(complex(p))
+    kept.sort(key=lambda z: (z.real, z.imag))
+    if len(kept) <= 2:
+        return kept
+
+    def turn(a, b, z):
+        return ((b - a).conjugate() * (z - a)).imag
+
+    chains = []
+    for seq in (kept, kept[::-1]):
+        chain = []
+        for z in seq:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], z) <= 0:
+                chain.pop()
+            chain.append(z)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
+
+
+def _outside_hull(z, hull):
+    """Distance from z to a counter-clockwise polygon, 0 inside."""
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    inside = len(hull) >= 3 and all(
+        ((b - a).conjugate() * (z - a)).imag / abs(b - a) >= 0 for a, b in edges
+    )
+    if inside:
+        return 0.0
+    distances = []
+    for a, b in edges:
+        t = np.clip(((b - a).conjugate() * (z - a)).real / abs(b - a) ** 2, 0.0, 1.0)
+        distances.append(abs(z - (a + t * (b - a))))
+    return min(distances, default=abs(z - hull[0]))
+
+
+class TestHullCorner:
+    """omega = C + lambda0 with lambda0 outside W(C): W(omega) has a corner at
+    lambda0, where every angle of an arc reports (nearly) the same boundary
+    point. The points' hull, once points closer than 1e-12 of the scale are
+    merged, must still hold every eigenvalue to 1e-12 of the scale."""
+
+    # at seeds 23 and 30 (rotated), ulp-length edges at the corner make an
+    # exact-sign inside test, such as perfbench/checks.py's, report an
+    # interior eigenvalue 0.26 and 0.48 outside the points' hull
+    @pytest.mark.parametrize("seed", [0, 1, 23, 30])
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_eigenvalues_inside_the_points_hull(self, seed, rotate):
+        rng = np.random.default_rng(90 + seed)
+        c = complex_randn(rng, 4, 4)
+        radius = float(np.max(np.abs(fk.numerical_range_hull(fk.Form(c)).support)))
+        corner = 2.0 * radius * np.exp(2j * np.pi * rng.uniform())
+        omega = np.zeros((5, 5), dtype=complex)
+        omega[:4, :4], omega[4, 4] = c, corner
+        if rotate:
+            u = random_unitary(rng, 5)
+            omega = u @ omega @ u.conj().T
+        hull = fk.numerical_range_hull(fk.Form(omega))
+        tol = 1e-12 * hull.scale
+        at_corner = np.abs(hull.points - corner) <= tol
+        assert at_corner.sum() >= 2
+        polygon = _merged_hull(hull.points, tol)
+        for z in np.linalg.eigvals(omega):
+            assert _outside_hull(complex(z), polygon) <= tol
 
 
 class TestSupportFunction:
