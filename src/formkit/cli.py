@@ -32,7 +32,7 @@ from .errors import (
 )
 from .forms import Form, PositiveForm, identity_form, quotient_embedding, re_im_split
 from .numerics import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, finite_norm, frob, min_eig_herm
-from .numerics import relative
+from .numerics import relative, specnorm
 from .regularity import canonical_majorant
 from .solvable import (
     DEFAULT_HULL_GRID,
@@ -436,7 +436,7 @@ def _cmd_regularity(instance: Instance, args) -> dict:
         report["regular"] = False
         report["reason"] = str(exc)
         raise _Refusal(report, str(exc))
-    residuals = reg.representation_residuals(rep, instance.omega, instance.theta, instance.psi)
+    residuals = reg.representation_residuals(rep, instance.omega, instance.psi)
     report["regular"] = True
     report["residuals"] = residuals
     report["residuals_within_tolerance"] = bool(
@@ -452,16 +452,16 @@ def _cmd_represent(instance: Instance, args) -> dict:
     report = _base_report("represent", instance, args)
     rep = reg.radon_nikodym(instance.omega, instance.theta, instance.psi, args.tol_rank)
     middle = reg.kato_S(rep, args.tol_rank)
-    residuals = reg.representation_residuals(rep, instance.omega, instance.theta, instance.psi)
-    emb = rep.theta_embedding
-    kato_matrix = emb.from_quotient(rep.scale @ middle @ rep.scale)
+    residuals = reg.representation_residuals(rep, instance.omega, instance.psi)
+    scale = rep.core.scale
+    kato_matrix = rep.core.theta_embedding.from_quotient(scale @ middle @ scale)
     kato_residual = relative(frob(kato_matrix - instance.omega.matrix), frob(instance.omega.matrix))
     report.update(
         {
-            "H": encode_matrix(rep.scale),
-            "Y": encode_matrix(rep.core_factor),
+            "H": encode_matrix(scale),
+            "Y": encode_matrix(rep.factor),
             "S": encode_matrix(middle),
-            "S_norm": float(np.linalg.norm(middle, 2)) if middle.size else 0.0,
+            "S_norm": specnorm(middle),
             "residuals": residuals,
             "kato_residual": float(kato_residual),
         }
@@ -474,28 +474,16 @@ def _cmd_decompose(instance: Instance, args) -> dict:
     split = leb.lebesgue_decompose(instance.omega, instance.theta, instance.psi, args.tol_rank)
     recombined = split.regular.matrix + split.singular.matrix
     additivity = relative(frob(recombined - instance.omega.matrix), frob(instance.omega.matrix))
-    worst_theta, worst_sing = 0.0, 0.0
-    n = instance.dim
-    theta_norm = max(instance.theta.spectral_norm, 1e-300)
-    sing_norm = max(split.singular.spectral_norm, 1e-300)
-    for idx in range(n):
-        basis_vec = np.zeros(n, dtype=complex)
-        basis_vec[idx] = 1.0
-        witness = leb.singularity_witness(split.singular, instance.theta, split, basis_vec)
-        worst_theta = max(
-            worst_theta, abs(instance.theta(witness, witness)) / theta_norm
-        )
-        diff = witness - basis_vec
-        worst_sing = max(worst_sing, abs(split.singular(diff, diff)) / sing_norm)
-    majorant = leb.regular_part_majorant(split)
+    _, worst_theta, worst_sing = leb.singularity_witness(split, instance.theta, np.eye(instance.dim))
+    majorant = split.rep.majorant
     cert_member, cert_margin = reg.in_class_M(split.regular, majorant, args.tol_rank)
     report.update(
         {
             "omega_r": encode_matrix(split.regular.matrix),
             "omega_s": encode_matrix(split.singular.matrix),
             "additivity_residual": float(additivity),
-            "witness_theta_residual_max": float(worst_theta),
-            "witness_singular_residual_max": float(worst_sing),
+            "witness_theta_residual_max": worst_theta,
+            "witness_singular_residual_max": worst_sing,
             "witness_within_tolerance": bool(
                 max(worst_theta, worst_sing) <= args.tol_residual
             ),

@@ -122,15 +122,9 @@ class QuotientEmbedding:
     def rank(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
     @cached_property
     def pseudo_inverse(self) -> np.ndarray:
         """Closed-form Moore-Penrose inverse: basis * weights^(-1/2)."""
-        if self.rank == 0:
-            return np.zeros((self.dim, 0), dtype=complex)
         return self.basis * (1.0 / np.sqrt(self.weights))[None, :]
 
     def embed(self, xi) -> np.ndarray:
@@ -147,15 +141,11 @@ class QuotientEmbedding:
 
     def to_quotient(self, m: np.ndarray) -> np.ndarray:
         """Push a form matrix into quotient coordinates: (J^+)^H m J^+."""
-        if self.rank == 0:
-            return np.zeros((0, 0), dtype=complex)
         inner = self.basis.conj().T @ np.asarray(m, dtype=complex) @ self.basis
         return inner * self._kernel(invert=True)
 
     def from_quotient(self, x: np.ndarray) -> np.ndarray:
         """Pull an operator on the quotient back to a form matrix: J^H x J."""
-        if self.rank == 0:
-            return np.zeros((self.dim, self.dim), dtype=complex)
         scaled = np.asarray(x, dtype=complex) * self._kernel(invert=False)
         return self.basis @ scaled @ self.basis.conj().T
 
@@ -198,6 +188,18 @@ def _vanishes_on(psi: PositiveForm, null: np.ndarray, rtol: float) -> bool:
     return float(quad) <= rtol * top
 
 
+def _dominated(
+    theta: PositiveForm, psi: PositiveForm, rtol: float
+) -> Optional[tuple[np.ndarray, float]]:
+    """Theta compressed to the psi-quotient and its top eigenvalue (at least 0),
+    from one rank cut of psi, or None when theta does not vanish on its kernel."""
+    emb = quotient_embedding(psi, rtol)
+    if not _vanishes_on(theta, emb.null, rtol):
+        return None
+    compressed = hermitize(emb.to_quotient(theta.matrix))
+    return compressed, max(float(np.linalg.eigvalsh(compressed)[-1]), 0.0) if emb.rank else 0.0
+
+
 def dominates(
     theta: PositiveForm, psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL
 ) -> Optional[float]:
@@ -207,13 +209,8 @@ def dominates(
     psi is annihilated by theta); on the quotient the optimal constant is
     the top eigenvalue of the compressed theta.
     """
-    if not is_absolutely_continuous(theta, psi, rtol):
-        return None
-    emb = quotient_embedding(psi, rtol)
-    if emb.rank == 0:
-        return 0.0
-    compressed = hermitize(emb.to_quotient(theta.matrix))
-    return max(float(np.linalg.eigvalsh(compressed)[-1]), 0.0)
+    found = _dominated(theta, psi, rtol)
+    return None if found is None else found[1]
 
 
 def domination_operator(
@@ -232,9 +229,9 @@ def domination_operator(
         DominationFails: if theta is not dominated by psi, or the optimal
             constant exceeds the supplied ``gamma``.
     """
-    best = dominates(theta, psi, rtol)
-    if best is None:
+    found = _dominated(theta, psi, rtol)
+    if found is None:
         raise DominationFails("kernel obstruction: N(psi) is not inside N(theta)")
-    if gamma is not None and best > gamma * (1 + MEMBERSHIP_SLACK) + DOMINATION_FLOOR:
-        raise DominationFails(f"optimal constant {best:.6e} exceeds gamma={gamma}")
-    return hermitize(quotient_embedding(psi, rtol).to_quotient(theta.matrix))
+    if gamma is not None and found[1] > gamma * (1 + MEMBERSHIP_SLACK) + DOMINATION_FLOOR:
+        raise DominationFails(f"optimal constant {found[1]:.6e} exceeds gamma={gamma}")
+    return found[0]

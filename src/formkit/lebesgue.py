@@ -14,17 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergence,
-    NotInClassM,
-    PreconditionFails,
-    WitnessResidualTooLarge,
-)
+from .errors import NoConvergence, PreconditionFails, WitnessResidualTooLarge
 from .forms import Form, PositiveForm, is_absolutely_continuous
 from .numerics import BUILT_PSD_TOL, DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, LIMIT_STALL, LIMIT_STOP
 from .numerics import MEMBERSHIP_SLACK, ORDER_TOL, PARALLEL_SUM_SNAP, SINGULAR_THRESHOLD, ZERO_SNAP
 from .numerics import frob, hermitize, min_eig_herm, pinv, specnorm
-from .regularity import RNCore, _rn_core, in_class_M, scale_factor_majorant
+from .regularity import RNRepresentation, _majorized_core, _rn_core
 
 _LIMIT_MAX_DOUBLINGS = 20
 _LIMIT_COLUMNS = 3  # Romberg columns: column j cancels the 2^-jk term
@@ -39,12 +34,16 @@ def _snap_zero(mat: np.ndarray, scale: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LebesgueSplit:
-    """Additive decomposition omega = regular + singular with witnesses."""
+    """Additive decomposition omega = regular + singular with witnesses.
+
+    ``rep`` represents the regular part, regular = <h z j ., h j .> with the
+    factor z; ``rep.majorant`` certifies its regularity, and
+    ``rep.core.kernel_projector`` is the kernel block on the sum quotient.
+    """
 
     regular: Form
     singular: Form
-    regular_core: np.ndarray       # the factor z with regular = <h z j ., h j .>
-    rep: RNCore                    # rep.kernel_projector: the kernel block, sum quotient
+    rep: RNRepresentation
 
 
 def lebesgue_decompose(
@@ -58,13 +57,9 @@ def lebesgue_decompose(
     Raises:
         NotInClassM: if psi does not majorize omega.
     """
-    member, _ = in_class_M(omega, psi, rtol)
-    if not member:
-        raise NotInClassM("psi does not majorize omega")
-    core = _rn_core(theta, psi, rtol)
+    core, compressed = _majorized_core(omega, theta, psi, rtol)
     proj = core.kernel_projector
     comp = np.eye(proj.shape[0], dtype=complex) - proj
-    compressed = core.sum_embedding.to_quotient(omega.matrix)
     regular_q = comp @ compressed @ comp
     singular_q = comp @ compressed @ proj + proj @ compressed
     emb = core.sum_embedding
@@ -78,17 +73,7 @@ def lebesgue_decompose(
         @ emb.matrix
         @ core.theta_embedding.pseudo_inverse
     )
-    return LebesgueSplit(regular=regular, singular=singular, regular_core=z, rep=core)
-
-
-def regular_part_majorant(split: LebesgueSplit) -> PositiveForm:
-    """The canonical majorant certifying regularity of the regular part.
-
-    Built from the scale and the regular factor; it vanishes on the kernel
-    of theta by construction, so it is automatically absolutely continuous,
-    and it majorizes the regular part by the Cauchy-Schwarz inequality.
-    """
-    return scale_factor_majorant(split.rep, split.regular_core)
+    return LebesgueSplit(regular=regular, singular=singular, rep=RNRepresentation(core, z))
 
 
 def positive_lebesgue(
@@ -185,31 +170,39 @@ def is_mutually_singular(
     return frob(limit) <= SINGULAR_THRESHOLD * max(frob(psi.matrix), 1e-300)
 
 
-def singularity_witness(omega_s: Form, theta: PositiveForm, split: LebesgueSplit, xi) -> np.ndarray:
-    """Vector xi' annihilating theta while matching xi inside the singular
-    part: the finite-dimensional realization of the approximating sequence.
+def singularity_witness(
+    split: LebesgueSplit, theta: PositiveForm, xi
+) -> tuple[np.ndarray, float, float]:
+    """Vectors annihilating theta while matching xi inside the singular part:
+    the finite-dimensional realization of the approximating sequence.
+
+    ``xi`` is a vector or an n x k block of columns; the witnesses have its
+    shape. The two residuals are the largest |theta(w, w)| and
+    |omega_s(w - xi, w - xi)| over the columns, each relative to its form's
+    spectral norm and to |xi|^2.
 
     Raises:
         WitnessResidualTooLarge: an internal inconsistency; must not occur
             on splits produced by this module.
     """
     xi = np.asarray(xi, dtype=complex)
-    core = split.rep
+    core = split.rep.core
     emb = core.sum_embedding
-    target = core.kernel_projector @ emb.embed(xi)
-    witness = emb.pseudo_inverse @ target
-    norm_sq = float(np.vdot(xi, xi).real)
-    theta_val = abs(theta(witness, witness))
-    theta_bound = DEFAULT_RESIDUAL_TOL * max(theta.spectral_norm, 1e-300) * max(norm_sq, 1e-300)
-    diff = witness - xi
-    omega_val = abs(omega_s(diff, diff))
-    omega_bound = DEFAULT_RESIDUAL_TOL * max(omega_s.spectral_norm, 1e-300) * max(norm_sq, 1e-300)
-    if theta_val > theta_bound or omega_val > omega_bound:
+    witness = emb.pseudo_inverse @ (core.kernel_projector @ emb.embed(xi))
+    cols, wits = (xi[:, None], witness[:, None]) if xi.ndim == 1 else (xi, witness)
+    norm_sq = np.maximum(np.sum((cols.conj() * cols).real, axis=0), 1e-300)
+
+    def worst(form: Form, v: np.ndarray) -> float:
+        values = np.abs(np.sum(v.conj() * (form.matrix @ v), axis=0))
+        return float(np.max(values / max(form.spectral_norm, 1e-300) / norm_sq, initial=0.0))
+
+    theta_res, singular_res = worst(theta, wits), worst(split.singular, wits - cols)
+    if max(theta_res, singular_res) > DEFAULT_RESIDUAL_TOL:
         raise WitnessResidualTooLarge(
-            f"witness residuals {theta_val:.3e} (theta) / {omega_val:.3e} (singular part) "
+            f"witness residuals {theta_res:.3e} (theta) / {singular_res:.3e} (singular part) "
             "exceed tolerance"
         )
-    return witness
+    return witness, theta_res, singular_res
 
 
 def maximality_check(

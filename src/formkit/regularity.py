@@ -22,6 +22,7 @@ block, which is exactly the obstruction to absolute continuity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -175,8 +176,7 @@ class RNCore:
 
     theta_embedding: QuotientEmbedding
     sum_embedding: QuotientEmbedding
-    contraction: np.ndarray        # PSD square root of u_map^H u_map, spectrum in [0, 1]
-    spectrum: np.ndarray           # its eigenvalues t, ascending
+    spectrum: np.ndarray           # eigenvalues t of the contraction, ascending, in [0, 1]
     spectrum_basis: np.ndarray     # matching eigenvectors
     kernel_mask: np.ndarray        # which eigendirections belong to the kernel block
     kernel_projector: np.ndarray
@@ -184,16 +184,6 @@ class RNCore:
     density_root: np.ndarray       # k, with psi = <k j ., k j .> up to the kernel block
     scale: np.ndarray              # h = (1 + k^2)^(1/2)
     sum_to_theta: np.ndarray       # u, the connecting map
-
-    @property
-    def dim(self) -> int:
-        return self.theta_embedding.dim
-
-    def tangent_truncated(self, level: float) -> np.ndarray:
-        """Tangent weights restricted to spectrum >= level (the finite stage
-        of the increasing approximation)."""
-        active = (~self.kernel_mask) & (self.spectrum >= level)
-        return _tangent(self.spectrum, self.spectrum_basis, active)
 
 
 def _tangent(t: np.ndarray, vectors: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -249,7 +239,6 @@ def _rn_core(
     return RNCore(
         theta_embedding=emb_theta,
         sum_embedding=emb_sum,
-        contraction=contraction,
         spectrum=spectrum,
         spectrum_basis=vectors,
         kernel_mask=kernel_mask,
@@ -262,25 +251,47 @@ def _rn_core(
 
 
 @dataclass(frozen=True, eq=False)
-class RNRepresentation(RNCore):
-    """Witness bundle of the scale/factor representation: the quotient
-    construction plus the factor and the majorant built from them.
+class RNRepresentation:
+    """Witness bundle of the scale/factor representation <h y j ., h j .>:
+    the quotient construction and the factor y, with the majorant built
+    from them on first read.
 
     The identities it satisfies (isometry, density, pairing, fundamental)
     are what tests check; the matrices themselves are not unique.
     """
 
-    core_factor: np.ndarray        # y in omega = <h y j ., h j .>
-    majorant: PositiveForm         # the positive form built from scale and factor
+    core: RNCore
+    factor: np.ndarray             # y in omega = <h y j ., h j .>
+
+    @cached_property
+    def majorant(self) -> PositiveForm:
+        """The positive form with quotient matrix h^2 + y^H h^2 y, which
+        majorizes <h y j ., h j .> by the Cauchy-Schwarz inequality and
+        vanishes on the kernel of theta."""
+        h2 = self.core.scale @ self.core.scale
+        gamma_q = hermitize(h2 + self.factor.conj().T @ h2 @ self.factor)
+        return PositiveForm(self.core.theta_embedding.from_quotient(gamma_q), tol=BUILT_PSD_TOL)
 
 
-def scale_factor_majorant(core: RNCore, factor: np.ndarray) -> PositiveForm:
-    """The positive form with quotient matrix h^2 + y^H h^2 y, which
-    majorizes <h y j ., h j .> by the Cauchy-Schwarz inequality and vanishes
-    on the kernel of theta."""
-    h2 = core.scale @ core.scale
-    gamma_q = hermitize(h2 + factor.conj().T @ h2 @ factor)
-    return PositiveForm(core.theta_embedding.from_quotient(gamma_q), tol=BUILT_PSD_TOL)
+def _majorized_core(
+    omega: Form,
+    theta: PositiveForm,
+    psi: PositiveForm,
+    rtol: float,
+    *,
+    absolutely_continuous: bool = False,
+) -> tuple[RNCore, np.ndarray]:
+    """The core of (theta, psi) and omega compressed to its sum quotient.
+
+    Raises:
+        NotInClassM: psi does not majorize omega (checked first).
+        NotAbsolutelyContinuous: with ``absolutely_continuous``, as ``_rn_core``.
+    """
+    member, _ = in_class_M(omega, psi, rtol)
+    if not member:
+        raise NotInClassM("psi does not majorize omega")
+    core = _rn_core(theta, psi, rtol, absolutely_continuous=absolutely_continuous)
+    return core, core.sum_embedding.to_quotient(omega.matrix)
 
 
 def radon_nikodym(
@@ -295,38 +306,34 @@ def radon_nikodym(
         NotInClassM: psi does not majorize omega in the Cauchy-Schwarz sense.
         NotAbsolutelyContinuous: psi is not theta-absolutely continuous.
     """
-    member, _ = in_class_M(omega, psi, rtol)
-    if not member:
-        raise NotInClassM("psi does not majorize omega")
-    core = _rn_core(theta, psi, rtol, absolutely_continuous=True)
+    core, compressed = _majorized_core(omega, theta, psi, rtol, absolutely_continuous=True)
     factor = (
         core.sum_to_theta
-        @ core.sum_embedding.to_quotient(omega.matrix)
+        @ compressed
         @ core.sum_embedding.matrix
         @ core.theta_embedding.pseudo_inverse
     )
-    return RNRepresentation(
-        **vars(core), core_factor=factor, majorant=scale_factor_majorant(core, factor)
-    )
+    return RNRepresentation(core, factor)
 
 
 def representation_residuals(
-    rep: RNRepresentation, omega: Form, theta: PositiveForm, psi: PositiveForm
+    rep: RNRepresentation, omega: Form, psi: PositiveForm
 ) -> dict[str, float]:
     """Relative residuals of the identities the representation must satisfy."""
-    emb_t, emb_s = rep.theta_embedding, rep.sum_embedding
-    h2 = rep.scale @ rep.scale
+    core = rep.core
+    emb_t, emb_s = core.theta_embedding, core.sum_embedding
+    h2 = core.scale @ core.scale
 
-    iso = rep.isometry.conj().T @ rep.isometry
+    iso = core.isometry.conj().T @ core.isometry
     iso_res = frob(iso - np.eye(emb_t.rank))
 
-    density = emb_t.from_quotient(rep.density_root @ rep.density_root)
+    density = emb_t.from_quotient(core.density_root @ core.density_root)
     density_res = relative(frob(density - psi.matrix), frob(psi.matrix))
 
-    pairing = rep.sum_to_theta.conj().T @ h2 @ rep.sum_to_theta
+    pairing = core.sum_to_theta.conj().T @ h2 @ core.sum_to_theta
     pairing_res = frob(pairing - np.eye(emb_s.rank))
 
-    fundamental = emb_t.from_quotient(h2 @ rep.core_factor)
+    fundamental = emb_t.from_quotient(h2 @ rep.factor)
     fundamental_res = relative(frob(fundamental - omega.matrix), frob(omega.matrix))
 
     return {
@@ -344,7 +351,7 @@ def kato_S(rep: RNRepresentation, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     (the minimal-norm choice among the valid ones); the scale is invertible
     here, so that complement is trivial.
     """
-    return rep.scale @ rep.core_factor @ pinv(rep.scale, rtol)
+    return rep.core.scale @ rep.factor @ pinv(rep.core.scale, rtol)
 
 
 def dominated_sequence(
@@ -362,7 +369,8 @@ def dominated_sequence(
     if n < 1:
         raise ValueError("truncation index must be a positive integer")
     core = _rn_core(theta, psi, rtol, absolutely_continuous=True)
-    truncated = core.tangent_truncated(1.0 / n)
+    active = (~core.kernel_mask) & (core.spectrum >= 1.0 / n)
+    truncated = _tangent(core.spectrum, core.spectrum_basis, active)
     k_n = hermitize(core.isometry.conj().T @ truncated @ core.isometry)
     mat = core.theta_embedding.from_quotient(k_n @ k_n)
     return PositiveForm(hermitize(mat), tol=BUILT_PSD_TOL)

@@ -78,7 +78,7 @@ def test_criterion_01_representation(representations):
     start = time.monotonic()
     worst = 0.0
     for omega, theta, psi, rep in items:
-        residuals = fk.representation_residuals(rep, omega, theta, psi)
+        residuals = fk.representation_residuals(rep, omega, psi)
         worst = max(worst, residuals["fundamental"], residuals["density"], residuals["pairing"])
     elapsed = build_seconds + (time.monotonic() - start)
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -99,14 +99,10 @@ def test_criterion_02_lebesgue_split():
             worst_add,
             frob(split.regular.matrix + split.singular.matrix - omega.matrix) / total,
         )
-        majorant = fk.regular_part_majorant(split)
-        member, _ = fk.in_class_M(split.regular, majorant)
+        member, _ = fk.in_class_M(split.regular, split.rep.majorant)
         assert member
-        assert fk.is_absolutely_continuous(majorant, theta)
-        for idx in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[idx] = 1.0
-            fk.singularity_witness(split.singular, theta, split, e)
+        assert fk.is_absolutely_continuous(split.rep.majorant, theta)
+        fk.singularity_witness(split, theta, np.eye(n))
     ok = worst_add <= 1e-10
     verdict(2, "lebesgue-decomposition", ok, f"worst additivity={worst_add:.2e}")
     assert ok
@@ -248,7 +244,8 @@ def test_criterion_08_kato_variant(representations):
     worst = 0.0
     for omega, theta, psi, rep in representations[0]:
         middle = fk.kato_S(rep)
-        recovered = rep.theta_embedding.from_quotient(rep.scale @ middle @ rep.scale)
+        h = rep.core.scale
+        recovered = rep.core.theta_embedding.from_quotient(h @ middle @ h)
         scale = max(frob(omega.matrix), 1e-300)
         worst = max(worst, frob(recovered - omega.matrix) / scale)
     ok = worst <= 1e-8

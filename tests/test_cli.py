@@ -307,6 +307,17 @@ class TestCommands:
         assert doc["witness_theta_residual_max"] <= 1e-8
         assert doc["witness_singular_residual_max"] <= 1e-8
 
+    @pytest.mark.parametrize("name", ["plain", "rankdef"])
+    def test_decompose_witness_keys_are_the_block_residuals(self, capsys, name):
+        path = str(Path(__file__).parent / "golden" / "instances" / f"{name}.json")
+        assert main(["decompose", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        inst = parse_instance(path)
+        split = fk.lebesgue_decompose(inst.omega, inst.theta, inst.psi)
+        _, theta_res, singular_res = fk.singularity_witness(split, inst.theta, np.eye(inst.dim))
+        assert doc["witness_theta_residual_max"] == theta_res
+        assert doc["witness_singular_residual_max"] == singular_res
+
     def test_numrange_segment(self, tmp_path, capsys):
         path = write(
             tmp_path, "nr.json", {"n": 2, "omega": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}

@@ -150,6 +150,43 @@ class TestDominates:
         assert fk.dominates(fk.identity_form(2), fk.PositiveForm(np.diag([1.0, 0.0]))) is None
 
 
+class TestOnePsiCut:
+    """Domination takes psi's rank cut once: the quotient embedding carries
+    the kernel for the obstruction test and the basis for the compression."""
+
+    @staticmethod
+    def _count_cuts(monkeypatch, psi):
+        calls = []
+        original = fk.forms.rank_cut
+
+        def counting(values, *args, **kwargs):
+            calls.append(values is psi.eig.values)
+            return original(values, *args, **kwargs)
+
+        monkeypatch.setattr(fk.forms, "rank_cut", counting)
+        return calls
+
+    @pytest.mark.parametrize("psi_diag", [[2.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    def test_dominates(self, monkeypatch, psi_diag):
+        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
+        psi = fk.PositiveForm(np.diag(psi_diag))
+        calls = self._count_cuts(monkeypatch, psi)
+        fk.dominates(theta, psi)
+        assert calls.count(True) == 1
+
+    @pytest.mark.parametrize("gamma", [None, 1.0, 0.1])
+    @pytest.mark.parametrize("psi_diag", [[2.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    def test_domination_operator(self, monkeypatch, psi_diag, gamma):
+        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
+        psi = fk.PositiveForm(np.diag(psi_diag))
+        calls = self._count_cuts(monkeypatch, psi)
+        try:
+            fk.domination_operator(theta, psi, gamma)
+        except fk.DominationFails:
+            pass
+        assert calls.count(True) == 1
+
+
 class TestDominationOperator:
     def test_identity_pair(self):
         c = fk.domination_operator(fk.identity_form(2), fk.identity_form(2))

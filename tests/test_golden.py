@@ -6,12 +6,16 @@ run as a script. A change that means to alter reports regenerates them with
     PYTHONPATH=src python tests/test_golden.py
 
 and the diff shows every byte that moved. Every instance in the corpus gives
-the same bytes under 1 and 2 BLAS threads.
+the same bytes under 1 and 2 BLAS threads: the default run uses the
+machine's threads, and ``test_reports_under_one_blas_thread`` re-runs the
+corpus in a subprocess limited to one.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,6 +78,17 @@ def test_report_bytes(case, codes):
     code, text = run(case)
     assert code == codes[case_id(case)]
     assert text.encode("utf-8") == (EXPECTED / case_id(case)).read_bytes()
+
+
+def test_reports_under_one_blas_thread(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": path}
+    subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, check=True)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in EXPECTED.iterdir())
+    moved = [n for n in written if (tmp_path / n).read_bytes() != (EXPECTED / n).read_bytes()]
+    assert moved == []
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ class TestLebesgueDecompose:
             for idx in range(n):
                 e = np.zeros(n, dtype=complex)
                 e[idx] = 1.0
-                fk.singularity_witness(split.singular, theta, split, e)
+                fk.singularity_witness(split, theta, e)
 
     def test_regular_part_certificate(self):
         rng = np.random.default_rng(32)
@@ -83,7 +85,7 @@ class TestLebesgueDecompose:
             n = int(rng.integers(2, 7))
             omega, theta, psi = mixed_rank_triple(rng, n)
             split = fk.lebesgue_decompose(omega, theta, psi)
-            majorant = fk.regular_part_majorant(split)
+            majorant = split.rep.majorant
             member, _ = fk.in_class_M(split.regular, majorant)
             assert member
             assert fk.is_absolutely_continuous(majorant, theta)
@@ -93,9 +95,9 @@ class TestLebesgueDecompose:
         rng = np.random.default_rng(33)
         omega, theta, psi = mixed_rank_triple(rng, 5)
         split = fk.lebesgue_decompose(omega, theta, psi)
-        core = split.rep
+        core = split.rep.core
         h2 = core.scale @ core.scale
-        regular = core.theta_embedding.from_quotient(h2 @ split.regular_core)
+        regular = core.theta_embedding.from_quotient(h2 @ split.rep.factor)
         assert frob(regular - split.regular.matrix) <= 1e-8 * max(frob(omega.matrix), 1e-300)
 
 
@@ -147,7 +149,7 @@ class TestPositiveLebesgue:
             ac, _ = fk.positive_lebesgue(psi, theta)
             core = fk.lebesgue_decompose(
                 fk.Form(psi.matrix.copy()), theta, psi
-            ).rep
+            ).rep.core
             k2 = core.density_root @ core.density_root
             direct = core.theta_embedding.from_quotient(k2)
             assert frob(direct - ac.matrix) <= 1e-8 * max(frob(psi.matrix), 1e-300)
@@ -218,7 +220,7 @@ class TestSingularityWitness:
         psi = fk.PositiveForm(np.diag([1.0, 2.0]))
         omega = fk.Form(np.diag([0.5, 0.5]))
         split = fk.lebesgue_decompose(omega, theta, psi)
-        witness = fk.singularity_witness(split.singular, theta, split, [1.0, 0.0])
+        witness, _, _ = fk.singularity_witness(split, theta, [1.0, 0.0])
         assert np.linalg.norm(witness) <= 1e-12
 
     def test_hand_case(self):
@@ -226,10 +228,42 @@ class TestSingularityWitness:
         psi = fk.PositiveForm(np.ones((2, 2)))
         omega = fk.Form(np.ones((2, 2)))
         split = fk.lebesgue_decompose(omega, theta, psi)
-        witness = fk.singularity_witness(split.singular, theta, split, [1.0, 0.0])
+        witness, _, _ = fk.singularity_witness(split, theta, [1.0, 0.0])
         assert abs(theta(witness, witness)) <= 1e-14
         diff = witness - np.array([1.0, 0.0])
         assert abs(split.singular(diff, diff)) <= 1e-12
+
+    def test_block_matches_columns(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            omega, theta, psi = mixed_rank_triple(rng, n)
+            split = fk.lebesgue_decompose(omega, theta, psi)
+            block, theta_res, singular_res = fk.singularity_witness(split, theta, np.eye(n))
+            columns = [fk.singularity_witness(split, theta, e) for e in np.eye(n)]
+            for k, (witness, _, _) in enumerate(columns):
+                assert np.linalg.norm(block[:, k] - witness) <= 1e-14 * np.linalg.norm(witness)
+            # the residuals are already relative (to each form's norm and |xi|^2)
+            assert abs(theta_res - max(c[1] for c in columns)) <= 1e-14
+            assert abs(singular_res - max(c[2] for c in columns)) <= 1e-14
+
+    def test_vector_gives_vector(self):
+        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
+        psi = fk.PositiveForm(np.ones((2, 2)))
+        split = fk.lebesgue_decompose(fk.Form(np.ones((2, 2))), theta, psi)
+        assert fk.singularity_witness(split, theta, [1.0, 0.0])[0].shape == (2,)
+        assert fk.singularity_witness(split, theta, [[1.0], [0.0]])[0].shape == (2, 1)
+
+    def test_corrupted_split_is_refused(self):
+        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
+        psi = fk.PositiveForm(np.ones((2, 2)))
+        split = fk.lebesgue_decompose(fk.Form(np.ones((2, 2))), theta, psi)
+        fk.singularity_witness(split, theta, np.eye(2))
+        corrupted = dataclasses.replace(split, singular=fk.Form(np.eye(2)))
+        with pytest.raises(fk.WitnessResidualTooLarge):
+            fk.singularity_witness(corrupted, theta, np.eye(2))
+        with pytest.raises(fk.WitnessResidualTooLarge):
+            fk.singularity_witness(split, fk.identity_form(2), [1.0, 0.0])
 
 
 class TestMaximality:

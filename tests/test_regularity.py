@@ -255,22 +255,18 @@ class TestRadonNikodym:
         psi = fk.PositiveForm(np.diag([4.0, 0.0]))
         omega = fk.Form(np.diag([4.0, 0.0]))
         rep = fk.radon_nikodym(omega, theta, psi)
-        assert np.allclose(rep.scale, np.diag([np.sqrt(5.0), 1.0]), atol=1e-12)
-        assert np.allclose(rep.density_root, np.diag([2.0, 0.0]), atol=1e-12)
-        assert np.allclose(
-            np.sort(np.linalg.eigvalsh(hermitize(rep.contraction))),
-            [1 / np.sqrt(5.0), 1.0],
-            atol=1e-12,
-        )
-        res = fk.representation_residuals(rep, omega, theta, psi)
+        assert np.allclose(rep.core.scale, np.diag([np.sqrt(5.0), 1.0]), atol=1e-12)
+        assert np.allclose(rep.core.density_root, np.diag([2.0, 0.0]), atol=1e-12)
+        assert np.allclose(rep.core.spectrum, [1 / np.sqrt(5.0), 1.0], atol=1e-12)
+        res = fk.representation_residuals(rep, omega, psi)
         assert max(res.values()) <= 1e-12
 
     def test_zero_form(self):
         theta = fk.identity_form(2)
         psi = fk.PositiveForm(np.diag([1.0, 2.0]))
         rep = fk.radon_nikodym(fk.Form(np.zeros((2, 2))), theta, psi)
-        assert frob(rep.core_factor) <= 1e-12
-        res = fk.representation_residuals(rep, fk.Form(np.zeros((2, 2))), theta, psi)
+        assert frob(rep.factor) <= 1e-12
+        res = fk.representation_residuals(rep, fk.Form(np.zeros((2, 2))), psi)
         assert max(res.values()) <= 1e-10
 
     def test_refusals(self):
@@ -289,19 +285,28 @@ class TestRadonNikodym:
             n = int(rng.integers(1, 8))
             omega, theta, psi = random_operator_instance(rng, n)
             rep = fk.radon_nikodym(omega, theta, psi)
-            res = fk.representation_residuals(rep, omega, theta, psi)
+            res = fk.representation_residuals(rep, omega, psi)
             assert max(res.values()) <= 1e-8, res
             member, _ = fk.in_class_M(omega, rep.majorant)
             assert member
             assert fk.is_absolutely_continuous(rep.majorant, theta)
 
+    def test_majorant_is_built_on_first_read(self):
+        rng = np.random.default_rng(26)
+        omega, theta, psi = random_operator_instance(rng, 4)
+        rep = fk.radon_nikodym(omega, theta, psi)
+        assert "majorant" not in vars(rep)
+        assert rep.majorant is rep.majorant
+        assert "majorant" in vars(rep)
+
     def test_contraction_and_isometry_bounds(self):
         rng = np.random.default_rng(24)
         omega, theta, psi = random_operator_instance(rng, 5)
         rep = fk.radon_nikodym(omega, theta, psi)
-        eigs = np.linalg.eigvalsh(hermitize(rep.contraction))
+        u = rep.core.sum_to_theta
+        eigs = np.linalg.eigvalsh(hermitize(u.conj().T @ u))
         assert eigs[0] >= -1e-9 and eigs[-1] <= 1 + 1e-9
-        iso = rep.isometry.conj().T @ rep.isometry
+        iso = rep.core.isometry.conj().T @ rep.core.isometry
         assert frob(iso - np.eye(iso.shape[0])) <= 1e-9
 
 
@@ -325,7 +330,8 @@ class TestKatoMiddleOperator:
         omega, theta, psi = random_operator_instance(rng, 6)
         rep = fk.radon_nikodym(omega, theta, psi)
         middle = fk.kato_S(rep)
-        recovered = rep.theta_embedding.from_quotient(rep.scale @ middle @ rep.scale)
+        h = rep.core.scale
+        recovered = rep.core.theta_embedding.from_quotient(h @ middle @ h)
         assert frob(recovered - omega.matrix) <= 1e-8 * frob(omega.matrix)
 
 
