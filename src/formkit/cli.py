@@ -451,7 +451,7 @@ def _cmd_regularity(instance: Instance, args) -> dict:
 def _cmd_represent(instance: Instance, args) -> dict:
     report = _base_report("represent", instance, args)
     rep = reg.radon_nikodym(instance.omega, instance.theta, instance.psi, args.tol_rank)
-    middle = reg.kato_S(rep, args.tol_rank)
+    middle = reg.kato_S(rep)
     residuals = reg.representation_residuals(rep, instance.omega, instance.psi)
     scale = rep.core.scale
     kato_matrix = rep.core.theta_embedding.from_quotient(scale @ middle @ scale)

@@ -66,13 +66,7 @@ def lebesgue_decompose(
     total = max(frob(omega.matrix), frob(theta.matrix + psi.matrix))
     regular = Form(_snap_zero(emb.from_quotient(regular_q), total))
     singular = Form(_snap_zero(emb.from_quotient(singular_q), total))
-    z = (
-        core.sum_to_theta
-        @ compressed
-        @ comp
-        @ emb.matrix
-        @ core.theta_embedding.pseudo_inverse
-    )
+    z = core.factor(compressed @ comp)
     return LebesgueSplit(regular=regular, singular=singular, rep=RNRepresentation(core, z))
 
 
@@ -115,6 +109,11 @@ def parallel_sum(
     return PositiveForm(hermitize(raw), tol=BUILT_PSD_TOL)
 
 
+def _to_mass_of(psi: PositiveForm, theta: PositiveForm) -> np.ndarray:
+    """Theta's matrix scaled to the Frobenius mass of psi."""
+    return theta.matrix * (frob(psi.matrix) / max(frob(theta.matrix), 1e-300))
+
+
 def parallel_sum_limit(
     psi: PositiveForm,
     theta: PositiveForm,
@@ -138,7 +137,7 @@ def parallel_sum_limit(
             stall threshold by t = 2^20; reported, never silently resolved.
     """
     scale = max(1.0, frob(psi.matrix))
-    base = theta.matrix * (frob(psi.matrix) / max(frob(theta.matrix), 1e-300))
+    base = _to_mass_of(psi, theta)
     row, step = [], np.inf
     for k in range(_LIMIT_MAX_DOUBLINGS + 1):
         previous, row = row, [_parallel_sum_matrix(psi.matrix, (2.0**k) * base, rtol)]
@@ -165,9 +164,13 @@ def is_mutually_singular(
     rtol: float = DEFAULT_RANK_TOL,
 ) -> bool:
     """True iff no nonzero positive form sits below both psi and theta,
-    decided by thresholding the parallel-sum limit."""
-    limit = parallel_sum_limit(psi, theta, rtol)
-    return frob(limit) <= SINGULAR_THRESHOLD * max(frob(psi.matrix), 1e-300)
+    decided by thresholding the parallel-sum limit. The iterates psi : (t
+    theta) increase with t (W. N. Anderson and R. J. Duffin, 1969), so one
+    past the threshold decides False; only singularity needs the limit."""
+    threshold = SINGULAR_THRESHOLD * max(frob(psi.matrix), 1e-300)
+    if frob(_parallel_sum_matrix(psi.matrix, _to_mass_of(psi, theta), rtol)) > threshold:
+        return False
+    return frob(parallel_sum_limit(psi, theta, rtol)) <= threshold
 
 
 def singularity_witness(

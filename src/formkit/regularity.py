@@ -6,10 +6,12 @@ theta and a majorant psi in the Cauchy-Schwarz class of omega, work on the
 quotient space of the sum form phi = theta + psi. The connecting map u
 from the phi-quotient to the theta-quotient has PSD square c = u^H u whose
 square root is a contraction; its spectrum t encodes, per eigendirection,
-how the theta-mass compares with the total mass. Weighting each direction
-by sqrt(1 - t^2) / t converts theta-geometry into psi-mass, which yields
-the density root k with psi(xi, eta) = <k j xi, k j eta>, the scale
-h = (1 + k^2)^(1/2), and the represented factor y with
+how the theta-mass compares with the total mass. Off the kernel block its
+eigenvectors W, carried by u, give the orthonormal frame B = u W / t of the
+theta-quotient. Weighting B by w = sqrt(1 - t^2) / t converts theta-geometry
+into psi-mass: the density root k = B diag(w) B^H has psi(xi, eta) =
+<k j xi, k j eta>, the scale is h = (1 + k^2)^(1/2) = B diag(1/t) B^H +
+(I - B B^H), its inverse takes the weights t, and the factor y has
 
     omega(xi, eta) = <h y j_theta(xi), h j_theta(eta)>.
 
@@ -176,23 +178,45 @@ class RNCore:
 
     theta_embedding: QuotientEmbedding
     sum_embedding: QuotientEmbedding
-    spectrum: np.ndarray           # eigenvalues t of the contraction, ascending, in [0, 1]
-    spectrum_basis: np.ndarray     # matching eigenvectors
-    kernel_mask: np.ndarray        # which eigendirections belong to the kernel block
-    kernel_projector: np.ndarray
-    isometry: np.ndarray           # theta-quotient -> sum-quotient
-    density_root: np.ndarray       # k, with psi = <k j ., k j .> up to the kernel block
-    scale: np.ndarray              # h = (1 + k^2)^(1/2)
     sum_to_theta: np.ndarray       # u, the connecting map
+    frame: np.ndarray              # B, theta-quotient x directions off the kernel block
+    spectrum: np.ndarray           # t of those directions, ascending, in (0, 1]
+    kernel_basis: np.ndarray       # eigenvectors of u^H u in the kernel block
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """w = sqrt(1 - t^2) / t, the psi-mass per unit of theta-mass."""
+        t = self.spectrum
+        return np.sqrt(np.clip(1.0 - t * t, 0.0, None)) / t
 
-def _tangent(t: np.ndarray, vectors: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """The operator with weight sqrt(1 - t^2)/t on the active eigenvectors
-    and 0 on the others."""
-    weights = np.zeros_like(t)
-    tw = t[active]
-    weights[active] = np.sqrt(np.clip(1.0 - tw * tw, 0.0, None)) / tw
-    return (vectors * weights) @ vectors.conj().T
+    def in_frame(self, weights: np.ndarray, rest: float = 0.0) -> np.ndarray:
+        """The Hermitian operator B diag(weights) B^H + rest (I - B B^H)."""
+        b = self.frame
+        op = (b * weights) @ b.conj().T
+        if rest:
+            op += rest * (np.eye(b.shape[0]) - b @ b.conj().T)
+        return hermitize(op)
+
+    @cached_property
+    def density_root(self) -> np.ndarray:
+        """k, with psi = <k j ., k j .> up to the kernel block."""
+        return self.in_frame(self.weights)
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """h = (1 + k^2)^(1/2), with the weights sqrt(1 + w^2) = 1/t."""
+        return self.in_frame(1.0 / self.spectrum, 1.0)
+
+    @cached_property
+    def kernel_projector(self) -> np.ndarray:
+        return self.kernel_basis @ self.kernel_basis.conj().T
+
+    def factor(self, compressed: np.ndarray) -> np.ndarray:
+        """The factor y = u c j_sum j_theta^+ of a form with matrix c on the
+        sum quotient, so that the form is <h y j ., h j .> when it vanishes
+        on the kernel block."""
+        emb_s, emb_t = self.sum_embedding, self.theta_embedding
+        return self.sum_to_theta @ compressed @ emb_s.matrix @ emb_t.pseudo_inverse
 
 
 def _rn_core(
@@ -212,41 +236,22 @@ def _rn_core(
     emb_sum = quotient_embedding(phi, rtol)
 
     u_map = emb_theta.matrix @ emb_sum.pseudo_inverse
-    csq = hermitize(u_map.conj().T @ u_map)
-    values, vectors = eigh_or_empty(csq)
+    values, vectors = eigh_or_empty(hermitize(u_map.conj().T @ u_map))
     values = np.clip(values, 0.0, None)
     # snap: the square is a contraction by construction, so eigenvalues within
     # the rank tolerance of 1 are the exact pure-theta directions
     values[values >= 1.0 - rtol] = 1.0
     # kernel decisions happen on the square, where the rounding floor lives;
     # taking the root first would lift eps-size noise above the threshold
-    kernel_mask = ~rank_cut(values, rtol)
-    spectrum = np.sqrt(values)
-
-    contraction = hermitize((vectors * spectrum) @ vectors.conj().T)
-    null = vectors[:, kernel_mask]
-    proj = null @ null.conj().T
-
-    isometry = contraction @ emb_sum.matrix @ emb_theta.pseudo_inverse
-
-    tangent = _tangent(spectrum, vectors, ~kernel_mask)
-
-    density_root = hermitize(isometry.conj().T @ tangent @ isometry)
-    dvals, dvecs = eigh_or_empty(density_root)
-    dvals = np.clip(dvals, 0.0, None)
-    scale = hermitize((dvecs * np.sqrt(1.0 + dvals * dvals)) @ dvecs.conj().T)
-
+    kept = rank_cut(values, rtol)
+    spectrum = np.sqrt(values[kept])
     return RNCore(
         theta_embedding=emb_theta,
         sum_embedding=emb_sum,
-        spectrum=spectrum,
-        spectrum_basis=vectors,
-        kernel_mask=kernel_mask,
-        kernel_projector=proj,
-        isometry=isometry,
-        density_root=density_root,
-        scale=scale,
         sum_to_theta=u_map,
+        frame=(u_map @ vectors[:, kept]) / spectrum,
+        spectrum=spectrum,
+        kernel_basis=vectors[:, ~kept],
     )
 
 
@@ -307,51 +312,31 @@ def radon_nikodym(
         NotAbsolutelyContinuous: psi is not theta-absolutely continuous.
     """
     core, compressed = _majorized_core(omega, theta, psi, rtol, absolutely_continuous=True)
-    factor = (
-        core.sum_to_theta
-        @ compressed
-        @ core.sum_embedding.matrix
-        @ core.theta_embedding.pseudo_inverse
-    )
-    return RNRepresentation(core, factor)
+    return RNRepresentation(core, core.factor(compressed))
 
 
 def representation_residuals(
     rep: RNRepresentation, omega: Form, psi: PositiveForm
 ) -> dict[str, float]:
     """Relative residuals of the identities the representation must satisfy."""
-    core = rep.core
-    emb_t, emb_s = core.theta_embedding, core.sum_embedding
+    core, u, b = rep.core, rep.core.sum_to_theta, rep.core.frame
+    emb_t = core.theta_embedding
     h2 = core.scale @ core.scale
-
-    iso = core.isometry.conj().T @ core.isometry
-    iso_res = frob(iso - np.eye(emb_t.rank))
-
     density = emb_t.from_quotient(core.density_root @ core.density_root)
-    density_res = relative(frob(density - psi.matrix), frob(psi.matrix))
-
-    pairing = core.sum_to_theta.conj().T @ h2 @ core.sum_to_theta
-    pairing_res = frob(pairing - np.eye(emb_s.rank))
-
     fundamental = emb_t.from_quotient(h2 @ rep.factor)
-    fundamental_res = relative(frob(fundamental - omega.matrix), frob(omega.matrix))
-
     return {
-        "isometry": float(iso_res),
-        "density": float(density_res),
-        "pairing": float(pairing_res),
-        "fundamental": float(fundamental_res),
+        "isometry": frob(b @ b.conj().T - np.eye(emb_t.rank)),
+        "density": relative(frob(density - psi.matrix), frob(psi.matrix)),
+        "pairing": frob(u.conj().T @ h2 @ u - np.eye(core.sum_embedding.rank)),
+        "fundamental": relative(frob(fundamental - omega.matrix), frob(omega.matrix)),
     }
 
 
-def kato_S(rep: RNRepresentation, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """The bounded middle operator s with omega = <s h j ., h j .>.
-
-    Fixed to zero on the orthogonal complement of the range of the scale
-    (the minimal-norm choice among the valid ones); the scale is invertible
-    here, so that complement is trivial.
-    """
-    return rep.core.scale @ rep.factor @ pinv(rep.core.scale, rtol)
+def kato_S(rep: RNRepresentation) -> np.ndarray:
+    """The bounded middle operator s = h y h^-1 with omega = <s h j ., h j .>;
+    h^-1 takes the weights t in the core's frame."""
+    core = rep.core
+    return core.scale @ rep.factor @ core.in_frame(core.spectrum, 1.0)
 
 
 def dominated_sequence(
@@ -369,9 +354,7 @@ def dominated_sequence(
     if n < 1:
         raise ValueError("truncation index must be a positive integer")
     core = _rn_core(theta, psi, rtol, absolutely_continuous=True)
-    active = (~core.kernel_mask) & (core.spectrum >= 1.0 / n)
-    truncated = _tangent(core.spectrum, core.spectrum_basis, active)
-    k_n = hermitize(core.isometry.conj().T @ truncated @ core.isometry)
+    k_n = core.in_frame(np.where(core.spectrum >= 1.0 / n, core.weights, 0.0))
     mat = core.theta_embedding.from_quotient(k_n @ k_n)
     return PositiveForm(hermitize(mat), tol=BUILT_PSD_TOL)
 
@@ -382,8 +365,7 @@ def dominated_sequence_stabilization(
     """Smallest index from which the dominated sequence is constant:
     the first n with 1/n strictly below the least positive spectral point."""
     core = _rn_core(theta, psi, rtol)
-    positive = core.spectrum[(~core.kernel_mask) & (core.spectrum < 1.0)]
-    relevant = positive[positive > 0]
+    relevant = core.spectrum[core.spectrum < 1.0]
     if relevant.size == 0:
         return 1
     t_min = float(np.min(relevant))

@@ -2,18 +2,34 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import formkit as fk
 from formkit.numerics import frob, hermitize, min_eig_herm
 
 from conftest import (
     coupled_hidden_pair,
+    member_form,
     mixed_rank_triple,
     positive_pair,
     random_positive_form,
     random_psd,
+    random_unitary,
     schur_short,
 )
+
+
+def count_parallel_sums(monkeypatch):
+    calls = []
+    original = fk.lebesgue._parallel_sum_matrix
+
+    def counting(a, b, rtol):
+        calls.append(1)
+        return original(a, b, rtol)
+
+    monkeypatch.setattr(fk.lebesgue, "_parallel_sum_matrix", counting)
+    return calls
 
 
 class TestLebesgueDecompose:
@@ -213,6 +229,25 @@ class TestMutualSingularity:
             vanished = frob(ac.matrix) <= 1e-9 * max(frob(psi.matrix), 1e-300)
             assert singular == vanished
 
+    @pytest.mark.parametrize("mu", [1e-4, 1e-5, 1e-8, 1e-9])
+    def test_plain_overlap_takes_one_parallel_sum(self, monkeypatch, mu):
+        # both forms are positive on e_1, yet the limit alone does not settle
+        # on this pencil by t = 2^20
+        theta = fk.PositiveForm(np.diag([1.0, mu]))
+        calls = count_parallel_sums(monkeypatch)
+        assert not fk.is_mutually_singular(fk.identity_form(2), theta)
+        assert len(calls) == 1
+
+    def test_singular_pairs_are_certified_by_the_limit(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        calls = count_parallel_sums(monkeypatch)
+        for _ in range(10):
+            psi, theta, _ = positive_pair(rng, int(rng.integers(2, 7)), 1)
+            calls.clear()
+            assert fk.is_mutually_singular(psi, theta)
+            # the first sum, then the limit's own five at least
+            assert len(calls) >= 6
+
 
 class TestSingularityWitness:
     def test_zero_singular_part(self):
@@ -316,18 +351,6 @@ class TestExtrapolatedLimit:
     guess, when the extrapolated steps do not settle."""
 
     @staticmethod
-    def _count_sums(monkeypatch):
-        calls = []
-        original = fk.lebesgue._parallel_sum_matrix
-
-        def counting(a, b, rtol):
-            calls.append(1)
-            return original(a, b, rtol)
-
-        monkeypatch.setattr(fk.lebesgue, "_parallel_sum_matrix", counting)
-        return calls
-
-    @staticmethod
     def _sequence(monkeypatch, term):
         """Replace the k-th parallel sum by ``term(k)``."""
         calls = []
@@ -357,7 +380,7 @@ class TestExtrapolatedLimit:
         hidden_psi, hidden_theta, _ = coupled_hidden_pair(rng, 32, 8)
         pairs = [(full, fk.PositiveForm(random_psd(rng, 8))), (hidden_psi, hidden_theta)]
         pairs += [(zero, full), (full, zero), (zero, zero)]
-        calls = self._count_sums(monkeypatch)
+        calls = count_parallel_sums(monkeypatch)
         for psi, theta in pairs:
             calls.clear()
             fk.parallel_sum_limit(psi, theta)
@@ -399,3 +422,44 @@ class TestExtrapolatedLimit:
         for c in (1e-8, 1e6):
             limit = fk.parallel_sum_limit(psi, fk.PositiveForm(c * theta.matrix))
             assert frob(limit - truth) <= 1e-9 * frob(psi.matrix)
+
+
+def absolutely_continuous_triple(rng, n):
+    """(omega, theta, psi) with theta of random positive rank and psi
+    pulled back from its quotient, so that psi is theta-absolutely continuous."""
+    theta = random_positive_form(rng, n, int(rng.integers(1, n + 1)))
+    emb = fk.quotient_embedding(theta)
+    psi = fk.PositiveForm(hermitize(emb.from_quotient(random_psd(rng, emb.rank))))
+    return member_form(rng, psi), theta, psi
+
+
+class TestUnitaryInvariance:
+    """Conjugating the triple by a unitary Q conjugates the split; witnesses
+    are not unique, so only identities are compared."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        absolutely_continuous=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_split_commutes_with_conjugation(self, n, absolutely_continuous, seed):
+        rng = np.random.default_rng(seed)
+        draw = absolutely_continuous_triple if absolutely_continuous else mixed_rank_triple
+        omega, theta, psi = draw(rng, n)
+        q = random_unitary(rng, n)
+
+        def conj(m):
+            return q.conj().T @ m @ q
+
+        moved_omega = fk.Form(conj(omega.matrix))
+        moved_psi = fk.PositiveForm(hermitize(conj(psi.matrix)))
+        moved_theta = fk.PositiveForm(hermitize(conj(theta.matrix)))
+        split = fk.lebesgue_decompose(omega, theta, psi)
+        moved = fk.lebesgue_decompose(moved_omega, moved_theta, moved_psi)
+        total = max(frob(omega.matrix), 1e-300)
+        assert frob(moved.regular.matrix - conj(split.regular.matrix)) <= 1e-10 * total
+        assert frob(moved.singular.matrix - conj(split.singular.matrix)) <= 1e-10 * total
+        if absolutely_continuous:
+            residuals = fk.representation_residuals(moved.rep, moved_omega, moved_psi)
+            assert max(residuals.values()) <= 1e-8, residuals

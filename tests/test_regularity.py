@@ -15,7 +15,15 @@ from formkit.numerics import (
     specnorm,
 )
 
-from conftest import complex_randn, member_form, random_operator_instance, random_psd
+from conftest import (
+    complex_randn,
+    coupled_hidden_pair,
+    member_form,
+    mixed_rank_triple,
+    positive_pair,
+    random_operator_instance,
+    random_psd,
+)
 
 
 class TestInClassM:
@@ -306,8 +314,55 @@ class TestRadonNikodym:
         u = rep.core.sum_to_theta
         eigs = np.linalg.eigvalsh(hermitize(u.conj().T @ u))
         assert eigs[0] >= -1e-9 and eigs[-1] <= 1 + 1e-9
-        iso = rep.core.isometry.conj().T @ rep.core.isometry
-        assert frob(iso - np.eye(iso.shape[0])) <= 1e-9
+        # the frame is unitary on the theta-quotient: B^H B = I = B B^H
+        frame = rep.core.frame
+        for gram in (frame.conj().T @ frame, frame @ frame.conj().T):
+            assert frob(gram - np.eye(gram.shape[0])) <= 1e-9
+
+
+class TestOneFrame:
+    """The scale, the density root and the scale's inverse are diagonal in the
+    frame of the one eigensolve of u^H u."""
+
+    @staticmethod
+    def _pairs(rng):
+        for _ in range(30):
+            _, theta, psi = mixed_rank_triple(rng, int(rng.integers(1, 9)))
+            yield theta, psi
+        psi, theta, _ = coupled_hidden_pair(rng, 12, 3)  # theta hides a block
+        yield theta, psi
+        psi, theta, _ = positive_pair(rng, 6, 2)  # psi is not theta-a.c.
+        yield theta, psi
+
+    def test_scale_identities(self):
+        rng = np.random.default_rng(27)
+        for theta, psi in self._pairs(rng):
+            core = fk.regularity._rn_core(theta, psi)
+            h, k = core.scale, core.density_root
+            eye = np.eye(h.shape[0])
+            assert frob(h @ h - eye - k @ k) <= 1e-12 * max(1.0, frob(h @ h))
+            inverse = core.in_frame(core.spectrum, 1.0)
+            assert frob(h @ inverse - eye) <= 1e-12 * max(1.0, frob(h))
+
+    def test_eigensolves(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        _, theta, psi = mixed_rank_triple(rng, 6)
+        omega, theta_i, psi_i = random_operator_instance(rng, 5)
+        rep = fk.radon_nikodym(omega, theta_i, psi_i)
+        calls = []
+        for name in ("eigh", "svd"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, name=name, original=original, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        fk.regularity._rn_core(theta, psi)
+        assert calls == ["eigh", "eigh"]  # the sum form's, then u^H u's
+        calls.clear()
+        fk.kato_S(rep)
+        assert calls == []
 
 
 class TestKatoMiddleOperator:
