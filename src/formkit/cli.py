@@ -7,13 +7,16 @@ two-element arrays [re, im]; numbers are emitted with shortest round-trip
 decimal encoding so that emit -> parse reproduces them bit for bit.
 
 Exit codes: 0 success, 2 mathematical refusal, 1 IO/parse/validation
-problems. Identical inputs and flags produce byte-identical reports.
+problems. A refusal report is the header, every field the command wrote
+before it refused, then ``reason`` and ``refused: True``. Identical inputs
+and flags produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +29,9 @@ from . import regularity as reg
 from .errors import (
     FormkitError,
     MathematicalRefusal,
+    NotInClassM,
     NotPSD,
+    NotSolvable,
     ParseError,
     ValidationError,
 )
@@ -44,18 +49,6 @@ from .solvable import (
 )
 from .trunclab import Instance, _lambda_values, convergence_report, diag_family
 from .trunclab import measure_family, operator_pair_family
-
-COMMANDS = (
-    "inspect",
-    "membership",
-    "regularity",
-    "represent",
-    "decompose",
-    "numrange",
-    "solvable",
-    "lab",
-)
-
 
 # ---------------------------------------------------------------------------
 # encoding / decoding
@@ -360,7 +353,7 @@ def render_report(report: dict, as_json: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its fields into the report it is given
 
 
 def _base_report(command: str, instance: Optional[Instance], args) -> dict:
@@ -375,8 +368,7 @@ def _base_report(command: str, instance: Optional[Instance], args) -> dict:
     return report
 
 
-def _cmd_inspect(instance: Instance, args) -> dict:
-    report = _base_report("inspect", instance, args)
+def _cmd_inspect(instance: Instance, args, report: dict) -> None:
     omega, theta, psi = instance.omega, instance.theta, instance.psi
     member, margin = reg.in_class_M(omega, psi, args.tol_rank)
     re, im = re_im_split(omega)
@@ -399,11 +391,9 @@ def _cmd_inspect(instance: Instance, args) -> dict:
             "instance_document": dict(sorted(_instance_doc(instance).items())),
         }
     )
-    return report
 
 
-def _cmd_membership(instance: Instance, args) -> dict:
-    report = _base_report("membership", instance, args)
+def _cmd_membership(instance: Instance, args, report: dict) -> None:
     member, margin = reg.in_class_M(instance.omega, instance.psi, args.tol_rank)
     report["member"] = bool(member)
     report["margin"] = None if margin == float("-inf") else float(margin)
@@ -419,23 +409,17 @@ def _cmd_membership(instance: Instance, args) -> dict:
     except FormkitError as exc:
         report["quadratic_bound"] = {"holds": False, "reason": str(exc)}
     if not member:
-        raise _Refusal(report, "psi does not majorize omega")
-    return report
+        raise NotInClassM("psi does not majorize omega")
 
 
-def _cmd_regularity(instance: Instance, args) -> dict:
-    report = _base_report("regularity", instance, args)
+def _cmd_regularity(instance: Instance, args, report: dict) -> None:
     ac = reg.is_absolutely_continuous(instance.psi, instance.theta, args.tol_rank)
     report["psi_absolutely_continuous"] = bool(ac)
     report["note"] = (
         "closability is automatic at finite dimension; the kernel inclusion decides"
     )
-    try:
-        rep = reg.radon_nikodym(instance.omega, instance.theta, instance.psi, args.tol_rank)
-    except MathematicalRefusal as exc:
-        report["regular"] = False
-        report["reason"] = str(exc)
-        raise _Refusal(report, str(exc))
+    report["regular"] = False
+    rep = reg.radon_nikodym(instance.omega, instance.theta, instance.psi, args.tol_rank)
     residuals = reg.representation_residuals(rep, instance.omega, instance.psi)
     report["regular"] = True
     report["residuals"] = residuals
@@ -445,11 +429,9 @@ def _cmd_regularity(instance: Instance, args) -> dict:
     report["majorant_absolutely_continuous"] = bool(
         reg.is_absolutely_continuous(rep.majorant, instance.theta, args.tol_rank)
     )
-    return report
 
 
-def _cmd_represent(instance: Instance, args) -> dict:
-    report = _base_report("represent", instance, args)
+def _cmd_represent(instance: Instance, args, report: dict) -> None:
     rep = reg.radon_nikodym(instance.omega, instance.theta, instance.psi, args.tol_rank)
     middle = reg.kato_S(rep)
     residuals = reg.representation_residuals(rep, instance.omega, instance.psi)
@@ -466,11 +448,9 @@ def _cmd_represent(instance: Instance, args) -> dict:
             "kato_residual": float(kato_residual),
         }
     )
-    return report
 
 
-def _cmd_decompose(instance: Instance, args) -> dict:
-    report = _base_report("decompose", instance, args)
+def _cmd_decompose(instance: Instance, args, report: dict) -> None:
     split = leb.lebesgue_decompose(instance.omega, instance.theta, instance.psi, args.tol_rank)
     recombined = split.regular.matrix + split.singular.matrix
     additivity = relative(frob(recombined - instance.omega.matrix), frob(instance.omega.matrix))
@@ -496,11 +476,9 @@ def _cmd_decompose(instance: Instance, args) -> dict:
             },
         }
     )
-    return report
 
 
-def _cmd_numrange(instance: Instance, args) -> dict:
-    report = _base_report("numrange", instance, args)
+def _cmd_numrange(instance: Instance, args, report: dict) -> None:
     hull = numerical_range_hull(instance.omega, args.grid)
     eigenvalues = np.linalg.eigvals(instance.omega.matrix)
     inclusion = max((hull.distance(z) for z in eigenvalues), default=0.0)
@@ -513,29 +491,23 @@ def _cmd_numrange(instance: Instance, args) -> dict:
             "eigenvalue_inclusion_excess": float(inclusion),
         }
     )
-    return report
 
 
-def _cmd_solvable(instance: Instance, args) -> dict:
-    report = _base_report("solvable", instance, args)
-    gram_mat = instance.extras.get("norm_gram")
-    if gram_mat is None:
-        gram = NormGram(np.eye(instance.dim, dtype=complex) + instance.psi.matrix)
-        report["norm_gram"] = "identity + psi (default)"
-    else:
-        gram = NormGram(gram_mat)
-        report["norm_gram"] = "from instance file"
+def _cmd_solvable(instance: Instance, args, report: dict) -> None:
     if args.lam is not None and args.upsilon is not None:
         raise ValidationError("give either --lambda or --upsilon, not both")
-    note = {}
+    gram_mat = instance.extras.get("norm_gram")
+    if gram_mat is None:
+        report["norm_gram"] = "identity + psi (default)"
+        gram = NormGram(np.eye(instance.dim, dtype=complex) + instance.psi.matrix)
+    else:
+        report["norm_gram"] = "from instance file"
+        gram = NormGram(gram_mat)
     if args.lam is not None:
         lam = _parse_lambda(args.lam)
         result = scalar_solvability(instance.omega, gram, lam, rtol=args.tol_rank)
         report.update(
             {"lambda": [lam.real, lam.imag], "status": result.status, "distance": result.distance}
-        )
-        note["note"] = (
-            "norm-compatibility and the closing condition are automatic at finite dimension"
         )
     else:
         upsilon = np.zeros((instance.dim, instance.dim), dtype=complex)
@@ -546,16 +518,18 @@ def _cmd_solvable(instance: Instance, args) -> dict:
                 raise ParseError(f"--upsilon: {exc.msg}")
             upsilon = decode_matrix(rows, instance.dim, "--upsilon")
         result = solvability_with(instance.omega, gram, Form(upsilon), args.tol_rank)
-    report.update({"solvable": bool(result.solvable), "c1": result.c1, "c2": result.c2, **note})
+    report.update(solvable=bool(result.solvable), c1=result.c1, c2=result.c2)
+    if args.lam is not None:
+        report["note"] = (
+            "norm-compatibility and the closing condition are automatic at finite dimension"
+        )
     if not result.solvable:
-        raise _Refusal(report, "perturbed form is not solvable")
+        raise NotSolvable("perturbed form is not solvable")
     if result.lam is not None:
         report["resolvent_norm"] = result.resolvent_norm
-    return report
 
 
-def _cmd_lab(path: str, args) -> dict:
-    report = _base_report("lab", None, args)
+def _cmd_lab(path: str, args, report: dict) -> None:
     doc = _load_json(path)
     doc_family = doc.get("family") if isinstance(doc, dict) else None
     if doc_family is None:
@@ -570,7 +544,6 @@ def _cmd_lab(path: str, args) -> dict:
     report["rows"] = [
         {**row, "probe": [row["probe"].real, row["probe"].imag]} for row in rows
     ]
-    return report
 
 
 def _parse_lambda(text: str) -> complex:
@@ -586,7 +559,9 @@ def _parse_lambda(text: str) -> complex:
     return lam
 
 
-_INSTANCE_COMMANDS = {
+# every command, in the order the parser lists them; ``lab`` takes the
+# instance path, which it reads itself, and every other command the instance
+COMMANDS = {
     "inspect": _cmd_inspect,
     "membership": _cmd_membership,
     "regularity": _cmd_regularity,
@@ -594,21 +569,15 @@ _INSTANCE_COMMANDS = {
     "decompose": _cmd_decompose,
     "numrange": _cmd_numrange,
     "solvable": _cmd_solvable,
+    "lab": _cmd_lab,
 }
-
-
-class _Refusal(Exception):
-    """Carries a fully built report for a mathematically refused request."""
-
-    def __init__(self, report: dict, reason: str):
-        super().__init__(reason)
-        self.report = dict(report, refused=True, reason=reason)
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formkit",
@@ -628,20 +597,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_single(path: str, args) -> tuple[str, int]:
-    instance = None
+    """One file's report and exit code. The report is the header plus what
+    the command writes; a refusal appends its ``reason`` and ``refused``."""
+    instance = None if args.command == "lab" else parse_instance(path, args.tol_rank)
+    report = _base_report(args.command, instance, args)
+    code = 0
     try:
-        if args.command == "lab":
-            report = _cmd_lab(path, args)
-        else:
-            instance = parse_instance(path, args.tol_rank)
-            report = _INSTANCE_COMMANDS[args.command](instance, args)
-    except _Refusal as refusal:
-        return render_report(refusal.report, args.json), 2
+        COMMANDS[args.command](path if instance is None else instance, args, report)
     except MathematicalRefusal as exc:
-        base = _base_report(args.command, instance, args)
-        base.update({"reason": str(exc), "refused": True})
-        return render_report(base, args.json), 2
-    return render_report(report, args.json), 0
+        report.update(reason=str(exc), refused=True)
+        code = 2
+    return render_report(report, args.json), code
 
 
 # errors that end one file's run with exit 1: bad input, an unreadable file,

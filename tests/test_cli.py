@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import time
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import formkit as fk
+from formkit import cli
 from formkit.cli import (
     _dump,
     decode_matrix,
@@ -758,6 +760,110 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert out.index("== a.json") < out.index("== b.json")
+
+
+INSTANCES = Path(__file__).parent / "golden" / "instances"
+
+
+class TestOneReport:
+    """``_run_single`` starts every report; a refusal appends its reason."""
+
+    @pytest.mark.parametrize(
+        "argv, doc, kept",
+        [
+            (
+                ["membership"],
+                None,
+                {
+                    "quadratic_bound": {
+                        "holds": False,
+                        "reason": "quadratic maximum 2.500000e+00 over the psi-unit sphere exceeds 1",
+                    }
+                },
+            ),
+            (["regularity"], None, {"psi_absolutely_continuous": True, "regular": False}),
+            (["represent"], None, {}),
+            (["decompose"], None, {}),
+            (
+                ["solvable"],
+                {"n": 2, "omega": [[1, 0], [0, 2]], "norm_gram": [[0.5, 0], [0, 1]]},
+                {"norm_gram": "from instance file"},
+            ),
+            (
+                ["solvable", "--lambda=1,0"],
+                {"n": 2, "omega": [[1, 0], [0, 2]]},
+                {"norm_gram": "identity + psi (default)", "solvable": False},
+            ),
+            (["lab", "--sizes", "4,8", "--tol-rank", "0.9"], None, {}),
+        ],
+        ids=["membership", "regularity", "represent", "decompose", "gram", "lambda", "lab"],
+    )
+    def test_refusal_keeps_what_was_written(self, tmp_path, capsys, argv, doc, kept):
+        command, *flags = argv
+        name = "diag.json" if command == "lab" else "refused.json"
+        path = str(INSTANCES / name) if doc is None else write(tmp_path, "r.json", doc)
+        assert main([command, path, *flags]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"command: {command}"
+        assert lines[-2].startswith("reason: ")
+        assert lines[-1] == "refused: True"
+        assert main([command, path, *flags, "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["refused"] is True
+        assert report["reason"] == lines[-2].removeprefix("reason: ")
+        assert {key: report[key] for key in kept} == kept
+
+    def test_solvable_checks_its_flags_before_its_gram(self, tmp_path, capsys, monkeypatch):
+        grams = []
+        monkeypatch.setattr(cli, "NormGram", lambda *args: grams.append(args))
+        path = write(tmp_path, "a.json", {"n": 1, "omega": [[1]]})
+        write(tmp_path, "b.json", {"n": 1, "omega": [[2]]})
+        flags = ["--lambda=1,0", "--upsilon=[[0]]"]
+        message = "error: give either --lambda or --upsilon, not both"
+        assert main(["solvable", path, *flags]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert main(["solvable", str(tmp_path), "--batch", *flags]) == 1
+        out = capsys.readouterr().out
+        assert out == f"== a.json\n{message}\n== b.json\n{message}\n"
+        assert grams == []
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["inspect", str(INSTANCES / "plain.json")]) == 0
+        finally:
+            cli.build_parser.cache_clear()
+        capsys.readouterr()
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("command, parses", [("inspect", 1), ("lab", 0)])
+    def test_traced_entry_points_run_once(self, tmp_path, capsys, monkeypatch, command, parses):
+        # a tracer wraps these three by module attribute and counts each call
+        names = ("parse_instance", "render_report", "main")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(cli, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counting)
+        argv = [command, str(INSTANCES / "diag.json")]
+        if command == "lab":
+            argv += ["--sizes", "4,8"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls == {"parse_instance": parses, "render_report": 1, "main": 1}
 
 
 class TestBuiltFormsKeepRankTolerance:

@@ -23,6 +23,7 @@ from conftest import (
     positive_pair,
     random_operator_instance,
     random_psd,
+    random_unitary,
 )
 
 
@@ -255,6 +256,24 @@ class TestCanonicalMajorant:
             t = complex_randn(rng, n, n)
             member, margin = fk.in_class_M(fk.Form(t), fk.canonical_majorant(t))
             assert member
+
+    def test_ill_conditioned_diagonal(self):
+        # t^H t = diag(1e12, 25): the small root 5 must stay in h, or the
+        # majorant is 1 on e2 where |omega(e2, e2)| = 5
+        t = np.diag([1e6, 5.0])
+        member, margin = fk.in_class_M(fk.Form(t), fk.canonical_majorant(t))
+        assert member and margin > 0
+
+    def test_membership_ill_conditioned(self):
+        # singular values from s_min in [1, 10] up to 1e6-1e9 times that
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            kappa = 10.0 ** rng.uniform(6.0, 9.0)
+            s = np.geomspace(kappa, 1.0, n) * rng.uniform(1.0, 10.0)
+            t = (random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T
+            member, _ = fk.in_class_M(fk.Form(t), fk.canonical_majorant(t))
+            assert member, (n, kappa)
 
 
 class TestRadonNikodym:

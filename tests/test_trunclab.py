@@ -110,6 +110,19 @@ class TestOperatorPairFamily:
             member, _ = fk.in_class_M(inst.omega, inst.psi)
             assert member
 
+    def test_root_keeps_the_identity_term(self):
+        # S = T of rank one and norm up to 1e7 puts psi's top eigenvalue past
+        # 1e14, yet H^2 = psi must hold on psi's three eigenvalues 1
+        rng = np.random.default_rng(61)
+        for scale in (1e3, 1e5, 1e6, 1e7):
+            u = complex_randn(rng, 4, 1)
+            s = scale * (u @ complex_randn(rng, 1, 4)) / np.linalg.norm(u) ** 2
+            inst = fk.operator_pair_family(s, s)
+            values, vectors = np.linalg.eigh(inst.psi.matrix)
+            h = inst.extras["H"]
+            low = vectors[:, :3]
+            assert np.allclose(low.conj().T @ h @ h @ low, np.diag(values[:3]), rtol=0, atol=1e-6)
+
 
 class TestHullNesting:
     def test_support_monotone_in_size(self):
