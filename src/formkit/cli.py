@@ -37,7 +37,7 @@ from .errors import (
 )
 from .forms import Form, PositiveForm, identity_form, quotient_embedding, re_im_split
 from .numerics import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, finite_norm, frob, min_eig_herm
-from .numerics import relative, specnorm
+from .numerics import one_blas_thread, relative, specnorm
 from .regularity import canonical_majorant
 from .solvable import (
     DEFAULT_HULL_GRID,
@@ -49,6 +49,11 @@ from .solvable import (
 )
 from .trunclab import Instance, _lambda_values, convergence_report, diag_family
 from .trunclab import measure_family, operator_pair_family
+
+# Largest instance whose parse and command run on one BLAS thread: up to here
+# one thread is no slower, and an OpenBLAS worker left spinning by a
+# two-thread call would take the core a hull's pooled share runs on.
+ONE_BLAS_THREAD_MAX_N = 256
 
 # ---------------------------------------------------------------------------
 # encoding / decoding
@@ -190,14 +195,15 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
         if type(n) is not int or n < 1:
             raise ParseError(f"{path}: 'n' must be a positive integer")
         omega = Form(decode_matrix(doc["omega"], n, "omega"))
-        if "theta" in doc:
-            theta = _positive(decode_matrix(doc["theta"], n, "theta"), "theta", rank_tol)
-        else:
-            theta = identity_form(n)
-        if "psi" in doc:
-            psi = _positive(decode_matrix(doc["psi"], n, "psi"), "psi", rank_tol)
-        else:
-            psi = canonical_majorant(omega.matrix, rank_tol)
+        with one_blas_thread(n <= ONE_BLAS_THREAD_MAX_N):
+            if "theta" in doc:
+                theta = _positive(decode_matrix(doc["theta"], n, "theta"), "theta", rank_tol)
+            else:
+                theta = identity_form(n)
+            if "psi" in doc:
+                psi = _positive(decode_matrix(doc["psi"], n, "psi"), "psi", rank_tol)
+            else:
+                psi = canonical_majorant(omega.matrix, rank_tol)
         # after the majorant, which refuses such an omega in its own words
         finite_norm(omega.matrix, "omega")
         if "norm_gram" in doc:
@@ -603,7 +609,8 @@ def _run_single(path: str, args) -> tuple[str, int]:
     report = _base_report(args.command, instance, args)
     code = 0
     try:
-        COMMANDS[args.command](path if instance is None else instance, args, report)
+        with one_blas_thread(instance is not None and instance.dim <= ONE_BLAS_THREAD_MAX_N):
+            COMMANDS[args.command](path if instance is None else instance, args, report)
     except MathematicalRefusal as exc:
         report.update(reason=str(exc), refused=True)
         code = 2

@@ -7,10 +7,19 @@ relative threshold (``DEFAULT_RANK_TOL``, overridable per call) and every
 PSD check through ``psd_eig``, so that compositions of these primitives
 make mutually consistent kernel/range decisions. Every threshold the
 package compares against is named once, in the table below.
+
+A stack of independent solves can be spread over the BLAS thread budget
+(``stack_map``): each worker solves on one OpenBLAS thread
+(``one_blas_thread``), so the budget is spent on whole matrices instead of
+on the threads of one call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,3 +183,113 @@ def pinv(m, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vh.conj().T * inv) @ u.conj().T
+
+
+def _openblas_controls():
+    """(get, set) of OpenBLAS's thread count, resolved through numpy's own
+    linalg module, or None where that BLAS does not export them."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+    return get, set_
+
+
+BLAS_CONTROLS = _openblas_controls()
+_BLAS_LOCK = threading.Lock()
+_pins = {"depth": 0, "found": 0}  # open pins, and the thread count the first one found
+_pool = None  # (pid, executor)
+
+
+@contextlib.contextmanager
+def one_blas_thread(active: bool = True):
+    """OpenBLAS on one thread inside the block, then the count it found.
+
+    Pins nest and may overlap across threads: the first in sets the count
+    to 1 and the last out restores it. Does nothing when ``active`` is false
+    or without ``BLAS_CONTROLS``.
+    """
+    controls = BLAS_CONTROLS if active else None
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    with _BLAS_LOCK:
+        if not _pins["depth"]:
+            _pins["found"] = get()
+            set_(1)
+        _pins["depth"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _pins["depth"] -= 1
+            if not _pins["depth"]:
+                set_(_pins["found"])
+
+
+def blas_workers() -> int:
+    """Workers a stack of solves is spread over: the BLAS thread count in
+    effect (the one the open pin found), capped by the CPUs this process
+    may run on; 1 without ``BLAS_CONTROLS``."""
+    if BLAS_CONTROLS is None:
+        return 1
+    with _BLAS_LOCK:
+        threads = _pins["found"] if _pins["depth"] else BLAS_CONTROLS[0]()
+    return max(1, min(threads, _cpus()))
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _executor():
+    """The pool for the shares beyond the caller's, made on first use and
+    again in a forked child, which inherits the pool but not its threads.
+    Its module is imported here, which keeps some 4 ms off the start-up of
+    the many runs that never split a stack."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = (os.getpid(), ThreadPoolExecutor(max(1, _cpus() - 1), "formkit-stack"))
+    return _pool[1]
+
+
+def stack_map(solve, count: int, block: int, split: bool = True) -> list:
+    """The results of ``solve(start, stop)`` over [0, count) in blocks, in order.
+
+    Serially, the blocks hold ``block`` items each. With ``split`` and
+    k = ``blas_workers()`` > 1, the range is cut into k contiguous shares,
+    each solved in blocks of ``block // k`` on one BLAS thread: the caller
+    solves the first share and k - 1 pooled threads the rest, so the items
+    in flight stay within ``block``. For a ``solve`` that gives each item
+    the same result in any block, the two ways differ only in the BLAS
+    thread count the items are solved under. Every share finishes before an
+    exception from any of them propagates.
+    """
+    workers = min(blas_workers(), count) if split else 1
+    if workers <= 1:
+        return [solve(start, min(start + block, count)) for start in range(0, count, block)]
+    block = max(1, block // workers)
+    cuts = [count * i // workers for i in range(workers + 1)]
+
+    def share(lo: int, hi: int) -> list:
+        return [solve(start, min(start + block, hi)) for start in range(lo, hi, block)]
+
+    with one_blas_thread():
+        pool = _executor()
+        futures = [pool.submit(share, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        try:
+            results = share(cuts[0], cuts[1])
+        finally:
+            for future in futures:
+                future.exception()  # waits, so no share outlives the pin
+        for future in futures:
+            results += future.result()
+    return results

@@ -35,13 +35,19 @@ from .numerics import (
     hermitize,
     min_eig_herm,
     specnorm,
+    stack_map,
 )
 
 DEFAULT_HULL_GRID = 720
 MIN_HULL_GRID = 16
-# Rotated matrices stacked into one eigensolver call, in bytes: the default
-# grid at n <= 24 is still one call.
+# Rotated matrices in flight in eigensolver calls, in bytes: the default grid
+# at n <= 24 is one call per worker.
 HULL_BLOCK_BYTES = 2**22
+# Work (angles * n^3) a stack must pass to be spread over the BLAS threads:
+# about 4 ms of eigh at n = 48, so a split saves some 2 ms against the 0.03 to
+# 0.3 ms it takes to wake a pooled thread. The decisions' seeds (8 angles)
+# and refinements (1 to 5) stay below it up to n = 48.
+HULL_SPLIT_FLOOR = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,16 +129,23 @@ def _extremes(parts, reduced: np.ndarray, vectors: bool):
     boundary points to ``_points``: eigenvectors (shape (angles, n, 2)), or
     for diagonal parts the indices of the attaining entries (angles, 2).
 
-    The rotated matrices are stacked and solved in blocks of at most
-    ``HULL_BLOCK_BYTES``, and only the two extreme eigenpairs of each solve
-    are kept, so memory does not grow with the number of angles.
+    The rotated matrices are stacked and solved in blocks, and only the two
+    extreme eigenpairs of each solve are kept, so memory does not grow with
+    the number of angles. A stack whose work (angles * n^3) passes
+    ``HULL_SPLIT_FLOOR`` is spread over the BLAS thread budget by
+    ``stack_map``: k workers, one BLAS thread each, in blocks of
+    ``HULL_BLOCK_BYTES / k``. A smaller one, and the exact diagonal path,
+    is solved on the calling thread in blocks of ``HULL_BLOCK_BYTES``.
     """
-    block = max(1, HULL_BLOCK_BYTES // (16 * parts[0].size))
+    h = parts[0]
     cos, sin = np.cos(reduced), np.sin(reduced)
-    solved = [
-        _extreme_block(parts, cos[start : start + block], sin[start : start + block], vectors)
-        for start in range(0, len(reduced), block)
-    ]
+    split = h.ndim == 2 and len(reduced) * h.shape[0] ** 3 > HULL_SPLIT_FLOOR
+    solved = stack_map(
+        lambda start, stop: _extreme_block(parts, cos[start:stop], sin[start:stop], vectors),
+        len(reduced),
+        max(1, HULL_BLOCK_BYTES // (16 * h.size)),
+        split,
+    )
     values = np.concatenate([w for w, _ in solved])
     return values, np.concatenate([v for _, v in solved]) if vectors else None
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import formkit as fk
+from formkit import numerics
 from formkit.numerics import hermitize
 
 
@@ -143,3 +144,16 @@ def session_start():
 @pytest.fixture(scope="session", autouse=True)
 def _touch_session_start(session_start):
     return session_start
+
+
+@pytest.fixture
+def blas_count():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test
+    and restored after it; skips where the OpenBLAS controls are missing."""
+    if numerics.BLAS_CONTROLS is None:
+        pytest.skip("this BLAS exports no thread controls")
+    get, set_ = numerics.BLAS_CONTROLS
+    found = get()
+    set_(2)
+    yield get
+    set_(found)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import complex_randn
+
 import formkit as fk
-from formkit import cli
+from formkit import cli, numerics
 from formkit.cli import (
     _dump,
     decode_matrix,
@@ -920,3 +923,98 @@ class TestDeterminism:
             assert code == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[2] == outputs[3]
+
+
+class TestBlasThreadCount:
+    """A run leaves OpenBLAS's thread count as it found it, whatever its
+    exit, and runs a small instance's parse and command on one thread."""
+
+    refused = {
+        "n": 2,
+        "omega": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]],
+        "psi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    }
+
+    @staticmethod
+    def _dense(tmp_path, name="n48.json", n=48):
+        omega = complex_randn(np.random.default_rng(72), n, n)
+        return write(tmp_path, name, {"n": n, "omega": encode_matrix(omega).tolist()})
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [("numrange", 0), ("refusal", 2), ("flags", 1), ("parse", 1)],
+    )
+    def test_count_restored_on_every_exit(self, tmp_path, capsys, blas_count, case, code):
+        argv = {
+            "numrange": ["numrange", self._dense(tmp_path)],
+            "refusal": ["membership", write(tmp_path, "ref.json", self.refused)],
+            "flags": ["solvable", self._dense(tmp_path), "--lambda=1,0", "--upsilon=[]"],
+            "parse": ["inspect", write(tmp_path, "broken.json", "{nope")],
+        }[case]
+        assert main(argv) == code
+        capsys.readouterr()
+        assert blas_count() == 2
+
+    def test_count_restored_after_a_worker_breaks_down(
+        self, tmp_path, capsys, monkeypatch, blas_count
+    ):
+        monkeypatch.setattr(numerics, "blas_workers", lambda: 2)
+        original = np.linalg.eigh
+
+        def breaks_in_worker(a, *args, **kwargs):
+            if np.ndim(a) == 3 and threading.current_thread() is not threading.main_thread():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", breaks_in_worker)
+        path = self._dense(tmp_path)
+        assert main(["numrange", path]) == 1
+        assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+        assert blas_count() == 2
+        monkeypatch.setattr(np.linalg, "eigh", original)
+        assert main(["numrange", path]) == 0
+        capsys.readouterr()
+        assert blas_count() == 2
+
+    def test_count_restored_after_each_batch_file(self, tmp_path, capsys, monkeypatch, blas_count):
+        self._dense(tmp_path, "a.json")
+        write(tmp_path, "b.json", "{nope")
+        write(tmp_path, "c.json", self.refused)
+        counts = []
+        original = cli._run_single
+
+        def run_single(path, args):
+            try:
+                return original(path, args)
+            finally:
+                counts.append(blas_count())
+
+        monkeypatch.setattr(cli, "_run_single", run_single)
+        assert main(["numrange", str(tmp_path), "--batch"]) == 1
+        capsys.readouterr()
+        assert counts == [2, 2, 2]
+        assert blas_count() == 2
+
+    @pytest.mark.parametrize("n, inside", [(2, 1), (3, 2)])
+    def test_small_instances_run_on_one_thread(
+        self, tmp_path, capsys, monkeypatch, blas_count, n, inside
+    ):
+        monkeypatch.setattr(cli, "ONE_BLAS_THREAD_MAX_N", 2)
+        seen = []
+        original = cli.COMMANDS["inspect"]
+        original_majorant = cli.canonical_majorant
+
+        def majorant(*args):
+            seen.append(blas_count())
+            return original_majorant(*args)
+
+        def inspect(*args):
+            seen.append(blas_count())
+            original(*args)
+
+        monkeypatch.setattr(cli, "canonical_majorant", majorant)
+        monkeypatch.setitem(cli.COMMANDS, "inspect", inspect)
+        assert main(["inspect", self._dense(tmp_path, n=n)]) == 0
+        capsys.readouterr()
+        assert seen == [inside, inside]
+        assert blas_count() == 2

@@ -1,6 +1,12 @@
 import ast
 import json
+import multiprocessing
+import os
 import re
+import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formkit as fk
+from formkit import numerics
 from formkit.cli import encode_matrix, main
-from formkit.numerics import as_matrix, frob, hermitize, rank_cut
+from formkit.numerics import as_matrix, frob, hermitize, one_blas_thread, rank_cut, stack_map
 
 from conftest import complex_randn, random_psd, random_unitary
 
@@ -238,3 +245,97 @@ def test_readme_tolerance_table_matches_numerics():
     assert len(table) == len(rows)
     constants = {k: v for k, v in vars(numerics).items() if isinstance(v, float)}
     assert table == constants
+
+
+class TestBlasThreads:
+    def test_pins_nest_and_restore_the_count_found(self, blas_count):
+        with one_blas_thread():
+            assert blas_count() == 1
+            # the budget is the count the pin found, not the pinned one
+            assert numerics.blas_workers() == min(2, numerics._cpus())
+            with one_blas_thread():
+                assert blas_count() == 1
+            assert blas_count() == 1
+        assert blas_count() == 2
+        with one_blas_thread(active=False):
+            assert blas_count() == 2
+
+    def test_pin_restores_on_error(self, blas_count):
+        with pytest.raises(ZeroDivisionError):
+            with one_blas_thread():
+                1 / 0
+        assert blas_count() == 2
+
+    def test_overlapping_pins_across_threads(self, blas_count):
+        # more threads than cores, switching often: the count reads 1 inside
+        # every pin, and the last one out restores it
+        inside = []
+
+        def pin_often():
+            for _ in range(200):
+                with one_blas_thread():
+                    inside.append(blas_count())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pin_often) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside == [1] * 1600
+        assert blas_count() == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_split_runs_in_a_forked_child(self, monkeypatch):
+        monkeypatch.setattr(numerics, "blas_workers", lambda: 2)
+
+        def split():
+            assert stack_map(lambda start, stop: start, 4, 4) == [0, 2]
+
+        split()  # the parent's pool now has a thread, which the child lacks
+        child = multiprocessing.get_context("fork").Process(target=split)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+    def test_without_controls_nothing_is_pinned_or_split(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BLAS_CONTROLS", None)
+        assert numerics.blas_workers() == 1
+        with one_blas_thread():
+            pass
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("count, block", [(0, 4), (1, 4), (7, 1), (10, 3), (360, 113)])
+    def test_stack_map_keeps_order_within_the_block(self, monkeypatch, workers, count, block):
+        monkeypatch.setattr(numerics, "blas_workers", lambda: workers)
+        spans = stack_map(lambda start, stop: (start, stop), count, block)
+        assert [i for start, stop in spans for i in range(start, stop)] == list(range(count))
+        share = max(1, block // max(1, min(workers, count)))
+        assert all(0 < stop - start <= share for start, stop in spans)
+        assert stack_map(lambda start, stop: (start, stop), count, block, split=False) == [
+            (start, min(start + block, count)) for start in range(0, count, block)
+        ]
+
+    def test_stack_map_waits_for_every_share_before_raising(self, monkeypatch):
+        monkeypatch.setattr(numerics, "blas_workers", lambda: 2)
+        done = []
+
+        def solve(start, stop):
+            if threading.current_thread() is threading.main_thread():
+                raise ValueError("caller's share")
+            time.sleep(0.05)
+            done.append(start)
+            return start
+
+        with pytest.raises(ValueError, match="caller's share"):
+            stack_map(solve, 4, 4)
+        assert done == [2]

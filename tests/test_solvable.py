@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import formkit as fk
-from formkit import solvable
+from formkit import numerics, solvable
 from formkit.cli import encode_matrix, main
 from formkit.numerics import BOUNDARY_RTOL, RADIUS_RTOL, frob, hermitize
 
-from conftest import complex_randn, random_psd, random_unitary
+from conftest import complex_randn, member_form, random_psd, random_unitary
 
 
 class TestCompatibleNorm:
@@ -210,27 +210,34 @@ class TestSupportFunction:
 
     def test_hull_solves_half_stack_in_blocks(self, monkeypatch):
         m = complex_randn(np.random.default_rng(57), 5, 5)
-        values = self._record(monkeypatch, "eigvalsh")
-        vectors = self._record(monkeypatch, "eigh")
-        fk.numerical_range_hull(fk.Form(m), 90)
-        assert values == []
-        assert vectors == [(45, 5, 5)]
-        fk.numerical_range_hull(fk.Form(m), 17)
-        assert vectors[-1] == (17, 5, 5)
-        # the default grid at n = 48 is solved in blocks, bit for bit as one call
         n = 48
         big = fk.Form(complex_randn(np.random.default_rng(63), n, n))
-        vectors.clear()
-        hull = fk.numerical_range_hull(big)
-        block = solvable.HULL_BLOCK_BYTES // (16 * n * n)
-        assert len(vectors) > 1
-        assert all(shape[0] <= block for shape in vectors)
-        assert sum(shape[0] for shape in vectors) == solvable.DEFAULT_HULL_GRID // 2
-        monkeypatch.setattr(solvable, "HULL_BLOCK_BYTES", 2**40)
-        whole = fk.numerical_range_hull(big)
-        assert vectors[-1] == (solvable.DEFAULT_HULL_GRID // 2, n, n)
-        assert np.array_equal(hull.support, whole.support)
-        assert np.array_equal(hull.points, whole.points)
+        values = self._record(monkeypatch, "eigvalsh")
+        vectors = self._record(monkeypatch, "eigh")
+        for workers in (1, 2):
+            monkeypatch.setattr(numerics, "blas_workers", lambda: workers)
+            monkeypatch.setattr(solvable, "HULL_BLOCK_BYTES", 2**22)
+            # below the split floor a stack is one call on the calling thread
+            vectors.clear()
+            fk.numerical_range_hull(fk.Form(m), 90)
+            assert values == []
+            assert vectors == [(45, 5, 5)]
+            fk.numerical_range_hull(fk.Form(m), 17)
+            assert vectors[-1] == (17, 5, 5)
+            # the default grid at n = 48 is split over the workers, each
+            # solving its share in blocks that fit HULL_BLOCK_BYTES / k, bit
+            # for bit as one call per worker
+            vectors.clear()
+            hull = fk.numerical_range_hull(big)
+            assert len(vectors) > workers
+            assert all(16 * shape[0] * n * n <= 2**22 / workers for shape in vectors)
+            assert sum(shape[0] for shape in vectors) == solvable.DEFAULT_HULL_GRID // 2
+            monkeypatch.setattr(solvable, "HULL_BLOCK_BYTES", 2**40)
+            vectors.clear()
+            whole = fk.numerical_range_hull(big)
+            assert vectors == [(solvable.DEFAULT_HULL_GRID // 2 // workers, n, n)] * workers
+            assert np.array_equal(hull.support, whole.support)
+            assert np.array_equal(hull.points, whole.points)
 
     def test_decisions_solve_few_angles_without_eigenvectors(self, monkeypatch):
         m = complex_randn(np.random.default_rng(58), 4, 4)
@@ -503,6 +510,53 @@ def _on_segment(point, ends):
     t = np.real((point - ends[0]) / direction)
     projected = ends[0] + np.clip(t, 0, 1) * direction
     return abs(point - projected) <= 1e-8
+
+
+class TestSerialStacks:
+    """Stacks below the split floor, and the exact diagonal path, are
+    solved on the calling thread: nothing reaches the pool."""
+
+    @staticmethod
+    def _no_pool(monkeypatch):
+        def refuse():
+            raise AssertionError("a stack below the split floor reached the pool")
+
+        monkeypatch.setattr(numerics, "blas_workers", lambda: 2)
+        monkeypatch.setattr(numerics, "_executor", refuse)
+
+    def test_decisions_at_n48_stay_serial(self, monkeypatch):
+        self._no_pool(monkeypatch)
+        rng = np.random.default_rng(70)
+        psi = random_psd(rng, 48)
+        omega = member_form(rng, fk.PositiveForm(psi), 0.8)
+        lower, upper = fk.numerical_radius_bounds(omega.matrix)
+        assert lower <= upper
+        gram = fk.NormGram(np.eye(48) + psi)
+        hull = fk.numerical_range_hull(omega, solvable.MIN_HULL_GRID)
+        inside = complex(np.mean(hull.points))
+        outside = 2 * upper + 1
+        statuses = {fk.scalar_solvability(omega, gram, lam).status for lam in (inside, outside)}
+        assert statuses == {"inside", "outside"}
+
+    def test_lab_hulls_stay_serial(self, monkeypatch, tmp_path, capsys):
+        self._no_pool(monkeypatch)
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"family": {"name": "diag", "lambda": "n*exp(i*n)", "N": 8}}))
+        assert main(["lab", str(path), "--sizes", "8,16,32,48", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 4
+
+    def test_numrange_bytes_without_blas_controls(self, monkeypatch, tmp_path, capsys):
+        rng = np.random.default_rng(71)
+        doc = {"n": 48, "omega": encode_matrix(complex_randn(rng, 48, 48)).tolist()}
+        path = tmp_path / "n48.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(numerics, "blas_workers", lambda: 2)
+        assert main(["numrange", str(path), "--json"]) == 0
+        split = capsys.readouterr().out
+        monkeypatch.undo()
+        monkeypatch.setattr(numerics, "BLAS_CONTROLS", None)
+        assert main(["numrange", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == split
 
 
 class TestSolvability:
