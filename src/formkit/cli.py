@@ -487,7 +487,7 @@ def _cmd_decompose(instance: Instance, args, report: dict) -> None:
 def _cmd_numrange(instance: Instance, args, report: dict) -> None:
     hull = numerical_range_hull(instance.omega, args.grid)
     eigenvalues = np.linalg.eigvals(instance.omega.matrix)
-    inclusion = max((hull.distance(z) for z in eigenvalues), default=0.0)
+    inclusion = np.max(hull.distance(eigenvalues), initial=0.0)
     report.update(
         {
             "grid": int(args.grid),

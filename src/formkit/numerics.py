@@ -45,6 +45,8 @@ BOUNDARY_RTOL = 1e-4  # hull margins reported inconclusive: the hull scale
 RADIUS_RTOL = 1e-9  # numerical-radius bracket closed (relative width): its upper end
 DISTANCE_RTOL = 1e-13  # hull distance maximized (concave bound on what is left): the hull scale
 HULL_ARC_FLOOR = 1e-8  # adaptive hull stops refining an arc this narrow: radians
+INVERSE_SHIFT_ULPS = 8.0  # inverse-iteration shift past h(t): ulps of max |h| scaled into [1/2, 1)
+RAYLEIGH_RTOL = 1e-12  # boundary point this near its supporting line, else eigh: the hull scale
 
 
 def as_matrix(entries) -> np.ndarray:

@@ -11,6 +11,7 @@ controlled by the numerical range via its support function.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -25,8 +26,10 @@ from .numerics import (
     DISTANCE_RTOL,
     EXACT_RADIUS_RTOL,
     HULL_ARC_FLOOR,
+    INVERSE_SHIFT_ULPS,
     MEMBERSHIP_SLACK,
     RADIUS_RTOL,
+    RAYLEIGH_RTOL,
     SYMMETRY_RTOL,
     HermEig,
     as_matrix,
@@ -40,14 +43,17 @@ from .numerics import (
 
 DEFAULT_HULL_GRID = 720
 MIN_HULL_GRID = 16
-# Rotated matrices in flight in eigensolver calls, in bytes: the default grid
-# at n <= 24 is one call per worker.
+# Bytes in flight in one block of a hull stack, two arrays the size of H per
+# angle (see _stacked): the default grid's 360 eigensolves at n <= 16 are one
+# call per worker.
 HULL_BLOCK_BYTES = 2**22
-# Work (angles * n^3) a stack must pass to be spread over the BLAS threads:
-# about 4 ms of eigh at n = 48, so a split saves some 2 ms against the 0.03 to
-# 0.3 ms it takes to wake a pooled thread. The decisions' seeds (8 angles)
-# and refinements (1 to 5) stay below it up to n = 48.
-HULL_SPLIT_FLOOR = 2**20
+# Work (angles * n^3) a stack must pass to be spread over the BLAS threads.
+# On two workers at n = 48, eigvalsh and the boundary solves are both faster
+# serial at 16 angles (3.7 and 1.4 ms) and both faster split at 32 (9.5 -> 5.7
+# and 3.2 -> 2.3 ms); at n = 64 the same holds at 8 and 16 angles. The
+# decisions' seeds (8 eigensolves, 16 boundary points) and refinements (1 to
+# 5 angles, two points each) stay below it up to n = 48.
+HULL_SPLIT_FLOOR = 2**21
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +119,7 @@ def _parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     For a structurally diagonal M (every off-diagonal entry exactly 0), or
     a 1-D array lambda standing for diag(lambda), they are the diagonals
-    Re(lambda) and Im(lambda), and ``_extreme_block`` reads the extremes off
+    Re(lambda) and Im(lambda), and the hull reads the extremes off
     them without an eigensolve.
     """
     if mat.ndim == 1:
@@ -123,60 +129,59 @@ def _parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (mat + mat.conj().T) / 2, (mat - mat.conj().T) * -0.5j
 
 
-def _extremes(parts, reduced: np.ndarray, vectors: bool):
-    """Bottom and top eigenvalues (columns 0 and 1) of cos(phi) H + sin(phi) K
-    at each reduced angle phi and, with ``vectors``, what gives the matching
-    boundary points to ``_points``: eigenvectors (shape (angles, n, 2)), or
-    for diagonal parts the indices of the attaining entries (angles, 2).
+class _Buffers(threading.local):
+    """One thread's two arrays for the blocks of one stack: the rotated
+    matrices and the temporary of their sin term. They are made at the
+    thread's first block, remade for a longer block (a pooled thread can
+    solve more than one share), and otherwise reused, because fresh pages
+    cost several times the arithmetic."""
 
-    The rotated matrices are stacked and solved in blocks, and only the two
-    extreme eigenpairs of each solve are kept, so memory does not grow with
-    the number of angles. A stack whose work (angles * n^3) passes
-    ``HULL_SPLIT_FLOOR`` is spread over the BLAS thread budget by
-    ``stack_map``: k workers, one BLAS thread each, in blocks of
-    ``HULL_BLOCK_BYTES / k``. A smaller one, and the exact diagonal path,
-    is solved on the calling thread in blocks of ``HULL_BLOCK_BYTES``.
+    stack = temp = None
+
+
+def _stacked(h: np.ndarray, count: int, solve) -> list:
+    """``solve(start, stop, buffers)`` over blocks of a stack of ``count``
+    angles, in order, each thread reusing its ``_Buffers``.
+
+    An angle holds two arrays the size of H in flight: its rotated matrix
+    and the temporary its sin term is formed in (an eigensolve or a solve
+    adds O(n) more). A block holds at most ``HULL_BLOCK_BYTES`` of them. A
+    dense stack whose work (angles * n^3) passes ``HULL_SPLIT_FLOOR`` is
+    spread over the BLAS thread budget by ``stack_map``: k workers, one BLAS
+    thread each, in blocks of ``HULL_BLOCK_BYTES / k``. A smaller one, and
+    the exact diagonal path, is solved on the calling thread.
     """
-    h = parts[0]
-    cos, sin = np.cos(reduced), np.sin(reduced)
-    split = h.ndim == 2 and len(reduced) * h.shape[0] ** 3 > HULL_SPLIT_FLOOR
-    solved = stack_map(
-        lambda start, stop: _extreme_block(parts, cos[start:stop], sin[start:stop], vectors),
-        len(reduced),
-        max(1, HULL_BLOCK_BYTES // (16 * h.size)),
-        split,
-    )
-    values = np.concatenate([w for w, _ in solved])
-    return values, np.concatenate([v for _, v in solved]) if vectors else None
+    split = h.ndim == 2 and count * h.shape[0] ** 3 > HULL_SPLIT_FLOOR
+    block = max(1, HULL_BLOCK_BYTES // (2 * h.nbytes))
+    buffers = _Buffers()
+    return stack_map(lambda start, stop: solve(start, stop, buffers), count, block, split)
 
 
-def _extreme_block(parts, cos: np.ndarray, sin: np.ndarray, vectors: bool):
-    """One block of ``_extremes``; its stack is freed on return."""
+def _rotated(parts, cos: np.ndarray, sin: np.ndarray, buffers: _Buffers) -> np.ndarray:
+    """cos(t) H + sin(t) K at each angle t, in the thread's buffers: a stack
+    of matrices, or of rows for diagonal parts. Complex parts are scaled as
+    their (re, im) pairs."""
     h, k = parts
-    if h.ndim == 1:
-        # diagonal M is normal, so W(M) = conv{lambda_j} and the extremes are
-        # min and max of r_j, formed in the stack's own operation order
-        r = cos[:, None] * h
-        r += sin[:, None] * k
-        ends = np.stack([r.argmin(1), r.argmax(1)], 1)
-        return np.take_along_axis(r, ends, 1), ends if vectors else None
-    stack = cos[:, None, None] * h
-    stack += sin[:, None, None] * k
-    if not vectors:
-        return np.linalg.eigvalsh(stack)[:, [0, -1]], None
-    w, v = np.linalg.eigh(stack)
-    return w[:, [0, -1]], v[:, :, [0, -1]]
+    if buffers.stack is None or len(buffers.stack) < cos.size:
+        buffers.stack = np.empty((cos.size,) + h.shape, h.dtype)
+        buffers.temp = np.empty_like(buffers.stack)
+    stack, temp = buffers.stack[: cos.size], buffers.temp[: cos.size]
+    axes = (slice(None),) + (None,) * h.ndim
+    np.multiply(cos[axes], h.view(float), out=stack.view(float))
+    np.multiply(sin[axes], k.view(float), out=temp.view(float))
+    stack += temp
+    return stack
 
 
 def _grid(m: int):
     """The angles t_k = 2 pi k / m of an m-grid and the solves that serve them.
 
     Re(e^(-i(t + pi)) M) = -Re(e^(-i t) M), so t_k is served by the solve at
-    the reduced angle pi ((2k) mod m) / m: by its top eigenpair when 2k < m
-    and by its negated bottom eigenpair otherwise. An even grid needs m/2
+    the reduced angle pi ((2k) mod m) / m: by its top eigenvalue when 2k < m
+    and by its negated bottom eigenvalue otherwise. An even grid needs m/2
     solves, an odd one m. Returns the grid angles, the reduced angles, and
-    per grid angle its solve index, extreme column (as in ``_extremes``) and
-    sign.
+    per grid angle its solve index, extreme column (as in
+    ``NumericalRangeHull._extremes``) and sign.
     """
     if m < MIN_HULL_GRID:
         raise ValueError(f"hull grid must have at least {MIN_HULL_GRID} angles")
@@ -190,14 +195,24 @@ def _grid(m: int):
     return angles, reduced, (doubled % m) // step, column, sign
 
 
-def _points(mat: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Boundary points from selected ``_extremes`` ends: x_k^H M x_k for the
-    rows x_k of eigenvectors, or the indexed diagonal entries (signed zeros
-    made positive, as the quadratic form gives them)."""
-    if ends.dtype.kind == "i":
-        diagonal = mat if mat.ndim == 1 else mat.diagonal()
-        return diagonal[ends] + 0.0
-    return np.einsum("ki,ij,kj->k", ends.conj(), mat, ends)
+def _quadratic(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_k^H M x_k for the rows x_k of x."""
+    return np.einsum("ki,ki->k", x.conj(), x @ mat.T)
+
+
+def _inverse_step(shifted: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """A^-1 start for each matrix A of the stack, as unit rows. Where LAPACK
+    finds A exactly singular (a pivot rounded to 0), or the step overflows,
+    start itself, whose point the Rayleigh check judges like any other."""
+    try:
+        x = np.linalg.solve(shifted, start[:, None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(shifted) == 1:
+            return start[None] / np.linalg.norm(start)
+        return np.concatenate([_inverse_step(a[None], start) for a in shifted])
+    x[~np.isfinite(x).all(1)] = start
+    x /= np.max(np.abs(x), axis=1, keepdims=True)  # so that no square overflows
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def _circular(x: np.ndarray) -> np.ndarray:
@@ -209,76 +224,100 @@ class NumericalRangeHull:
     """Support samples of the numerical range W(M) by the rotation method.
 
     ``support[k]`` is the support value h(t) = max Re(e^(-i t) W(M)), the
-    top eigenvalue of Re(e^(-i t) M), at t = ``angles[k]``, and ``points[k]``
-    the boundary value of the quadratic form that attains it (NaN until
-    ``boundary_points``). Construction samples the m-grid, with eigenvectors
-    when ``vectors`` is set; ``add`` refines, within ``DEFAULT_HULL_GRID``
-    angles in all. A solve at the reduced angle phi in [0, pi) gives h(phi)
-    from its top eigenvalue and h(phi + pi) from its negated bottom one. The
-    samples, in angle order, bound W(M) by two polygons: the outer one cut
-    out by the tangent lines Re(e^(-i t) z) = h(t), which contains W(M), and
-    the inner one through the boundary points, which W(M) contains.
+    top eigenvalue of B(t) = Re(e^(-i t) M) = cos(t) H + sin(t) K, at
+    t = ``angles[k]``, and ``points[k]`` the boundary value of the quadratic
+    form that attains it (NaN until ``boundary_points``). Construction
+    samples the m-grid; ``add`` refines, within ``DEFAULT_HULL_GRID`` angles
+    in all. Support values come from ``eigvalsh``: the solve at the reduced
+    angle phi = ``reduced[k]`` in [0, pi) gives h(phi) from its top
+    eigenvalue and h(phi + pi) from its negated bottom one. The samples, in
+    angle order, bound W(M) by two polygons: the outer one cut out by the
+    tangent lines Re(e^(-i t) z) = h(t), which contains W(M), and the inner
+    one through the boundary points, which W(M) contains. ``fallbacks``
+    counts the boundary points that inverse iteration left to ``eigh``.
 
     A structurally diagonal M (every off-diagonal entry exactly 0) is
     normal, so W(M) = conv{lambda_j} (Horn and Johnson, Topics in Matrix
     Analysis, 1991, 1.2): h(t) is then max_j Re(e^(-i t) lambda_j) and the
-    boundary point the attaining lambda_j, read off with no eigensolve. A
-    1-D array lambda is taken as diag(lambda), which is never built. They
-    equal the eigensolver's bit for bit (up to the choice among tied
-    entries) unless LAPACK rescales the matrix (moduli outside about
-    [1e-146, 1e146]), where the exact values are the correctly rounded ones.
+    boundary point the attaining lambda_j, read off with no eigensolve as
+    soon as h(t) is. A 1-D array lambda is taken as diag(lambda), which is
+    never built. They equal the eigensolver's bit for bit (up to the choice
+    among tied entries) unless LAPACK rescales the matrix (moduli outside
+    about [1e-146, 1e146]), where the exact values are the correctly
+    rounded ones.
     """
 
-    def __init__(self, mat: np.ndarray, m: int = DEFAULT_HULL_GRID, vectors: bool = True):
+    def __init__(self, mat: np.ndarray, m: int = DEFAULT_HULL_GRID):
         self.mat = np.asarray(mat, dtype=complex)
         if self.mat.shape[0] == 0:
             raise ValidationError("the numerical range of a 0-dimensional form is empty")
         self.parts = _parts(self.mat)
         self.angles, reduced, index, column, sign = _grid(m)
-        values, vecs = _extremes(self.parts, reduced, vectors)
+        values, points = self._extremes(reduced)
         self.support = sign * values[index, column]
         self.reduced = reduced[index]
-        self.top = column == 1
-        nan = np.full(m, complex(np.nan, np.nan))
-        self.points = _points(self.mat, vecs[index, ..., column]) if vectors else nan
+        self.points = points[index, column]
+        self.fallbacks = 0
+
+    def _extremes(self, reduced: np.ndarray):
+        """Bottom and top eigenvalues (columns 0 and 1) of cos(phi) H + sin(phi) K
+        at each reduced angle phi, from ``eigvalsh`` in blocks, and the
+        boundary points that attain them: on the exact diagonal path the
+        attaining entries (signed zeros made positive, as the quadratic form
+        gives them), otherwise NaN, for ``boundary_points`` to fill."""
+        cos, sin = np.cos(reduced), np.sin(reduced)
+        diagonal = self.mat if self.mat.ndim == 1 else self.mat.diagonal()
+
+        def block(start: int, stop: int, buffers: _Buffers):
+            r = _rotated(self.parts, cos[start:stop], sin[start:stop], buffers)
+            if r.ndim == 3:
+                missing = np.full((stop - start, 2), complex(np.nan, np.nan))
+                return np.linalg.eigvalsh(r)[:, [0, -1]], missing
+            # diagonal M is normal, so W(M) = conv{lambda_j} and the extremes
+            # are min and max of r_j, formed in the stack's own operation order
+            ends = np.stack([r.argmin(1), r.argmax(1)], 1)
+            return np.take_along_axis(r, ends, 1), diagonal[ends] + 0.0
+
+        solved = _stacked(self.parts[0], reduced.size, block)
+        return np.concatenate([w for w, _ in solved]), np.concatenate([p for _, p in solved])
 
     @property
     def scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.support))))
 
-    def distance(self, z: complex) -> float:
+    def distance(self, z):
         """Max over sampled directions of Re(e^(-i t) z) - h(t), clamped at 0:
-        a lower bound on the distance from z to W(M)."""
-        return max(0.0, float(np.max(np.real(np.exp(-1j * self.angles) * z) - self.support)))
+        a lower bound on the distance from z to W(M). Elementwise for an
+        array z, with the same operations as for each of its entries."""
+        z = np.asarray(z)
+        worst = np.max(np.real(np.exp(-1j * self.angles) * z[..., None]) - self.support, -1)
+        clamped = np.where(worst > 0.0, worst, 0.0)
+        return float(clamped) if clamped.ndim == 0 else clamped
 
     def area(self) -> float:
         """Shoelace area of the polygon of boundary points."""
         x, y = self.points.real, self.points.imag
         return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2)
 
-    def add(self, angles, vectors: bool = False) -> int:
+    def add(self, angles) -> int:
         """Solve at the given angles, in priority order, that lie farther than
         ``HULL_ARC_FLOOR`` from every sampled angle (mod pi) and fit the
-        budget; returns the number of solves."""
+        budget; returns the number of solves. Their boundary points are read
+        off at once on the exact diagonal path and left to
+        ``boundary_points`` otherwise."""
         phi = np.mod(np.asarray(angles, dtype=float), np.pi)
         near = (_circular(phi[:, None] - self.reduced[None, :]) <= HULL_ARC_FLOOR).any(1)
         repeat = np.tril(_circular(phi[:, None] - phi[None, :]) <= HULL_ARC_FLOOR, -1).any(1)
         phi = phi[~(near | repeat)][: max(0, DEFAULT_HULL_GRID - self.angles.size) // 2]
         if not phi.size:
             return 0
-        values, vecs = _extremes(self.parts, phi, vectors)
-        if vectors:
-            points = _points(self.mat, np.concatenate([vecs[..., 1], vecs[..., 0]]))
-        else:
-            points = np.full(2 * phi.size, complex(np.nan, np.nan))
-        top = np.arange(2 * phi.size) < phi.size
+        values, points = self._extremes(phi)
         angles = np.concatenate([self.angles, phi, phi + np.pi])
         order = np.argsort(angles, kind="stable")
         self.angles = angles[order]
         self.support = np.concatenate([self.support, values[:, 1], -values[:, 0]])[order]
         self.reduced = np.concatenate([self.reduced, phi, phi])[order]
-        self.top = np.concatenate([self.top, top])[order]
-        self.points = np.concatenate([self.points, points])[order]
+        self.points = np.concatenate([self.points, points[:, 1], points[:, 0]])[order]
         return int(phi.size)
 
     def arcs(self) -> np.ndarray:
@@ -294,20 +333,66 @@ class NumericalRangeHull:
         return np.exp(1j * (self.angles + d / 2)) * along
 
     def boundary_points(self) -> np.ndarray:
-        """Boundary points at every sampled angle; the missing ones come from
-        one ``eigh`` per distinct reduced angle."""
-        missing = np.isnan(self.points)
-        if missing.any():
-            phi, solve = np.unique(self.reduced[missing], return_inverse=True)
-            _, vecs = _extremes(self.parts, phi, vectors=True)
-            column = np.where(self.top[missing], 1, 0)
-            self.points[missing] = _points(self.mat, vecs[solve, ..., column])
+        """Boundary points at every sampled angle, the missing ones by
+        ``_inverse_points``."""
+        missing = np.flatnonzero(np.isnan(self.points))
+        if missing.size:
+            points, fallbacks = self._inverse_points(missing)
+            self.points[missing] = points
+            self.fallbacks += fallbacks
         return self.points
+
+    def _inverse_points(self, samples: np.ndarray):
+        """Boundary points of a dense M at the given samples, and the number
+        of them that ``eigh`` re-solved.
+
+        Each point is x^H M x for the unit x that one inverse-iteration step
+        gives (I. C. F. Ipsen, SIAM Review 39, 1997): a batched solve of
+        (h(t) + delta) I - B(t) against the fixed start vector
+        cos(j^2) + i sin(j^3), j = 1..n, whose phases are equidistributed.
+        B(t) is formed as the support value's solve formed it, +-B(phi) at
+        the reduced angle phi, so that h(t) is its top eigenvalue to
+        eigvalsh's rounding. H and K are first scaled by the power of two
+        that puts the largest |h| in [1/2, 1), and delta is
+        ``INVERSE_SHIFT_ULPS`` ulps of it, so that the shift is never 0 or
+        subnormal. Whatever x is, the point lies in W(M). A point off its
+        supporting line Re(e^(-i t) z) = h(t) by more than ``RAYLEIGH_RTOL``
+        times the hull scale is taken from the top eigenvector of B(t)
+        instead. The solves are blocked as ``_stacked`` says.
+        """
+        n = self.mat.shape[0]
+        exponent = math.frexp(float(np.max(np.abs(self.support))))[1]
+        unit = math.ldexp(1.0, -max(exponent, -1021))  # a subnormal peak as the least normal
+        parts = (self.parts[0] * unit, self.parts[1] * unit)
+        support, reduced = self.support[samples], self.reduced[samples]
+        shift = support * unit + INVERSE_SHIFT_ULPS * np.spacing(0.5)
+        j = np.arange(1.0, n + 1)
+        start = np.cos(j * j) + 1j * np.sin(j * j * j)
+        band = RAYLEIGH_RTOL * self.scale
+        sign = np.rint(np.cos(self.angles[samples] - reduced))  # t is phi or phi + pi
+        cos, sin = sign * np.cos(reduced), sign * np.sin(reduced)
+
+        def block(lo: int, hi: int, buffers: _Buffers):
+            shifted = _rotated(parts, -cos[lo:hi], -sin[lo:hi], buffers)
+            shifted.reshape(hi - lo, -1)[:, :: n + 1] += shift[lo:hi, None]
+            points = _quadratic(self.mat, _inverse_step(shifted, start))
+            reach = cos[lo:hi] * points.real + sin[lo:hi] * points.imag
+            miss = ~(np.abs(reach - support[lo:hi]) <= band)
+            if miss.any():
+                rotated = _rotated(parts, cos[lo:hi][miss], sin[lo:hi][miss], buffers)
+                points[miss] = _quadratic(self.mat, np.linalg.eigh(rotated)[1][:, :, -1])
+            return points, int(np.count_nonzero(miss))
+
+        solved = _stacked(parts[0], samples.size, block)
+        return np.concatenate([p for p, _ in solved]), sum(c for _, c in solved)
 
 
 def numerical_range_hull(omega: Form, m: int = DEFAULT_HULL_GRID) -> NumericalRangeHull:
-    """Rotation-method hull of {omega(xi, xi) : |xi| = 1} on the m-grid."""
-    return NumericalRangeHull(omega.matrix, m)
+    """Rotation-method hull of {omega(xi, xi) : |xi| = 1} on the m-grid, with
+    its boundary points."""
+    hull = NumericalRangeHull(omega.matrix, m)
+    hull.boundary_points()
+    return hull
 
 
 def numerical_radius_bounds(mat: np.ndarray) -> tuple[float, float]:
@@ -329,7 +414,7 @@ def numerical_radius_bounds(mat: np.ndarray) -> tuple[float, float]:
         radius = float(np.max(np.abs(np.linalg.eigvalsh(hermitize(mat)))))
         return radius, radius
     norm = specnorm(mat)
-    hull = NumericalRangeHull(mat, MIN_HULL_GRID, vectors=False)
+    hull = NumericalRangeHull(mat, MIN_HULL_GRID)
     while True:
         lower = float(np.max(hull.support))
         vertices = hull.vertices()
@@ -494,7 +579,7 @@ def _locate(hull: NumericalRangeHull, lam: complex) -> tuple[str, float]:
             return "inside", max(0.0, margin)
         stuck = margin >= -band and depth >= -band
         new = beside if normal is None else [normal] + beside
-        if stuck or not hull.add(new, vectors=True):
+        if stuck or not hull.add(new):
             return "boundary-inconclusive", max(0.0, margin)
 
 
@@ -512,7 +597,7 @@ def scalar_solvability(
     inside.
     """
     report = _shifted(omega, gram, lam, rtol)  # checks the norm first
-    hull = NumericalRangeHull(omega.matrix, MIN_HULL_GRID, vectors=False)
+    hull = NumericalRangeHull(omega.matrix, MIN_HULL_GRID)
     status, distance = _locate(hull, complex(lam))
     if status == "outside" and not report.solvable:
         raise TheoremViolation(

@@ -136,6 +136,27 @@ def schur_short(psi, theta, rtol=1e-10):
     return hermitize(psi - cross @ np.linalg.solve(null.conj().T @ cross, cross.conj().T))
 
 
+def eigh_hull(hull):
+    """Per-angle ``eigh`` reference for a hull's samples: at each sample one
+    eigh of cos(phi) H + sin(phi) K at its reduced angle phi, with H and K the
+    hull's parts as matrices (a diagonal part as its diagonal matrix). The
+    top eigenpair serves the sample at phi, the negated bottom one the sample
+    at phi + pi. Returns the support values and the boundary points v^H M v
+    of the attaining unit eigenvectors v."""
+    h, k = (np.diag(p).astype(complex) if p.ndim == 1 else p for p in hull.parts)
+    mat = np.diag(hull.mat) if hull.mat.ndim == 1 else hull.mat
+    support, points = [], []
+    for t, phi in zip(hull.angles, hull.reduced):
+        rotated = np.cos(phi) * h
+        rotated += np.sin(phi) * k
+        values, vectors = np.linalg.eigh(rotated)
+        top = abs(t - phi) < np.pi / 2
+        v = vectors[:, -1 if top else 0]
+        support.append(values[-1] if top else -values[0])
+        points.append(v.conj() @ mat @ v)
+    return np.array(support), np.array(points)
+
+
 @pytest.fixture(scope="session")
 def session_start():
     return time.monotonic()

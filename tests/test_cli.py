@@ -959,19 +959,19 @@ class TestBlasThreadCount:
         self, tmp_path, capsys, monkeypatch, blas_count
     ):
         monkeypatch.setattr(numerics, "blas_workers", lambda: 2)
-        original = np.linalg.eigh
+        original = np.linalg.solve
 
         def breaks_in_worker(a, *args, **kwargs):
             if np.ndim(a) == 3 and threading.current_thread() is not threading.main_thread():
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                raise MemoryError("Unable to allocate the solve's workspace")
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", breaks_in_worker)
+        monkeypatch.setattr(np.linalg, "solve", breaks_in_worker)
         path = self._dense(tmp_path)
         assert main(["numrange", path]) == 1
-        assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+        assert capsys.readouterr().err == "error: Unable to allocate the solve's workspace\n"
         assert blas_count() == 2
-        monkeypatch.setattr(np.linalg, "eigh", original)
+        monkeypatch.setattr(np.linalg, "solve", original)
         assert main(["numrange", path]) == 0
         capsys.readouterr()
         assert blas_count() == 2

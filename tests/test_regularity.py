@@ -114,8 +114,8 @@ class TestEpsilonBound:
         rounds = []
         add = solvable.NumericalRangeHull.add
 
-        def recording(hull, angles, vectors=False):
-            rounds.append((np.mod(angles[0], np.pi), add(hull, angles, vectors)))
+        def recording(hull, angles):
+            rounds.append((np.mod(angles[0], np.pi), add(hull, angles)))
             return rounds[-1][1]
 
         monkeypatch.setattr(solvable.NumericalRangeHull, "add", recording)

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from formkit import numerics, solvable
 from formkit.cli import encode_matrix, main
 from formkit.numerics import BOUNDARY_RTOL, RADIUS_RTOL, frob, hermitize
 
-from conftest import complex_randn, member_form, random_psd, random_unitary
+from conftest import complex_randn, eigh_hull, member_form, random_psd, random_unitary
 
 
 class TestCompatibleNorm:
@@ -84,6 +86,20 @@ class TestNumericalRangeHull:
             scale = hull.scale
             for z in np.linalg.eigvals(m):
                 assert hull.distance(z) <= 1e-6 * scale
+
+    def test_distance_of_an_array_is_the_per_point_loop(self):
+        rng = np.random.default_rng(73)
+        for n in (1, 3, 8):
+            m = complex_randn(rng, n, n)
+            hull = fk.numerical_range_hull(fk.Form(m))
+            z = np.concatenate([np.linalg.eigvals(m), 3 * complex_randn(rng, 30), hull.points[:3]])
+            loop = [
+                max(0.0, float(np.max(np.real(np.exp(-1j * hull.angles) * w) - hull.support)))
+                for w in z
+            ]
+            assert _float_bits(hull.distance(z)) == _float_bits(loop)
+            assert _float_bits([hull.distance(w) for w in z]) == _float_bits(loop)
+            assert isinstance(hull.distance(z[0]), float)
 
     def test_resolvent_bound_random(self):
         rng = np.random.default_rng(52)
@@ -210,34 +226,61 @@ class TestSupportFunction:
 
     def test_hull_solves_half_stack_in_blocks(self, monkeypatch):
         m = complex_randn(np.random.default_rng(57), 5, 5)
-        n = 48
+        n, grid = 48, solvable.DEFAULT_HULL_GRID
         big = fk.Form(complex_randn(np.random.default_rng(63), n, n))
         values = self._record(monkeypatch, "eigvalsh")
+        solves = self._record(monkeypatch, "solve")
         vectors = self._record(monkeypatch, "eigh")
         for workers in (1, 2):
             monkeypatch.setattr(numerics, "blas_workers", lambda: workers)
             monkeypatch.setattr(solvable, "HULL_BLOCK_BYTES", 2**22)
-            # below the split floor a stack is one call on the calling thread
-            vectors.clear()
+            # below the split floor a stack is one call on the calling thread:
+            # eigvalsh at the reduced angles, one solve per grid angle
+            values.clear()
+            solves.clear()
             fk.numerical_range_hull(fk.Form(m), 90)
-            assert values == []
-            assert vectors == [(45, 5, 5)]
+            assert values == [(45, 5, 5)] and solves == [(90, 5, 5)]
             fk.numerical_range_hull(fk.Form(m), 17)
-            assert vectors[-1] == (17, 5, 5)
+            assert values[-1] == solves[-1] == (17, 5, 5)
             # the default grid at n = 48 is split over the workers, each
-            # solving its share in blocks that fit HULL_BLOCK_BYTES / k, bit
-            # for bit as one call per worker
-            vectors.clear()
+            # solving its share in blocks whose two arrays per angle fit
+            # HULL_BLOCK_BYTES / k, bit for bit as one call per worker
+            values.clear()
+            solves.clear()
             hull = fk.numerical_range_hull(big)
-            assert len(vectors) > workers
-            assert all(16 * shape[0] * n * n <= 2**22 / workers for shape in vectors)
-            assert sum(shape[0] for shape in vectors) == solvable.DEFAULT_HULL_GRID // 2
+            for shapes, count in ((values, grid // 2), (solves, grid)):
+                assert len(shapes) > workers
+                assert all(2 * 16 * shape[0] * n * n <= 2**22 / workers for shape in shapes)
+                assert sum(shape[0] for shape in shapes) == count
             monkeypatch.setattr(solvable, "HULL_BLOCK_BYTES", 2**40)
-            vectors.clear()
+            values.clear()
+            solves.clear()
             whole = fk.numerical_range_hull(big)
-            assert vectors == [(solvable.DEFAULT_HULL_GRID // 2 // workers, n, n)] * workers
+            assert values == [(grid // 2 // workers, n, n)] * workers
+            assert solves == [(grid // workers, n, n)] * workers
             assert np.array_equal(hull.support, whole.support)
             assert np.array_equal(hull.points, whole.points)
+        assert vectors == []
+
+    def test_pooled_thread_solves_a_longer_share_after_a_shorter(self, monkeypatch):
+        # grid 100 at n = 32: k = 3 cuts the 100 solves into shares of 33, 33
+        # and 34, each one block of at most 42; a one-thread pool solves the
+        # two pooled shares in turn, the longer second
+        from concurrent.futures import ThreadPoolExecutor
+
+        big = fk.Form(complex_randn(np.random.default_rng(66), 32, 32))
+        serial = fk.numerical_range_hull(big, 100)
+        solves = self._record(monkeypatch, "solve")
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(numerics, "_pool", (os.getpid(), pool))
+        monkeypatch.setattr(numerics, "blas_workers", lambda: 3)
+        try:
+            hull = fk.numerical_range_hull(big, 100)
+        finally:
+            pool.shutdown()
+        assert solves == [(33, 32, 32), (33, 32, 32), (34, 32, 32)]
+        assert np.array_equal(hull.support, serial.support)
+        assert np.array_equal(hull.points, serial.points)
 
     def test_decisions_solve_few_angles_without_eigenvectors(self, monkeypatch):
         m = complex_randn(np.random.default_rng(58), 4, 4)
@@ -294,37 +337,34 @@ def _bits(a):
     return np.asarray(a, dtype=complex).view(np.int64).reshape(-1, 2)
 
 
+def _float_bits(a) -> list:
+    """The bit patterns of a float array, so -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
 class TestDiagonalHull:
-    """The exact path for structurally diagonal input against the eigensolved
-    path on the same parts, as matrices."""
+    """The exact path for structurally diagonal input against the per-angle
+    eigh reference on the same parts, as matrices (``conftest.eigh_hull``)."""
 
     @staticmethod
     def _pair(monkeypatch, lam, build):
         """``build`` on diag(lam) by the exact path, with no numpy.linalg call,
-        and by the eigensolver on the parts as diagonal matrices."""
+        and the eigh reference's support values and points for its samples."""
         calls = [TestSupportFunction._record(monkeypatch, name) for name in _LINALG]
         exact = build(np.diag(lam))
         assert calls == [[]] * len(_LINALG)
         monkeypatch.undo()
-        diagonal = solvable._parts
-
-        def as_matrices(mat):
-            return tuple(np.diag(part).astype(complex) for part in diagonal(mat))
-
-        monkeypatch.setattr(solvable, "_parts", as_matrices)
-        reference = build(np.diag(lam))
-        monkeypatch.undo()
-        return exact, reference
+        return exact, eigh_hull(exact)
 
     @staticmethod
     def _match(exact, reference, lam):
-        assert np.array_equal(exact.angles, reference.angles)
-        assert np.array_equal(_bits(exact.support), _bits(reference.support))
-        differ = np.any(_bits(exact.points) != _bits(reference.points), axis=1)
+        support, points = reference
+        assert np.array_equal(_bits(exact.support), _bits(support))
+        differ = np.any(_bits(exact.points) != _bits(points), axis=1)
         for k in np.flatnonzero(differ):
             # a tie on the supporting line may be attained at another entry
             cos, sin = np.cos(exact.reduced[k]), np.sin(exact.reduced[k])
-            a, b = exact.points[k], reference.points[k]
+            a, b = exact.points[k], points[k]
             assert a != b and a in lam
             assert cos * a.real + sin * a.imag == cos * b.real + sin * b.imag
 
@@ -340,12 +380,12 @@ class TestDiagonalHull:
     @classmethod
     def _refined(cls, mat):
         hull = fk.NumericalRangeHull(mat, 16)
-        assert hull.add(cls.ANGLES, vectors=True) == cls.ANGLES.size
+        assert hull.add(cls.ANGLES) == cls.ANGLES.size
         return hull
 
     @classmethod
     def _completed(cls, mat):
-        hull = fk.NumericalRangeHull(mat, 17, vectors=False)
+        hull = fk.NumericalRangeHull(mat, 17)
         hull.add(cls.ANGLES)
         hull.boundary_points()
         return hull
@@ -374,9 +414,9 @@ class TestDiagonalHull:
     def test_tiny_off_diagonal_entry_is_eigensolved(self, monkeypatch):
         mat = np.diag(_diagonal_cases()["general"])
         mat[0, 1] = 1e-300
-        vectors = TestSupportFunction._record(monkeypatch, "eigh")
+        values = TestSupportFunction._record(monkeypatch, "eigvalsh")
         fk.NumericalRangeHull(mat, 16)
-        assert [len(shape) for shape in vectors] == [3]
+        assert [len(shape) for shape in values] == [3]
 
     def test_empty_form_refused(self):
         empty = fk.Form(np.zeros((0, 0)))
@@ -510,6 +550,91 @@ def _on_segment(point, ends):
     t = np.real((point - ends[0]) / direction)
     projected = ends[0] + np.clip(t, 0, 1) * direction
     return abs(point - projected) <= 1e-8
+
+
+def _hostile_cases():
+    rng = np.random.default_rng(74)
+    z = complex_randn(rng, 8)
+    upper = np.triu_indices(8, 1)
+    phases = np.exp(2j * np.pi * rng.uniform(size=upper[0].size))
+    tiny, huge = np.diag(z), np.diag(z)
+    tiny[upper], huge[upper] = 1e-300 * phases, 1e150 * phases
+    # each vertex of a triangle twice, beside a non-normal block inside it: at
+    # every angle the top eigenvalue of Re(e^(-i t) M) is at least double
+    repeated = np.zeros((9, 9), dtype=complex)
+    repeated[:6, :6] = np.diag(np.repeat(2 * np.exp(2j * np.pi * np.arange(3) / 3), 2))
+    repeated[6:, 6:] = 0.3 * np.triu(complex_randn(rng, 3, 3))
+    u = random_unitary(rng, 9)
+    return {
+        "tiny-off-diagonal": tiny,
+        "huge-off-diagonal": huge,
+        "repeated-top": u @ repeated @ u.conj().T,
+        "jordan": np.diag(np.ones(11), 1),
+    }
+
+
+def _on_supporting_lines(hull):
+    """Every boundary point within ``RAYLEIGH_RTOL`` (of the hull scale) of its
+    supporting line Re(e^(-i t) z) = h(t)."""
+    reach = np.cos(hull.angles) * hull.points.real + np.sin(hull.angles) * hull.points.imag
+    return np.max(np.abs(reach - hull.support)) <= numerics.RAYLEIGH_RTOL * hull.scale
+
+
+def _numrange_exit(tmp_path, mat) -> int:
+    # psi is given: the canonical majorant refuses entries of modulus 1e150
+    n = len(mat)
+    doc = {"n": n, "omega": encode_matrix(mat).tolist(), "psi": encode_matrix(np.eye(n)).tolist()}
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    return main(["numrange", str(path), "--json"])
+
+
+class TestInverseIteration:
+    """Boundary points from one inverse-iteration step: each lies on its
+    supporting line to ``RAYLEIGH_RTOL``, on hostile input too, and a step
+    that misses is re-solved by eigh and counted."""
+
+    @pytest.mark.parametrize("case", sorted(_hostile_cases()))
+    def test_hostile_points_on_their_supporting_lines(self, tmp_path, capsys, case):
+        # off-diagonal entries of 1e-300 leave a diagonal entry decoupled:
+        # where eigvalsh's rounding puts the shift exactly on it, the step
+        # breaks down and the angle falls back to eigh
+        mat = _hostile_cases()[case]
+        hull = fk.numerical_range_hull(fk.Form(mat))
+        assert _on_supporting_lines(hull)
+        assert _numrange_exit(tmp_path, mat) == 0
+        capsys.readouterr()
+
+    def test_a_step_off_the_top_eigenvector_falls_back(self, monkeypatch, tmp_path, capsys):
+        def bottom(a, b):
+            # the top eigenvector of (h + delta) I - B(t) is B(t)'s bottom
+            # one, orthogonal to the top eigenvector the step should find
+            return np.linalg.eigh(a)[1][..., -1:]
+
+        monkeypatch.setattr(np.linalg, "solve", bottom)
+        mat = complex_randn(np.random.default_rng(75), 6, 6)
+        hull = fk.numerical_range_hull(fk.Form(mat), 64)
+        assert hull.fallbacks == 64
+        assert _on_supporting_lines(hull)
+        assert _numrange_exit(tmp_path, mat) == 0
+        capsys.readouterr()
+
+    def test_numrange_solves_no_eigenvectors(self, monkeypatch, tmp_path, capsys):
+        golden = Path(__file__).resolve().parent / "golden" / "instances"
+        paths = sorted(golden.glob("*.json"))
+        rng = np.random.default_rng(76)
+        for n in (4, 24, 48, 96):
+            mat = complex_randn(rng, n, n)
+            hull = fk.numerical_range_hull(fk.Form(mat))
+            assert hull.fallbacks == 0 and _on_supporting_lines(hull)
+            paths.append(tmp_path / f"dense-n{n}.json")
+            paths[-1].write_text(json.dumps({"n": n, "omega": encode_matrix(mat).tolist()}))
+        # parsing may eigensolve a single matrix; a fallback would solve a stack
+        vectors = TestSupportFunction._record(monkeypatch, "eigh")
+        for path in paths:
+            assert main(["numrange", str(path)]) == 0
+        capsys.readouterr()
+        assert [shape for shape in vectors if len(shape) == 3] == []
 
 
 class TestSerialStacks:
