@@ -11,7 +11,6 @@ controlled by the numerical range via its support function.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -129,19 +128,8 @@ def _parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (mat + mat.conj().T) / 2, (mat - mat.conj().T) * -0.5j
 
 
-class _Buffers(threading.local):
-    """One thread's two arrays for the blocks of one stack: the rotated
-    matrices and the temporary of their sin term. They are made at the
-    thread's first block, remade for a longer block (a pooled thread can
-    solve more than one share), and otherwise reused, because fresh pages
-    cost several times the arithmetic."""
-
-    stack = temp = None
-
-
 def _stacked(h: np.ndarray, count: int, solve) -> list:
-    """``solve(start, stop, buffers)`` over blocks of a stack of ``count``
-    angles, in order, each thread reusing its ``_Buffers``.
+    """``solve(start, stop)`` over blocks of a stack of ``count`` angles, in order.
 
     An angle holds two arrays the size of H in flight: its rotated matrix
     and the temporary its sin term is formed in (an eigensolve or a solve
@@ -153,24 +141,17 @@ def _stacked(h: np.ndarray, count: int, solve) -> list:
     """
     split = h.ndim == 2 and count * h.shape[0] ** 3 > HULL_SPLIT_FLOOR
     block = max(1, HULL_BLOCK_BYTES // (2 * h.nbytes))
-    buffers = _Buffers()
-    return stack_map(lambda start, stop: solve(start, stop, buffers), count, block, split)
+    return stack_map(solve, count, block, split)
 
 
-def _rotated(parts, cos: np.ndarray, sin: np.ndarray, buffers: _Buffers) -> np.ndarray:
-    """cos(t) H + sin(t) K at each angle t, in the thread's buffers: a stack
-    of matrices, or of rows for diagonal parts. Complex parts are scaled as
-    their (re, im) pairs."""
+def _rotated(parts, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """cos(t) H + sin(t) K at each angle t: a stack of matrices, or of rows
+    for diagonal parts. Complex parts are scaled as their (re, im) pairs."""
     h, k = parts
-    if buffers.stack is None or len(buffers.stack) < cos.size:
-        buffers.stack = np.empty((cos.size,) + h.shape, h.dtype)
-        buffers.temp = np.empty_like(buffers.stack)
-    stack, temp = buffers.stack[: cos.size], buffers.temp[: cos.size]
     axes = (slice(None),) + (None,) * h.ndim
-    np.multiply(cos[axes], h.view(float), out=stack.view(float))
-    np.multiply(sin[axes], k.view(float), out=temp.view(float))
-    stack += temp
-    return stack
+    stack = cos[axes] * h.view(float)
+    stack += sin[axes] * k.view(float)
+    return stack.view(h.dtype)
 
 
 def _grid(m: int):
@@ -268,8 +249,8 @@ class NumericalRangeHull:
         cos, sin = np.cos(reduced), np.sin(reduced)
         diagonal = self.mat if self.mat.ndim == 1 else self.mat.diagonal()
 
-        def block(start: int, stop: int, buffers: _Buffers):
-            r = _rotated(self.parts, cos[start:stop], sin[start:stop], buffers)
+        def block(start: int, stop: int):
+            r = _rotated(self.parts, cos[start:stop], sin[start:stop])
             if r.ndim == 3:
                 missing = np.full((stop - start, 2), complex(np.nan, np.nan))
                 return np.linalg.eigvalsh(r)[:, [0, -1]], missing
@@ -372,14 +353,14 @@ class NumericalRangeHull:
         sign = np.rint(np.cos(self.angles[samples] - reduced))  # t is phi or phi + pi
         cos, sin = sign * np.cos(reduced), sign * np.sin(reduced)
 
-        def block(lo: int, hi: int, buffers: _Buffers):
-            shifted = _rotated(parts, -cos[lo:hi], -sin[lo:hi], buffers)
+        def block(lo: int, hi: int):
+            shifted = _rotated(parts, -cos[lo:hi], -sin[lo:hi])
             shifted.reshape(hi - lo, -1)[:, :: n + 1] += shift[lo:hi, None]
             points = _quadratic(self.mat, _inverse_step(shifted, start))
             reach = cos[lo:hi] * points.real + sin[lo:hi] * points.imag
             miss = ~(np.abs(reach - support[lo:hi]) <= band)
             if miss.any():
-                rotated = _rotated(parts, cos[lo:hi][miss], sin[lo:hi][miss], buffers)
+                rotated = _rotated(parts, cos[lo:hi][miss], sin[lo:hi][miss])
                 points[miss] = _quadratic(self.mat, np.linalg.eigh(rotated)[1][:, :, -1])
             return points, int(np.count_nonzero(miss))
 

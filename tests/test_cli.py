@@ -323,6 +323,19 @@ class TestCommands:
         assert doc["witness_theta_residual_max"] == theta_res
         assert doc["witness_singular_residual_max"] == singular_res
 
+    def test_decompose_writes_an_obstructed_margin_as_null(self, capsys):
+        # at this rank tolerance the majorant's kernel obstructs the regular
+        # part, whose margin -inf has no strict-JSON spelling
+        path = str(Path(__file__).parent / "golden" / "instances" / "plain.json")
+        assert main(["decompose", path, "--tol-rank", "1e-300", "--json"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["regular_certificate"]["majorant_member"] is False
+        assert doc["regular_certificate"]["margin"] is None
+
     def test_numrange_segment(self, tmp_path, capsys):
         path = write(
             tmp_path, "nr.json", {"n": 2, "omega": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,41 @@ class TestSupportFunction:
         assert solves == [(33, 32, 32), (33, 32, 32), (34, 32, 32)]
         assert np.array_equal(hull.support, serial.support)
         assert np.array_equal(hull.points, serial.points)
+
+    def test_two_hulls_at_once_match_their_serial_hulls(self, monkeypatch, blas_count):
+        # two user threads each split their own n = 48 stack over 2 workers,
+        # so their BLAS pins overlap and their blocks share the pool
+        forms = [fk.Form(complex_randn(np.random.default_rng(s), 48, 48)) for s in (81, 82)]
+        monkeypatch.setattr(numerics, "blas_workers", lambda: 1)
+        serial = [fk.numerical_range_hull(form) for form in forms]
+        monkeypatch.setattr(numerics, "blas_workers", lambda: 2)
+        callers = set()
+        original = np.linalg.solve
+
+        def recording(a, *args, **kwargs):
+            callers.add(threading.current_thread().name)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        start = threading.Barrier(2, timeout=60)
+        hulls = [None, None]
+
+        def build(i):
+            start.wait()
+            hulls[i] = fk.numerical_range_hull(forms[i])
+
+        threads = [threading.Thread(target=build, args=(i,), name=f"user-{i}") for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert {"user-0", "user-1"} <= callers
+        assert any(name.startswith("formkit-stack") for name in callers)
+        for hull, alone in zip(hulls, serial):
+            assert np.array_equal(hull.support, alone.support)
+            assert np.array_equal(hull.points, alone.points)
+        assert blas_count() == 2
 
     def test_decisions_solve_few_angles_without_eigenvectors(self, monkeypatch):
         m = complex_randn(np.random.default_rng(58), 4, 4)
