@@ -22,10 +22,6 @@ class NotPSD(FormkitError):
     pass
 
 
-class DominationFails(MathematicalRefusal):
-    pass
-
-
 class NotInClassM(MathematicalRefusal):
     pass
 

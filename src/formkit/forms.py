@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from . import numerics
-from .errors import DominationFails, NotPSD
-from .numerics import DEFAULT_RANK_TOL, DOMINATION_FLOOR, MEMBERSHIP_SLACK, SYMMETRY_RTOL
+from .errors import NotPSD
+from .numerics import DEFAULT_RANK_TOL, SYMMETRY_RTOL
 from .numerics import HermEig, as_matrix, asymmetry, hermitize, rank_cut
 
 
@@ -81,11 +80,6 @@ class PositiveForm(Form):
 def identity_form(n: int) -> PositiveForm:
     """The inner product of C^n as a positive form."""
     return PositiveForm(np.eye(n, dtype=complex))
-
-
-def adjoint(form: Form) -> Form:
-    """The adjoint form: conjugate with swapped arguments; matrix M^H."""
-    return Form(form.matrix.conj().T)
 
 
 def re_im_split(form: Form) -> tuple[Form, Form]:
@@ -165,73 +159,3 @@ def eigen_embedding(eig: HermEig, rtol: float = DEFAULT_RANK_TOL) -> QuotientEmb
     v = eig.vectors[:, keep]
     j = np.sqrt(d)[:, None] * v.conj().T
     return QuotientEmbedding(matrix=j, basis=v, weights=d, null=eig.vectors[:, ~keep])
-
-
-def is_absolutely_continuous(
-    psi: PositiveForm, theta: PositiveForm, rtol: float = DEFAULT_RANK_TOL
-) -> bool:
-    """Kernel inclusion N(theta) <= N(psi).
-
-    At finite dimension the closability half of the definition is automatic,
-    so the kernel inclusion is the whole decision.
-    """
-    return _vanishes_on(psi, quotient_embedding(theta, rtol).null, rtol)
-
-
-def _vanishes_on(psi: PositiveForm, null: np.ndarray, rtol: float) -> bool:
-    """Whether psi vanishes on the span of the orthonormal columns ``null``
-    (a kernel from ``eigen_embedding``), relative to psi's top eigenvalue."""
-    top = max(float(psi.eig.values[-1]), 0.0) if psi.eig.values.size else 0.0
-    if null.shape[1] == 0 or top == 0.0:
-        return True
-    quad = np.linalg.norm(hermitize(null.conj().T @ psi.matrix @ null), 2)
-    return float(quad) <= rtol * top
-
-
-def _dominated(
-    theta: PositiveForm, psi: PositiveForm, rtol: float
-) -> Optional[tuple[np.ndarray, float]]:
-    """Theta compressed to the psi-quotient and its top eigenvalue (at least 0),
-    from one rank cut of psi, or None when theta does not vanish on its kernel."""
-    emb = quotient_embedding(psi, rtol)
-    if not _vanishes_on(theta, emb.null, rtol):
-        return None
-    compressed = hermitize(emb.to_quotient(theta.matrix))
-    return compressed, max(float(np.linalg.eigvalsh(compressed)[-1]), 0.0) if emb.rank else 0.0
-
-
-def dominates(
-    theta: PositiveForm, psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL
-) -> Optional[float]:
-    """Least gamma >= 0 with theta <= gamma * psi, or None if no bound exists.
-
-    The bound exists iff theta is psi-absolutely continuous (the kernel of
-    psi is annihilated by theta); on the quotient the optimal constant is
-    the top eigenvalue of the compressed theta.
-    """
-    found = _dominated(theta, psi, rtol)
-    return None if found is None else found[1]
-
-
-def domination_operator(
-    theta: PositiveForm,
-    psi: PositiveForm,
-    gamma: Optional[float] = None,
-    rtol: float = DEFAULT_RANK_TOL,
-) -> np.ndarray:
-    """The PSD operator C on the psi-quotient with
-    theta(xi, eta) = <C J xi, J eta> and 0 <= C <= gamma.
-
-    C is theta compressed to that quotient, (J^+)^H theta J^+, which equals
-    (J_theta J^+)^H (J_theta J^+) for theta's own embedding J_theta.
-
-    Raises:
-        DominationFails: if theta is not dominated by psi, or the optimal
-            constant exceeds the supplied ``gamma``.
-    """
-    found = _dominated(theta, psi, rtol)
-    if found is None:
-        raise DominationFails("kernel obstruction: N(psi) is not inside N(theta)")
-    if gamma is not None and found[1] > gamma * (1 + MEMBERSHIP_SLACK) + DOMINATION_FLOOR:
-        raise DominationFails(f"optimal constant {found[1]:.6e} exceeds gamma={gamma}")
-    return found[0]

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, PreconditionFails, WitnessResidualTooLarge
-from .forms import Form, PositiveForm, is_absolutely_continuous
+from .forms import Form, PositiveForm
 from .numerics import BUILT_PSD_TOL, DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, LIMIT_STALL, LIMIT_STOP
 from .numerics import MEMBERSHIP_SLACK, ORDER_TOL, PARALLEL_SUM_SNAP, SINGULAR_THRESHOLD, ZERO_SNAP
 from .numerics import frob, hermitize, min_eig_herm, pinv, specnorm
-from .regularity import RNRepresentation, _majorized_core, _rn_core
+from .regularity import RNRepresentation, _majorized_core, _rn_core, is_absolutely_continuous
 
 _LIMIT_MAX_DOUBLINGS = 20
 _LIMIT_COLUMNS = 3  # Romberg columns: column j cancels the 2^-jk term

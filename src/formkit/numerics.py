@@ -32,8 +32,7 @@ BUILT_PSD_TOL = 1e-8  # PSD check of a form built from other forms: its largest 
 SYMMETRY_RTOL = 1e-10  # symmetry residual |M - M^H|_F: |M|_F
 EXACT_RADIUS_RTOL = 1e-12  # symmetry below which the numerical radius is exact: |M|_F
 RECONSTRUCT_TOL = 1e-12  # eigendecomposition self-check: max(|M|_F, 1)
-MEMBERSHIP_SLACK = 1e-9  # upper bounds (membership, sector, domination, maximality): the bound
-DOMINATION_FLOOR = 1e-15  # added to the domination bound gamma: absolute
+MEMBERSHIP_SLACK = 1e-9  # upper bounds (membership, sector, maximality): the bound
 ORDER_TOL = 1e-10  # phi' <= psi in maximality_check: max(|psi|_2, 1)
 DEFAULT_RESIDUAL_TOL = 1e-8  # witness and identity residuals: the norm of their form
 ZERO_SNAP = 1e-12  # split components set to exact zero: total Frobenius mass
@@ -137,8 +136,9 @@ def hermitian_eig(m) -> HermEig:
         raise NotHermitian(
             f"symmetry residual {residual:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}"
         )
-    eig = HermEig(*eigh_or_empty(hermitize(m)))
-    if frob(eig.reconstruct() - hermitize(m)) > RECONSTRUCT_TOL * max(scale, 1.0):
+    h = hermitize(m)
+    eig = HermEig(*eigh_or_empty(h))
+    if frob(eig.reconstruct() - h) > RECONSTRUCT_TOL * max(scale, 1.0):
         raise NotHermitian("eigendecomposition failed its reconstruction check")
     return eig
 

@@ -40,9 +40,7 @@ from .forms import (
     Form,
     PositiveForm,
     QuotientEmbedding,
-    _vanishes_on,
     eigen_embedding,
-    is_absolutely_continuous,
     quotient_embedding,
     re_im_split,
 )
@@ -66,6 +64,27 @@ from .solvable import numerical_radius_bounds
 
 # The half-slope at which the sector search takes its frontier vertex.
 SECTOR_SLOPE_CAP = 2.0**20
+
+
+def is_absolutely_continuous(
+    psi: PositiveForm, theta: PositiveForm, rtol: float = DEFAULT_RANK_TOL
+) -> bool:
+    """Kernel inclusion N(theta) <= N(psi).
+
+    At finite dimension the closability half of the definition is automatic,
+    so the kernel inclusion is the whole decision.
+    """
+    return _vanishes_on(psi, quotient_embedding(theta, rtol).null, rtol)
+
+
+def _vanishes_on(psi: PositiveForm, null: np.ndarray, rtol: float) -> bool:
+    """Whether psi vanishes on the span of the orthonormal columns ``null``
+    (a kernel from ``eigen_embedding``), relative to psi's top eigenvalue."""
+    top = max(float(psi.eig.values[-1]), 0.0) if psi.eig.values.size else 0.0
+    if null.shape[1] == 0 or top == 0.0:
+        return True
+    quad = np.linalg.norm(hermitize(null.conj().T @ psi.matrix @ null), 2)
+    return float(quad) <= rtol * top
 
 
 def _on_quotient(omega: Form, psi: PositiveForm, rtol: float) -> Optional[np.ndarray]:
@@ -472,18 +491,3 @@ def sectorial_parameters(
         gamma=float(gamma),
         margin=float(min(m_vertex, m_plus, m_minus)),
     )
-
-
-def sectorial_regularity(
-    omega: Form,
-    theta: PositiveForm,
-    certificate: SectorialityCertificate,
-    rtol: float = DEFAULT_RANK_TOL,
-) -> bool:
-    """For a sectorial form, regularity relative to theta reduces to
-    absolute continuity of the shifted real part."""
-    re, _ = re_im_split(omega)
-    base = PositiveForm(
-        hermitize(re.matrix - certificate.delta * theta.matrix), tol=BUILT_PSD_TOL
-    )
-    return is_absolutely_continuous(base, theta, rtol)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IncompatibleNorm, NotSolvable, TheoremViolation, ValidationError
-from .forms import Form, PositiveForm
+from .forms import Form
 from .numerics import (
     BOUNDARY_RTOL,
     DEFAULT_RANK_TOL,
@@ -35,7 +35,6 @@ from .numerics import (
     asymmetry,
     eigh_or_empty,
     hermitize,
-    min_eig_herm,
     specnorm,
     stack_map,
 )
@@ -60,9 +59,9 @@ class NormGram:
     """Gram matrix of the Hilbert norm put on the domain.
 
     Construction caches the eigendecomposition and, from its least
-    eigenvalue, ``dominates_inner_product``: the outcome of
-    ``validate_compatible_norm`` against the inner product at the default
-    rank tolerance, since min eig(G - I) = min eig(G) - 1.
+    eigenvalue, ``dominates_inner_product``: whether the inner product is
+    at most the norm form, G - I PSD within the default rank tolerance
+    relative to max(|G|_2, 1), since min eig(G - I) = min eig(G) - 1.
     """
 
     gram: np.ndarray
@@ -98,19 +97,6 @@ class NormGram:
         """G^(-1/2) a G^(-1/2): the operator the triplet actually inverts."""
         r = self._inv_root
         return r @ a @ r
-
-
-def validate_compatible_norm(
-    gram: NormGram, theta: PositiveForm, rtol: float = DEFAULT_RANK_TOL
-) -> bool:
-    """Check theta <= the norm form (condition on the quadratic ordering).
-
-    The separate closability condition is vacuous here: a positive-definite
-    Gram already makes the domain complete.
-    """
-    diff = gram.gram - theta.matrix
-    scale = max(np.linalg.norm(gram.gram, 2), np.linalg.norm(theta.matrix, 2), 1.0)
-    return min_eig_herm(diff) >= -rtol * scale
 
 
 def _parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -260,6 +260,10 @@ def test_criterion_09_dominated_sequence(operator_instances):
         settled = fk.dominated_sequence(psi, theta, index)
         for stage in range(1, index + 3):
             current = fk.dominated_sequence(psi, theta, stage)
+            # theta-dominated with the constant n^2 - 1: the weights kept at
+            # level 1/n have w^2 = 1/t^2 - 1 <= n^2 - 1
+            bound = (stage**2 - 1) * theta.matrix - current.matrix
+            assert min_eig_herm(bound) >= -1e-10 * max(1.0, theta.spectral_norm)
             if previous is not None:
                 assert min_eig_herm(current.matrix - previous.matrix) >= -1e-10
             previous = current

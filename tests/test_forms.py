@@ -7,27 +7,6 @@ from formkit.numerics import frob, hermitize
 from conftest import complex_randn, random_positive_form, random_psd
 
 
-class TestAdjoint:
-    def test_nilpotent(self):
-        form = fk.Form([[0.0, 1.0], [0.0, 0.0]])
-        assert np.array_equal(fk.adjoint(form).matrix, [[0.0, 0.0], [1.0, 0.0]])
-
-    def test_hermitian_fixed(self):
-        m = np.array([[1.0, 2.0], [2.0, 5.0]], dtype=complex)
-        assert np.array_equal(fk.adjoint(fk.Form(m)).matrix, m)
-
-    def test_scalar_i(self):
-        form = fk.Form(1j * np.eye(2))
-        assert np.array_equal(fk.adjoint(form).matrix, -1j * np.eye(2))
-
-    def test_involution(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            n = int(rng.integers(1, 7))
-            form = fk.Form(complex_randn(rng, n, n))
-            assert np.array_equal(fk.adjoint(fk.adjoint(form)).matrix, form.matrix)
-
-
 class TestReImSplit:
     def test_scalar_i(self):
         re, im = fk.re_im_split(fk.Form(1j * np.eye(2)))
@@ -135,106 +114,6 @@ class TestQuotientEmbedding:
             )
             pushed = emb.to_quotient(pulled)
             assert frob(pushed - x) <= 1e-8 * max(frob(x), 1e-300)
-
-
-class TestDominates:
-    def test_scaled_identity(self):
-        gamma = fk.dominates(fk.identity_form(2), fk.PositiveForm(2 * np.eye(2)))
-        assert abs(gamma - 0.5) <= 1e-12
-
-    def test_projection(self):
-        gamma = fk.dominates(fk.PositiveForm(np.diag([1.0, 0.0])), fk.identity_form(2))
-        assert abs(gamma - 1.0) <= 1e-12
-
-    def test_kernel_obstruction(self):
-        assert fk.dominates(fk.identity_form(2), fk.PositiveForm(np.diag([1.0, 0.0]))) is None
-
-
-class TestOnePsiCut:
-    """Domination takes psi's rank cut once: the quotient embedding carries
-    the kernel for the obstruction test and the basis for the compression."""
-
-    @staticmethod
-    def _count_cuts(monkeypatch, psi):
-        calls = []
-        original = fk.forms.rank_cut
-
-        def counting(values, *args, **kwargs):
-            calls.append(values is psi.eig.values)
-            return original(values, *args, **kwargs)
-
-        monkeypatch.setattr(fk.forms, "rank_cut", counting)
-        return calls
-
-    @pytest.mark.parametrize("psi_diag", [[2.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    def test_dominates(self, monkeypatch, psi_diag):
-        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
-        psi = fk.PositiveForm(np.diag(psi_diag))
-        calls = self._count_cuts(monkeypatch, psi)
-        fk.dominates(theta, psi)
-        assert calls.count(True) == 1
-
-    @pytest.mark.parametrize("gamma", [None, 1.0, 0.1])
-    @pytest.mark.parametrize("psi_diag", [[2.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    def test_domination_operator(self, monkeypatch, psi_diag, gamma):
-        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
-        psi = fk.PositiveForm(np.diag(psi_diag))
-        calls = self._count_cuts(monkeypatch, psi)
-        try:
-            fk.domination_operator(theta, psi, gamma)
-        except fk.DominationFails:
-            pass
-        assert calls.count(True) == 1
-
-
-class TestDominationOperator:
-    def test_identity_pair(self):
-        c = fk.domination_operator(fk.identity_form(2), fk.identity_form(2))
-        assert np.allclose(c, np.eye(2), atol=1e-12)
-
-    def test_projection_pair(self):
-        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
-        c = fk.domination_operator(theta, fk.identity_form(2))
-        emb = fk.quotient_embedding(fk.identity_form(2))
-        assert np.allclose(emb.from_quotient(c), theta.matrix, atol=1e-12)
-
-    def test_diagonal_pair(self):
-        theta = fk.identity_form(2)
-        psi = fk.PositiveForm(np.diag([5.0, 1.0]))
-        c = fk.domination_operator(theta, psi)
-        # basis-grid identity and spectrum {1/5, 1}, entry order irrelevant
-        emb = fk.quotient_embedding(psi)
-        assert np.allclose(emb.from_quotient(c), np.eye(2), atol=1e-12)
-        assert np.allclose(np.linalg.eigvalsh(c), [0.2, 1.0], atol=1e-12)
-
-    def test_refuses_without_domination(self):
-        with pytest.raises(fk.DominationFails):
-            fk.domination_operator(fk.identity_form(2), fk.PositiveForm(np.diag([1.0, 0.0])))
-        with pytest.raises(fk.DominationFails):
-            fk.domination_operator(fk.identity_form(2), fk.identity_form(2), gamma=0.5)
-
-    def test_lemma_identity_random(self):
-        rng = np.random.default_rng(10)
-        for _ in range(40):
-            n = int(rng.integers(1, 8))
-            psi = random_positive_form(rng, n, rank=int(rng.integers(1, n + 1)))
-            # compress a bounded operator to guarantee domination
-            emb = fk.quotient_embedding(psi)
-            w = complex_randn(rng, emb.rank, emb.rank)
-            w = w @ w.conj().T
-            w *= rng.uniform(0.1, 3.0) / max(np.linalg.norm(w, 2), 1e-300)
-            theta = fk.PositiveForm(emb.from_quotient(w))
-            gamma = fk.dominates(theta, psi)
-            assert gamma is not None
-            c = fk.domination_operator(theta, psi, gamma=gamma)
-            # the connecting-map square C = (J_theta J_psi^+)^H (J_theta J_psi^+)
-            connecting = fk.quotient_embedding(theta).matrix @ emb.pseudo_inverse
-            oracle = hermitize(connecting.conj().T @ connecting)
-            assert frob(c - oracle) <= 1e-12 * frob(oracle)
-            recovered = emb.from_quotient(c)
-            assert frob(recovered - theta.matrix) <= 1e-9 * max(frob(theta.matrix), 1e-300)
-            eigs = np.linalg.eigvalsh(hermitize(c))
-            assert eigs[0] >= -1e-9 and eigs[-1] <= gamma + 1e-9
 
 
 def test_positive_form_rejects_indefinite():
