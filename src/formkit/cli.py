@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import hashlib
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -68,13 +70,18 @@ def encode_matrix(m: np.ndarray) -> np.ndarray:
     return np.stack((m.real, m.imag), -1)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _decode_entry(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         parts = (entry,)
     elif (
         isinstance(entry, (list, tuple))
         and len(entry) == 2
-        and all(isinstance(x, (int, float)) for x in entry)
+        and all(map(_is_number, entry))
     ):
         parts = entry
     else:
@@ -92,17 +99,19 @@ def decode_matrix(rows, n: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f"{where}: expected {n} rows")
     # Whole-array fast path for a square block of finite numbers or of
-    # [re, im] pairs. Anything else (strings, null, ragged or mixed rows,
-    # integers beyond 64 bits, NaN or infinite entries) takes the per-entry
-    # loop, which names the bad entry.
+    # [re, im] pairs. Anything else (strings, booleans, null, ragged or mixed
+    # rows, integers beyond 64 bits, NaN or infinite entries) takes the
+    # per-entry loop, which names the bad entry. numpy reads a boolean mixed
+    # with numbers as 0 or 1, so the leaves' types are checked, in C.
     try:
         block = np.array(rows)
     except (ValueError, OverflowError):
         block = None
-    if block is not None and block.dtype.kind in "biuf" and np.isfinite(block).all():
-        if block.shape == (n, n, 2):
+    if block is not None and block.dtype.kind in "iuf" and np.isfinite(block).all():
+        leaves = chain.from_iterable(rows)
+        if block.shape == (n, n, 2) and bool not in set(map(type, chain.from_iterable(leaves))):
             return np.ascontiguousarray(block, dtype=np.float64).view(complex)[..., 0]
-        if block.shape == (n, n):
+        if block.shape == (n, n) and bool not in set(map(type, leaves)):
             return block.astype(complex)
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
@@ -142,7 +151,7 @@ def _family_instance(block: dict) -> Instance:
         for key in ("theta", "omega"):
             if not isinstance(block[key], list):
                 raise ParseError(f"family.{key} must be a list")
-        if not all(isinstance(x, (int, float)) for x in block["theta"]):
+        if not all(map(_is_number, block["theta"])):
             raise ParseError("family.theta: entries must be real numbers")
         try:
             th = [float(x) for x in block["theta"]]
@@ -222,22 +231,33 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
     return instance
 
 
-def _instance_doc(instance: Instance) -> dict:
-    doc = {
-        "n": instance.dim,
-        "omega": encode_matrix(instance.omega.matrix),
-        "theta": encode_matrix(instance.theta.matrix),
-        "psi": encode_matrix(instance.psi.matrix),
-        "label": instance.provenance,
+def _instance_matrices(instance: Instance) -> dict:
+    """The matrices an instance document holds, by key, in document order."""
+    matrices = {
+        "omega": instance.omega.matrix,
+        "theta": instance.theta.matrix,
+        "psi": instance.psi.matrix,
     }
     if "norm_gram" in instance.extras:
-        doc["norm_gram"] = encode_matrix(instance.extras["norm_gram"])
-    return doc
+        matrices["norm_gram"] = instance.extras["norm_gram"]
+    return matrices
 
 
 def emit_instance(instance: Instance) -> str:
     """Round-trip encoding of an instance as a JSON document."""
-    return _dump(_instance_doc(instance), 0)
+    doc = {key: encode_matrix(m) for key, m in _instance_matrices(instance).items()}
+    doc.update(n=instance.dim, label=instance.provenance)
+    return _dump(doc, 0)
+
+
+def instance_sha256(instance: Instance) -> str:
+    """SHA-256 of the little-endian complex128 bytes of omega, theta, psi and,
+    when present, norm_gram, in that order: the instance's provenance, equal
+    for an instance and its ``emit_instance`` round trip."""
+    digest = hashlib.sha256()
+    for m in _instance_matrices(instance).values():
+        digest.update(np.ascontiguousarray(m, dtype="<c16"))
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +360,25 @@ def _dump(value, depth: int) -> str:
 
 
 def _dump_array(array: np.ndarray, depth: int) -> str:
-    """Write a finite float64 array from the innermost axis outwards: one
-    ``repr`` per entry, then one join per row of each axis."""
-    parts = list(map(float.__repr__, array.ravel().tolist()))
-    for axis in range(array.ndim - 1, -1, -1):
+    """Write a finite float64 array: its layout filled with one ``repr`` per entry."""
+    return _array_layout(array.shape, depth) % tuple(map(float.__repr__, array.ravel().tolist()))
+
+
+# Distinct (shape, depth) layouts kept. An (n, n, 2) layout takes about
+# 26 n^2 bytes: 105 KB at n = 64, so the cache holds under 2 MB there.
+LAYOUT_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _array_layout(shape: tuple, depth: int) -> str:
+    """The text of a nonempty array of ``shape`` at indent level ``depth``,
+    with a ``%s`` for each entry. Every row of an axis is the same text, so
+    it is built from the innermost axis outwards by one join per axis."""
+    text = "%s"
+    for axis in range(len(shape) - 1, -1, -1):
         pad = "\n" + " " * (depth + axis + 1)
-        close = "\n" + " " * (depth + axis) + "]"
-        width = array.shape[axis]
-        parts = [
-            "[" + pad + ("," + pad).join(parts[k : k + width]) + close
-            for k in range(0, len(parts), width)
-        ]
-    return parts[0]
+        text = "[" + pad + ("," + pad).join([text] * shape[axis]) + pad[:-1] + "]"
+    return text
 
 
 def render_report(report: dict, as_json: bool) -> str:
@@ -401,8 +428,7 @@ def _cmd_inspect(instance: Instance, args, report: dict) -> None:
             "psi_rank": quotient_embedding(psi, args.tol_rank).rank,
             "psi_majorizes_omega": bool(member),
             "membership_margin": _margin(margin),
-            # sorted like the JSON document, which fixes the text order
-            "instance_document": dict(sorted(_instance_doc(instance).items())),
+            "instance_sha256": instance_sha256(instance),
         }
     )
 

@@ -208,6 +208,10 @@ def _lambda_values(expression, size: int) -> np.ndarray:
                 [complex(_evaluate(tree.body, dict(_CONSTANTS, n=n))) for n in range(1, size + 1)]
             )
         else:
+            # numpy reads true as 1 and "2" as 2, but neither is a number
+            leaves = np.asarray(expression, dtype=object).ravel()
+            if any(isinstance(x, (bool, np.bool_, str)) for x in leaves):
+                raise TypeError("entries must be numbers")
             values = np.asarray(expression, dtype=complex).ravel()
     # the parser reports nesting beyond its stack as a MemoryError
     except (

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import threading
 import time
 import warnings
@@ -133,6 +134,21 @@ class TestDecodeMatrix:
             ([[1, 2], {"a": 1}], "omega: row 1 must have exactly 2 entries"),
             ([[1, 2], [3, 4], [5, 6]], "omega: expected 2 rows"),
             ({"rows": 2}, "omega: expected 2 rows"),
+            ([[True, 0], [0, False]], "omega[0][0]: entries must be numbers or [re, im] pairs"),
+            (
+                [[True, False], [False, True]],
+                "omega[0][0]: entries must be numbers or [re, im] pairs",
+            ),
+            # numpy reads these rows as float64, so the whole-array path sees 1.0
+            ([[0.5, 1.5], [2.5, True]], "omega[1][1]: entries must be numbers or [re, im] pairs"),
+            (
+                [[[1.5, 0], [0, False]], [[2, 0], [3, 0]]],
+                "omega[0][1]: entries must be numbers or [re, im] pairs",
+            ),
+            (
+                [[[True, False], 0.5], [2, [1, True]]],
+                "omega[0][0]: entries must be numbers or [re, im] pairs",
+            ),
         ],
     )
     def test_error_messages(self, rows, message):
@@ -140,11 +156,29 @@ class TestDecodeMatrix:
             decode_matrix(rows, 2, "omega")
         assert str(info.value) == message
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_boolean_refused_by_position(self, data):
+        n = data.draw(st.integers(1, 4))
+        pairs = data.draw(st.booleans())
+        number = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**62), 2**62)
+        entry = st.lists(number, min_size=2, max_size=2) if pairs else number
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        flag = data.draw(st.booleans())
+        if pairs:
+            rows[i][j][data.draw(st.integers(0, 1))] = flag
+        else:
+            rows[i][j] = flag
+        with pytest.raises(fk.ParseError) as info:
+            decode_matrix(rows, n, "omega")
+        assert str(info.value) == f"omega[{i}][{j}]: entries must be numbers or [re, im] pairs"
+
     @pytest.mark.parametrize(
         "rows",
         [
-            [[True, 0], [0, False]],
-            [[[True, False], 0.5], [2, [1, True]]],
+            [[1, 2.5], [-3, 0]],
+            [[[0, 1], [2, 3]], [[4, 5], [6, 7]]],
             [[1, [2, 3]], [[4.5, -0.0], 6]],
             [[[-0.0, -0.0], [0.0, -0.0]], [[1e-300, -1e300], [5e-324, 2.0]]],
             [[2**63 + 1, 1], [2, 3]],
@@ -202,7 +236,6 @@ class TestDecodeMatrix:
         number = (
             st.floats(allow_nan=False, allow_infinity=False)
             | st.integers(-(2**70), 2**70)
-            | st.booleans()
         )
         entry = number | st.lists(number, min_size=2, max_size=2)
         rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -271,6 +304,95 @@ class TestDump:
         report = {"H": m, "nested": {"S": m[:, :, :1], "row": m[0, :, 0], "int": np.arange(n)}}
         listed = {"H": m.tolist(), "nested": {k: v.tolist() for k, v in report["nested"].items()}}
         assert render_report(report, False) == render_report(listed, False)
+
+
+class TestLayoutCache:
+    def test_same_shape_at_two_depths(self):
+        m = np.random.default_rng(3).normal(size=(3, 3, 2))
+        report = {"a": m, "b": {"c": m, "d": [m]}}
+        assert _dump(report, 0) == json.dumps(jsonable(report), sort_keys=True, indent=1)
+
+    def test_more_shapes_than_the_bound(self):
+        rng = np.random.default_rng(4)
+        shapes = [(k, k, 2) for k in range(1, cli.LAYOUT_CACHE_SIZE + 4)]
+        report = {f"m{k:02d}": {"nested": rng.normal(size=s)} for k, s in enumerate(shapes)}
+        report.update(flat=[rng.normal(size=s) for s in shapes])
+        expected = json.dumps(jsonable(report), sort_keys=True, indent=1)
+        for _ in range(2):  # the second pass meets layouts the first one evicted
+            assert _dump(report, 0) == expected
+            info = cli._array_layout.cache_info()
+            assert info.maxsize == cli.LAYOUT_CACHE_SIZE
+            assert info.currsize <= cli.LAYOUT_CACHE_SIZE
+
+
+GOLDEN_INSTANCES = sorted((Path(__file__).parent / "golden" / "instances").glob("*.json"))
+
+
+def readme_digest_recipe():
+    """The ``instance_sha256`` function of the README's CLI section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [recipe] = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S) if "sha256" in b]
+    namespace = {}
+    exec(recipe, namespace)
+    return namespace["instance_sha256"]
+
+
+class TestInstanceDigest:
+    @pytest.mark.parametrize("path", GOLDEN_INSTANCES, ids=lambda p: p.stem)
+    def test_round_trip_keeps_the_digest(self, tmp_path, capsys, path):
+        assert main(["inspect", str(path), "--json"]) in (0, 2)
+        reported = json.loads(capsys.readouterr().out)["instance_sha256"]
+        inst = parse_instance(str(path))
+        document = emit_instance(inst)
+        emitted = tmp_path / "emitted.json"
+        emitted.write_text(document, encoding="utf-8")
+        assert cli.instance_sha256(inst) == reported
+        assert cli.instance_sha256(parse_instance(str(emitted))) == reported
+        assert readme_digest_recipe()(document) == reported
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(5)
+        omega = complex_randn(rng, 3, 3)
+        omega[0, 1] = 0.0
+        theta = np.diag([2.0, 1.0, 0.0]).astype(complex)
+        psi = np.diag([4.0, 3.0, 2.0]).astype(complex)
+        return [omega, theta, psi, 2.0 * np.eye(3, dtype=complex)]
+
+    @staticmethod
+    def _instance(omega, theta, psi, gram=None):
+        # the digest reads the matrices as held; a plain Form holds every bit,
+        # where a PositiveForm would store the Hermitian part, whose division
+        # by 2 turns a -0.0 into 0.0
+        extras = {} if gram is None else {"norm_gram": gram}
+        return fk.Instance(
+            omega=fk.Form(omega),
+            theta=fk.Form(theta),
+            psi=fk.Form(psi),
+            provenance="digest",
+            extras=extras,
+            check_membership=False,
+        )
+
+    @pytest.mark.parametrize("change", ["ulp", "negative-zero"])
+    @pytest.mark.parametrize("which", [0, 1, 2, 3], ids=["omega", "theta", "psi", "norm_gram"])
+    def test_one_entry_changes_the_digest(self, which, change):
+        matrices = self._matrices()
+        before = self._instance(*matrices)
+        m = matrices[which].copy()
+        if change == "ulp":
+            m[2, 2] = complex(np.nextafter(m[2, 2].real, np.inf), m[2, 2].imag)
+        else:
+            m[0, 1] = complex(-0.0, 0.0)
+        matrices[which] = m
+        after = self._instance(*matrices)
+        assert cli.instance_sha256(after) != cli.instance_sha256(before)
+
+    def test_norm_gram_is_part_of_the_digest(self):
+        matrices = self._matrices()
+        with_gram = self._instance(*matrices)
+        without = self._instance(*matrices[:3])
+        assert cli.instance_sha256(with_gram) != cli.instance_sha256(without)
 
 
 class TestRoundTrip:
@@ -662,6 +784,64 @@ class TestCommands:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert main(["lab", str(tmp_path), "--batch", *argv]) == 1
         assert capsys.readouterr().out.startswith(f"== a.json\nerror: {message}")
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            (
+                "inspect",
+                {"n": 1, "omega": [[True]]},
+                "omega[0][0]: entries must be numbers or [re, im] pairs",
+            ),
+            (
+                "inspect",
+                {"n": 2, "omega": [[1.5, 0], [0, True]]},
+                "omega[1][1]: entries must be numbers or [re, im] pairs",
+            ),
+            (
+                "solvable",
+                {"n": 1, "omega": [[1]], "norm_gram": [[[2, False]]]},
+                "norm_gram[0][0]: entries must be numbers or [re, im] pairs",
+            ),
+            (
+                "inspect",
+                {"family": {"name": "measure", "theta": [True, 1], "omega": [1, 1]}},
+                "family.theta: entries must be real numbers",
+            ),
+            (
+                "inspect",
+                {"family": {"name": "measure", "theta": [1, 1], "omega": [1, False]}},
+                "family.omega: entries must be numbers or [re, im] pairs",
+            ),
+            (
+                "membership",
+                {"family": {"name": "diag", "lambda": [True, "2", 3], "N": 3}},
+                "'lambda' [True, '2', 3] does not evaluate",
+            ),
+            (
+                "lab",
+                {"family": {"name": "diag", "lambda": [1, 2, True], "N": 3}},
+                "'lambda' [1, 2, True] does not evaluate",
+            ),
+        ],
+        ids=[
+            "omega-bool", "omega-bool-float", "norm-gram-bool", "measure-theta-bool",
+            "measure-omega-bool", "diag-lambda-bool-string", "lab-lambda-bool",
+        ],
+    )
+    def test_json_booleans_and_strings_are_not_numbers(
+        self, tmp_path, capsys, command, doc, message
+    ):
+        path = write(tmp_path, "a.json", doc)
+        assert main([command, path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_upsilon_boolean_is_not_a_number(self, tmp_path, capsys):
+        path = write(tmp_path, "a.json", {"n": 1, "omega": [[1]]})
+        assert main(["solvable", path, "--upsilon", "[[true]]"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --upsilon[0][0]: entries must be numbers or [re, im] pairs\n"
+        )
 
     @pytest.mark.parametrize("command", ["inspect", "decompose"])
     def test_lapack_breakdown_is_an_error(self, tmp_path, capsys, command):
