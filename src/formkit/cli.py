@@ -99,20 +99,24 @@ def decode_matrix(rows, n: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f"{where}: expected {n} rows")
     # Whole-array fast path for a square block of finite numbers or of
-    # [re, im] pairs. Anything else (strings, booleans, null, ragged or mixed
-    # rows, integers beyond 64 bits, NaN or infinite entries) takes the
-    # per-entry loop, which names the bad entry. numpy reads a boolean mixed
-    # with numbers as 0 or 1, so the leaves' types are checked, in C.
-    try:
-        block = np.array(rows)
-    except (ValueError, OverflowError):
-        block = None
-    if block is not None and block.dtype.kind in "iuf" and np.isfinite(block).all():
-        leaves = chain.from_iterable(rows)
-        if block.shape == (n, n, 2) and bool not in set(map(type, chain.from_iterable(leaves))):
-            return np.ascontiguousarray(block, dtype=np.float64).view(complex)[..., 0]
-        if block.shape == (n, n) and bool not in set(map(type, leaves)):
-            return block.astype(complex)
+    # [re, im] pairs, walked once. Anything else (strings, booleans, null,
+    # ragged or mixed rows, integers beyond the float range, NaN or infinite
+    # entries) takes the per-entry loop, which names the bad entry. The type
+    # test is exact, so a boolean, which numpy would read as 0 or 1, is not
+    # a number.
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {n}:
+        leaves, shape = list(chain.from_iterable(rows)), (n, n)
+        kinds = set(map(type, leaves))
+        if kinds == {list} and set(map(len, leaves)) == {2}:
+            leaves, shape = list(chain.from_iterable(leaves)), (n, n, 2)
+            kinds = set(map(type, leaves))
+        if kinds <= {int, float}:
+            try:
+                block = np.array(leaves, dtype=np.float64).reshape(shape)
+            except OverflowError:
+                block = None
+            if block is not None and np.isfinite(block).all():
+                return block.view(complex)[..., 0] if len(shape) == 3 else block.astype(complex)
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
@@ -224,7 +228,6 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
             theta=theta,
             psi=psi,
             provenance=str(doc.get("label", Path(path).name)),
-            check_membership=False,
         )
     if norm_gram is not None:
         instance.extras["norm_gram"] = finite_norm(norm_gram, "norm_gram")
@@ -364,12 +367,6 @@ def _dump_array(array: np.ndarray, depth: int) -> str:
     return _array_layout(array.shape, depth) % tuple(map(float.__repr__, array.ravel().tolist()))
 
 
-# Distinct (shape, depth) layouts kept. An (n, n, 2) layout takes about
-# 26 n^2 bytes: 105 KB at n = 64, so the cache holds under 2 MB there.
-LAYOUT_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _array_layout(shape: tuple, depth: int) -> str:
     """The text of a nonempty array of ``shape`` at indent level ``depth``,
     with a ``%s`` for each entry. Every row of an axis is the same text, so

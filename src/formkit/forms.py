@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .errors import NotPSD
+from .errors import NotHermitian, NotPSD
 from .numerics import DEFAULT_RANK_TOL, SYMMETRY_RTOL
 from .numerics import HermEig, as_matrix, asymmetry, hermitize, rank_cut
 
@@ -58,9 +58,10 @@ class Form:
 class PositiveForm(Form):
     """A form with Hermitian PSD representing matrix.
 
-    Construction validates the symmetry residual and the most negative
-    eigenvalue against ``tol`` (relative to the spectral norm), stores the
-    Hermitian part, and caches the eigendecomposition.
+    Construction validates the symmetry residual against ``SYMMETRY_RTOL``
+    (``hermitian_eig``'s one test) and the most negative eigenvalue against
+    ``tol`` (relative to the largest), stores the Hermitian part, and caches
+    the eigendecomposition.
     """
 
     tol: float = DEFAULT_RANK_TOL
@@ -68,13 +69,14 @@ class PositiveForm(Form):
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        sym_residual = asymmetry(m, self.tol)
-        if sym_residual:
-            raise NotPSD(f"matrix is not Hermitian: symmetry residual {sym_residual:.3e}")
+        try:
+            eig = numerics.psd_eig(m, self.tol)
+        except NotHermitian as exc:
+            raise NotPSD(f"matrix is not Hermitian: {exc}") from exc
         m = hermitize(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eig", numerics.psd_eig(m, self.tol))
+        object.__setattr__(self, "eig", eig)
 
 
 def identity_form(n: int) -> PositiveForm:

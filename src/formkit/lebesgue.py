@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, PreconditionFails, WitnessResidualTooLarge
-from .forms import Form, PositiveForm
+from .forms import Form, PositiveForm, eigen_embedding, quotient_embedding
 from .numerics import BUILT_PSD_TOL, DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, LIMIT_STALL, LIMIT_STOP
-from .numerics import MEMBERSHIP_SLACK, ORDER_TOL, PARALLEL_SUM_SNAP, SINGULAR_THRESHOLD, ZERO_SNAP
-from .numerics import frob, hermitize, min_eig_herm, pinv, specnorm
+from .numerics import MEMBERSHIP_SLACK, ORDER_TOL, PARALLEL_SUM_SNAP, ZERO_SNAP
+from .numerics import frob, hermitian_eig, hermitize, min_eig_herm, pinv, specnorm
 from .regularity import RNRepresentation, _majorized_core, _rn_core, is_absolutely_continuous
 
 _LIMIT_MAX_DOUBLINGS = 20
@@ -109,11 +109,6 @@ def parallel_sum(
     return PositiveForm(hermitize(raw), tol=BUILT_PSD_TOL)
 
 
-def _to_mass_of(psi: PositiveForm, theta: PositiveForm) -> np.ndarray:
-    """Theta's matrix scaled to the Frobenius mass of psi."""
-    return theta.matrix * (frob(psi.matrix) / max(frob(theta.matrix), 1e-300))
-
-
 def parallel_sum_limit(
     psi: PositiveForm,
     theta: PositiveForm,
@@ -137,7 +132,7 @@ def parallel_sum_limit(
             stall threshold by t = 2^20; reported, never silently resolved.
     """
     scale = max(1.0, frob(psi.matrix))
-    base = _to_mass_of(psi, theta)
+    base = theta.matrix * (frob(psi.matrix) / max(frob(theta.matrix), 1e-300))
     row, step = [], np.inf
     for k in range(_LIMIT_MAX_DOUBLINGS + 1):
         previous, row = row, [_parallel_sum_matrix(psi.matrix, (2.0**k) * base, rtol)]
@@ -163,14 +158,19 @@ def is_mutually_singular(
     theta: PositiveForm,
     rtol: float = DEFAULT_RANK_TOL,
 ) -> bool:
-    """True iff no nonzero positive form sits below both psi and theta,
-    decided by thresholding the parallel-sum limit. The iterates psi : (t
-    theta) increase with t (W. N. Anderson and R. J. Duffin, 1969), so one
-    past the threshold decides False; only singularity needs the limit."""
-    threshold = SINGULAR_THRESHOLD * max(frob(psi.matrix), 1e-300)
-    if frob(_parallel_sum_matrix(psi.matrix, _to_mass_of(psi, theta), rtol)) > threshold:
-        return False
-    return frob(parallel_sum_limit(psi, theta, rtol)) <= threshold
+    """True iff no nonzero positive form sits below both psi and theta.
+
+    At finite dimension that holds exactly when ran psi and ran theta meet
+    only in 0 (T. Ando, 1976), that is when rank(psi + theta) = rank psi +
+    rank theta, each rank that of the ``rtol`` cut. Both forms are first
+    scaled to a largest eigenvalue of 1: the verdict does not depend on
+    their scales, and when the ranges are disjoint the sum's spectrum is
+    then the union of theirs, so its cut and theirs are the same.
+    """
+    tops = [max(form.eig.values.max(initial=0.0), 1e-300) for form in (psi, theta)]
+    unit_sum = psi.matrix / tops[0] + theta.matrix / tops[1]
+    ranks = [quotient_embedding(form, rtol).rank for form in (psi, theta)]
+    return eigen_embedding(hermitian_eig(unit_sum), rtol).rank == sum(ranks)
 
 
 def singularity_witness(

@@ -39,7 +39,6 @@ ZERO_SNAP = 1e-12  # split components set to exact zero: total Frobenius mass
 PARALLEL_SUM_SNAP = 1e-11  # parallel sum set to exact zero: the smaller spectral norm
 LIMIT_STOP = 1e-12  # parallel-sum limit converged (extrapolated Frobenius step): max(|psi|_F, 1)
 LIMIT_STALL = 1e-9  # parallel-sum limit not settled (extrapolated step): max(|psi|_F, 1)
-SINGULAR_THRESHOLD = 1e-9  # mutual singularity, |parallel-sum limit|_F: |psi|_F
 BOUNDARY_RTOL = 1e-4  # hull margins reported inconclusive: the hull scale
 RADIUS_RTOL = 1e-9  # numerical-radius bracket closed (relative width): its upper end
 DISTANCE_RTOL = 1e-13  # hull distance maximized (concave bound on what is left): the hull scale
@@ -123,11 +122,14 @@ def asymmetry(m: np.ndarray, rtol: float) -> float:
 
 
 def hermitian_eig(m) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, the package's one symmetry
+    test: every constructor that needs a Hermitian matrix routes it here.
 
     Raises:
-        NotHermitian: if the symmetry residual exceeds ``SYMMETRY_RTOL``
-            relative to the Frobenius norm.
+        NotHermitian: if, and only if, the symmetry residual exceeds
+            ``SYMMETRY_RTOL`` relative to the Frobenius norm.
+        numpy.linalg.LinAlgError: if the eigendecomposition fails its
+            reconstruction check, a breakdown of the eigensolver.
     """
     m = as_matrix(m)
     scale = frob(m)
@@ -139,7 +141,7 @@ def hermitian_eig(m) -> HermEig:
     h = hermitize(m)
     eig = HermEig(*eigh_or_empty(h))
     if frob(eig.reconstruct() - h) > RECONSTRUCT_TOL * max(scale, 1.0):
-        raise NotHermitian("eigendecomposition failed its reconstruction check")
+        raise np.linalg.LinAlgError("eigendecomposition failed its reconstruction check")
     return eig
 
 

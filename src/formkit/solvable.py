@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IncompatibleNorm, NotSolvable, TheoremViolation, ValidationError
+from .errors import IncompatibleNorm, NotHermitian, NotSolvable, TheoremViolation, ValidationError
 from .forms import Form
 from .numerics import (
     BOUNDARY_RTOL,
@@ -29,11 +29,10 @@ from .numerics import (
     MEMBERSHIP_SLACK,
     RADIUS_RTOL,
     RAYLEIGH_RTOL,
-    SYMMETRY_RTOL,
     HermEig,
     as_matrix,
     asymmetry,
-    eigh_or_empty,
+    hermitian_eig,
     hermitize,
     specnorm,
     stack_map,
@@ -70,17 +69,19 @@ class NormGram:
 
     def __post_init__(self):
         g = as_matrix(self.gram)
-        if asymmetry(g, SYMMETRY_RTOL):
-            raise ValidationError("norm Gram matrix must be Hermitian")
-        g = hermitize(g)
-        w, v = eigh_or_empty(g)
+        try:
+            eig = hermitian_eig(g)
+        except NotHermitian as exc:
+            raise ValidationError("norm Gram matrix must be Hermitian") from exc
+        w = eig.values
         if g.size and w[0] <= 0:
             raise ValidationError(
                 f"norm Gram matrix must be positive definite: min eigenvalue {w[0]:.6e}"
             )
+        g = hermitize(g)
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "eig", HermEig(w, v))
+        object.__setattr__(self, "eig", eig)
         compatible = not g.size or w[0] - 1.0 >= -DEFAULT_RANK_TOL * max(w[-1], 1.0)
         object.__setattr__(self, "dominates_inner_product", bool(compatible))
 

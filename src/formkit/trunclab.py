@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 import cmath
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .numerics import (
     psd_sqrt,
     rank_cut,
 )
-from .regularity import SECTOR_SLOPE_CAP, in_class_M
+from .regularity import SECTOR_SLOPE_CAP
 from .solvable import NumericalRangeHull
 
 
@@ -34,9 +34,10 @@ from .solvable import NumericalRangeHull
 class Instance:
     """A ready-to-analyze triple (omega, theta, psi) with provenance.
 
-    Family generators always produce a majorizing psi and keep the check
-    on; user-supplied matrices may carry a non-majorizing psi, which the
-    analysis commands then refuse individually.
+    A plain record: construction does not test whether psi majorizes omega.
+    Each command that needs membership decides it once, by ``in_class_M`` at
+    the user's ``--tol-rank``, and refuses a non-member itself; a family's psi
+    is a majorant in exact arithmetic, a file's may not be.
     """
 
     omega: Form
@@ -44,16 +45,6 @@ class Instance:
     psi: PositiveForm
     provenance: str
     extras: dict = field(default_factory=dict)
-    check_membership: InitVar[bool] = True
-
-    def __post_init__(self, check_membership):
-        if not check_membership:
-            return
-        member, _ = in_class_M(self.omega, self.psi)
-        if not member:
-            raise ValidationError(
-                f"instance '{self.provenance}': psi does not majorize omega"
-            )
 
     @property
     def dim(self) -> int:

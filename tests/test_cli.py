@@ -305,24 +305,10 @@ class TestDump:
         listed = {"H": m.tolist(), "nested": {k: v.tolist() for k, v in report["nested"].items()}}
         assert render_report(report, False) == render_report(listed, False)
 
-
-class TestLayoutCache:
     def test_same_shape_at_two_depths(self):
         m = np.random.default_rng(3).normal(size=(3, 3, 2))
         report = {"a": m, "b": {"c": m, "d": [m]}}
         assert _dump(report, 0) == json.dumps(jsonable(report), sort_keys=True, indent=1)
-
-    def test_more_shapes_than_the_bound(self):
-        rng = np.random.default_rng(4)
-        shapes = [(k, k, 2) for k in range(1, cli.LAYOUT_CACHE_SIZE + 4)]
-        report = {f"m{k:02d}": {"nested": rng.normal(size=s)} for k, s in enumerate(shapes)}
-        report.update(flat=[rng.normal(size=s) for s in shapes])
-        expected = json.dumps(jsonable(report), sort_keys=True, indent=1)
-        for _ in range(2):  # the second pass meets layouts the first one evicted
-            assert _dump(report, 0) == expected
-            info = cli._array_layout.cache_info()
-            assert info.maxsize == cli.LAYOUT_CACHE_SIZE
-            assert info.currsize <= cli.LAYOUT_CACHE_SIZE
 
 
 GOLDEN_INSTANCES = sorted((Path(__file__).parent / "golden" / "instances").glob("*.json"))
@@ -371,7 +357,6 @@ class TestInstanceDigest:
             psi=fk.Form(psi),
             provenance="digest",
             extras=extras,
-            check_membership=False,
         )
 
     @pytest.mark.parametrize("change", ["ulp", "negative-zero"])
@@ -457,6 +442,34 @@ class TestCommands:
         doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert doc["regular_certificate"]["majorant_member"] is False
         assert doc["regular_certificate"]["margin"] is None
+
+    @pytest.mark.parametrize("tol, code, member", [("1e-13", 0, True), ("1e-10", 2, False)])
+    def test_family_membership_is_decided_at_the_users_tolerance(
+        self, tmp_path, capsys, tol, code, member
+    ):
+        # psi = I + S^H S + T^H T majorizes T^H S by Cauchy-Schwarz, but with
+        # |S| = 1.6e5 its top eigenvalue is 2.56e10 times the others, which
+        # the default rank cut reads as a kernel
+        rng = np.random.default_rng(0)
+        u, v = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))
+        s = 1.6e5 * np.outer(u / np.linalg.norm(u), (v / np.linalg.norm(v)).conj())
+        t = 1e-2 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        pair = {"S": encode_matrix(s).tolist(), "T": encode_matrix(t).tolist()}
+        path = write(tmp_path, "graded.json", {"family": {"name": "operator_pair", **pair}})
+        assert main(["membership", path, "--tol-rank", tol, "--json"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["member"] is member
+        if member:
+            assert doc["margin"] == pytest.approx(0.968, abs=1e-3)
+
+    def test_a_rank_cut_below_rounding_names_the_psd_test(self, capsys):
+        # theta is Hermitian to rounding; its least eigenvalue, a rounding
+        # zero, is what fails the PSD test at this tolerance
+        path = str(Path(__file__).parent / "golden" / "instances" / "rankdef.json")
+        assert main(["inspect", path, "--tol-rank", "1e-16"]) == 1
+        err = capsys.readouterr().err
+        assert "theta is not positive semidefinite: matrix is not PSD: min eigenvalue" in err
+        assert "Hermitian" not in err
 
     def test_numrange_segment(self, tmp_path, capsys):
         path = write(

@@ -123,6 +123,21 @@ def test_positive_form_rejects_indefinite():
         fk.PositiveForm([[0.0, 1.0], [0.0, 0.0]])
 
 
+def test_positive_form_tests_symmetry_at_the_symmetry_tolerance():
+    # the PSD tolerance does not loosen the symmetry test
+    m = np.array([[2.0, 1.0], [1.0 + 3e-9, 2.0]])
+    with pytest.raises(fk.NotPSD, match="^matrix is not Hermitian: symmetry residual"):
+        fk.PositiveForm(m, tol=1e-6)
+    assert fk.PositiveForm(hermitize(m), tol=1e-6).eig.values[0] > 0
+
+
+def test_positive_form_reports_a_failed_reconstruction_as_such(monkeypatch):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (2.0 * eigh(m)[0], eigh(m)[1]))
+    with pytest.raises(np.linalg.LinAlgError, match="reconstruction check"):
+        fk.PositiveForm(np.diag([1.0, 2.0]))
+
+
 def test_form_value_convention():
     rng = np.random.default_rng(11)
     m = complex_randn(rng, 3, 3)

@@ -234,6 +234,46 @@ def test_rank_cut_has_four_call_sites():
     ]
 
 
+def test_asymmetry_has_three_call_sites():
+    """The symmetry test is called in exactly three functions, each pinned
+    with its tolerance: ``hermitian_eig`` (which every constructor of a
+    Hermitian matrix routes through) and ``Form.is_symmetric`` at
+    ``SYMMETRY_RTOL``, and the exact numerical radius at the tighter
+    ``EXACT_RADIUS_RTOL``, which keeps that radius within ``RADIUS_RTOL``."""
+
+    def calls(node):
+        return [
+            call
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and "asymmetry" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        ]
+
+    package = Path(fk.__file__).parent
+    sites, total = [], 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total += len(calls(tree))
+        scopes = [(path.stem, node) for node in tree.body]
+        scopes += [
+            (f"{path.stem}.{cls.name}", node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        ]
+        for prefix, func in scopes:
+            if isinstance(func, ast.FunctionDef):
+                for call in calls(func):
+                    tol = (call.args + [k.value for k in call.keywords])[-1]
+                    sites.append((f"{prefix}.{func.name}", ast.unparse(tol)))
+    assert total == len(sites)
+    assert sorted(sites) == [
+        ("forms.Form.is_symmetric", "SYMMETRY_RTOL"),
+        ("numerics.hermitian_eig", "SYMMETRY_RTOL"),
+        ("solvable.numerical_radius_bounds", "EXACT_RADIUS_RTOL"),
+    ]
+
+
 def test_readme_tolerance_table_matches_numerics():
     """The README's tolerance table names exactly the float constants of
     ``formkit.numerics``, with their values."""

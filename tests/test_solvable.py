@@ -54,6 +54,12 @@ class TestCompatibleNorm:
         with pytest.raises(fk.ValidationError):
             fk.NormGram([[1.0, 1.0], [0.0, 1.0]])
 
+    def test_gram_reconstruction_failure_is_not_asymmetry(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (2.0 * eigh(m)[0], eigh(m)[1]))
+        with pytest.raises(np.linalg.LinAlgError, match="reconstruction check"):
+            fk.NormGram(np.diag([1.0, 2.0]))
+
 
 class TestNumericalRangeHull:
     def test_segment(self):
