@@ -274,7 +274,7 @@ def _render(value, indent: str = "") -> list[str]:
             sub = value[key]
             if isinstance(sub, np.ndarray):
                 if sub.dtype == np.float64 and sub.ndim and sub.size:
-                    lines.extend(_render_array(key, sub, indent))
+                    lines.append(_render_array(key, sub, indent))
                     continue
                 sub = sub.tolist()
             if isinstance(sub, (dict, list)) and not _is_scalar_list(sub):
@@ -294,27 +294,18 @@ def _render(value, indent: str = "") -> list[str]:
     return lines
 
 
-def _render_array(key, array: np.ndarray, indent: str) -> list[str]:
-    """The lines ``_render`` gives a float64 array's ``tolist()``, a whole
-    row at a time: one ``repr`` map over the entries and one join per row of
-    the innermost axis, which is written inline; each outer axis is a "-" list."""
-    reprs = map(float.__repr__, array.ravel().tolist())
-    rows = ["[" + ", ".join(row) + "]" for row in zip(*[reprs] * array.shape[-1])]
-    if array.ndim == 1:
-        return [f"{indent}{key}: {rows[0]}"]
-    lines = [f"{indent}{key}:"]
-    _render_rows(rows, array.shape[:-1], indent + "  ", lines)
-    return lines
-
-
-def _render_rows(rows: list, shape: tuple, indent: str, lines: list) -> None:
-    if len(shape) == 1:
-        lines.extend([f"{indent}- {row}" for row in rows])
-        return
-    step = len(rows) // shape[0]
-    for start in range(0, len(rows), step):
-        lines.append(f"{indent}-")
-        _render_rows(rows[start : start + step], shape[1:], indent + "  ", lines)
+def _render_array(key, array: np.ndarray, indent: str) -> str:
+    """The lines ``_render`` gives a float64 array's ``tolist()``, as one text:
+    its layout, built from the innermost axis outwards by one join per axis
+    (inline rows, then a "-" list per outer axis), filled with one ``repr``
+    per entry as ``_dump_array`` fills its layout."""
+    text = "[" + ", ".join(["%s"] * array.shape[-1]) + "]"
+    for axis in range(array.ndim - 2, -1, -1):
+        pad = indent + "  " * (axis + 1)
+        head = pad + ("- " if axis == array.ndim - 2 else "-\n")
+        text = "\n".join([head + text] * array.shape[axis])
+    head = f"{indent}{key}:" + (" " if array.ndim == 1 else "\n")
+    return head + text % tuple(map(float.__repr__, array.ravel().tolist()))
 
 
 def _is_scalar_list(value) -> bool:

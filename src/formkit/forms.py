@@ -14,7 +14,7 @@ form induces after dividing out its kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -61,22 +61,25 @@ class PositiveForm(Form):
     Construction validates the symmetry residual against ``SYMMETRY_RTOL``
     (``hermitian_eig``'s one test) and the most negative eigenvalue against
     ``tol`` (relative to the largest), stores the Hermitian part, and caches
-    the eigendecomposition.
+    the eigendecomposition. ``tol`` is not stored: no form inherits another's.
     """
 
-    tol: float = DEFAULT_RANK_TOL
+    tol: InitVar[float] = DEFAULT_RANK_TOL
     eig: HermEig = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, tol: float):
         m = as_matrix(self.matrix)
         try:
-            eig = numerics.psd_eig(m, self.tol)
+            eig = numerics.psd_eig(m, tol)
         except NotHermitian as exc:
             raise NotPSD(f"matrix is not Hermitian: {exc}") from exc
         m = hermitize(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "eig", eig)
+
+
+del PositiveForm.tol  # the InitVar's default, which dataclass leaves as a class attribute
 
 
 def identity_form(n: int) -> PositiveForm:

@@ -52,6 +52,7 @@ from .numerics import (
     as_matrix,
     eigh_or_empty,
     frob,
+    hermitian_eig,
     hermitize,
     min_eig_herm,
     pinv,
@@ -139,7 +140,9 @@ def epsilon_bound_check(
 
     The quadratic maximum is bracketed by ``numerical_radius_bounds``; the
     bound is accepted only when the whole bracket is within the slack, and
-    ``quadratic_norm`` reports its lower end.
+    ``quadratic_norm`` reports its lower end. Membership in the class of
+    epsilon*psi is |C| <= epsilon for the same compression C, which
+    w(C) <= |C| <= 2 w(C) implies (an equality for symmetric omega).
 
     Raises:
         QuadraticBoundFails: if the quadratic bound is violated, or if the
@@ -159,8 +162,9 @@ def epsilon_bound_check(
             f"lies in [{lower:.6e}, {upper:.6e}], which reaches past 1"
         )
     eps = 1 if omega.is_symmetric() else 2
-    member, margin = in_class_M(omega, PositiveForm(eps * psi.matrix, tol=psi.tol), rtol)
-    return EpsilonBound(epsilon=eps, quadratic_norm=lower, member=member, margin=margin)
+    norm = specnorm(compressed) / eps
+    member = norm <= 1.0 + MEMBERSHIP_SLACK
+    return EpsilonBound(epsilon=eps, quadratic_norm=lower, member=member, margin=1.0 - norm)
 
 
 def canonical_majorant(t, rtol: float = DEFAULT_RANK_TOL) -> PositiveForm:
@@ -250,9 +254,8 @@ def _rn_core(
     emb_theta = quotient_embedding(theta, rtol)
     if absolutely_continuous and not _vanishes_on(psi, emb_theta.null, rtol):
         raise NotAbsolutelyContinuous("psi does not vanish on the kernel of theta")
-    # the least eigenvalue of a sum is at least the sum of the least eigenvalues
-    phi = PositiveForm(theta.matrix + psi.matrix, tol=theta.tol + psi.tol)
-    emb_sum = quotient_embedding(phi, rtol)
+    # phi = theta + psi is PSD by construction, so it takes no PSD check
+    emb_sum = eigen_embedding(hermitian_eig(theta.matrix + psi.matrix), rtol)
 
     u_map = emb_theta.matrix @ emb_sum.pseudo_inverse
     values, vectors = eigh_or_empty(hermitize(u_map.conj().T @ u_map))

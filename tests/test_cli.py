@@ -1077,7 +1077,8 @@ class TestOneReport:
 
 class TestBuiltFormsKeepRankTolerance:
     """theta = psi has the eigenvalue -1e-8, which --tol-rank 1e-6 accepts;
-    the forms built from them, eps * psi and theta + psi, accept it too."""
+    the commands that scale psi by eps or add theta + psi build no form from
+    them, so they take no second PSD check at another tolerance."""
 
     @staticmethod
     def _instance(tmp_path):

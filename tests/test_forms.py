@@ -131,6 +131,16 @@ def test_positive_form_tests_symmetry_at_the_symmetry_tolerance():
     assert fk.PositiveForm(hermitize(m), tol=1e-6).eig.values[0] > 0
 
 
+def test_positive_form_validates_at_tol_without_storing_it():
+    # -1e-8 against a top of 2: refused at the default, accepted at 1e-6
+    m = np.diag([-1e-8, 1.0, 2.0])
+    with pytest.raises(fk.NotPSD, match="^matrix is not PSD: min eigenvalue -1.000000e-08"):
+        fk.PositiveForm(m)
+    psi = fk.PositiveForm(m, tol=1e-6)
+    assert psi.eig.values[0] == -1e-8
+    assert not hasattr(psi, "tol") and not hasattr(fk.PositiveForm, "tol")
+
+
 def test_positive_form_reports_a_failed_reconstruction_as_such(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (2.0 * eigh(m)[0], eigh(m)[1]))

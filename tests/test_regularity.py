@@ -173,8 +173,46 @@ class TestOneKernelCut:
         omega = fk.Form([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         check = fk.epsilon_bound_check(omega, psi)
         assert check.epsilon == 2 and check.member
-        # one cut of psi, and one of 2 psi for the membership of the scaled form
-        assert calls == [True, False]
+        # membership of the scaled form is read off the same compression
+        assert calls == [True]
+
+
+class TestScaledMembership:
+    """Membership in the class of epsilon*psi is |C| <= epsilon on the
+    compression C the quadratic bound holds; the oracle builds epsilon*psi
+    as a positive form and decides its class from scratch."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_scaled_form(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        psi = fk.PositiveForm(random_psd(rng, n, int(rng.integers(1, n + 1))))
+        omega = member_form(rng, psi)
+        for form, eps in ((omega, 2), (fk.Form(hermitize(omega.matrix)), 1)):
+            check = fk.epsilon_bound_check(form, psi)
+            member, margin = fk.in_class_M(form, fk.PositiveForm(eps * psi.matrix))
+            assert check.epsilon == eps and check.member == member
+            assert abs(check.margin - margin) <= 1e-15
+            if eps == 1:
+                assert check.margin == margin
+
+    def test_built_forms_take_no_psd_check(self, monkeypatch):
+        # eps * psi is not built, and theta + psi is PSD by construction
+        rng = np.random.default_rng(7)
+        omega, theta, psi = mixed_rank_triple(rng, 5)
+        theta = fk.PositiveForm(theta.matrix + psi.matrix)  # psi is theta-a.c.
+        calls = []
+        original = fk.numerics.psd_eig
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fk.numerics, "psd_eig", counting)
+        fk.epsilon_bound_check(omega, psi)
+        assert calls == []
+        fk.radon_nikodym(omega, theta, psi)
+        assert calls == []
 
 
 class TestThetaCutOnce:
