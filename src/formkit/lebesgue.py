@@ -23,6 +23,7 @@ from .regularity import RNRepresentation, _majorized_core, _rn_core, is_absolute
 
 _LIMIT_MAX_DOUBLINGS = 20
 _LIMIT_COLUMNS = 3  # Romberg columns: column j cancels the 2^-jk term
+_EPS = np.finfo(float).eps
 
 
 def _snap_zero(mat: np.ndarray, scale: float) -> np.ndarray:
@@ -94,16 +95,37 @@ def positive_lebesgue(
     )
 
 
-def _parallel_sum_matrix(a: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
+def _parallel_sum_matrix(
+    a: np.ndarray, b: np.ndarray, rtol: float, spectra: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """a (a + b)^+ b for PSD a and b whose ascending eigenvalues are ``spectra``.
+
+    By Weyl's inequalities the singular values of a + b lie between
+    lambda_min(a) + lambda_min(b) and lambda_max(a) + lambda_max(b). When the
+    lower bound exceeds 2 max(rtol, n eps) times the upper one, pinv's cut
+    would keep every singular value, so an LU solve gives the same matrix;
+    the margin covers the eigenvalues' rounding and keeps rtol = 0 from
+    trusting a least eigenvalue that is only rounding. Otherwise the sum may
+    be singular, and pinv cuts it at ``rtol``.
+    """
+    n = a.shape[0]
+    if n and sum(v[0] for v in spectra) > 2.0 * max(rtol, n * _EPS) * sum(v[-1] for v in spectra):
+        return a @ np.linalg.solve(a + b, b)
     return a @ pinv(a + b, rtol) @ b
 
 
 def parallel_sum(
     a: PositiveForm, b: PositiveForm, rtol: float = DEFAULT_RANK_TOL
 ) -> PositiveForm:
-    """Parallel sum a (a + b)^+ b: the harmonic-mean-type minorant of both."""
-    raw = _parallel_sum_matrix(a.matrix, b.matrix, rtol)
-    scale = min(specnorm(a.matrix), specnorm(b.matrix))
+    """Parallel sum a (a + b)^+ b: the harmonic-mean-type minorant of both.
+
+    The inverse is applied by ``_parallel_sum_matrix`` from the two forms'
+    cached spectra. A result below ``PARALLEL_SUM_SNAP`` times the smaller
+    spectral norm, each read off its form's largest eigenvalue, is returned
+    as exact zero.
+    """
+    raw = _parallel_sum_matrix(a.matrix, b.matrix, rtol, (a.eig.values, b.eig.values))
+    scale = min(float(form.eig.values.max(initial=0.0)) for form in (a, b))
     if frob(raw) <= PARALLEL_SUM_SNAP * max(scale, 1e-300):
         raw = np.zeros_like(raw)
     return PositiveForm(hermitize(raw), tol=BUILT_PSD_TOL)
@@ -126,16 +148,20 @@ def parallel_sum_limit(
     entry whose step drops below the stop threshold, or, once a step is no
     smaller than the one before (the rounding floor grows like 2^k), the
     previous entry, provided its own step is below the stall threshold.
+    Each parallel sum takes its route in ``_parallel_sum_matrix`` from the
+    cached spectra of psi and of theta, the latter scaled as theta is.
 
     Raises:
         NoConvergence: if the extrapolated steps have not settled below the
             stall threshold by t = 2^20; reported, never silently resolved.
     """
     scale = max(1.0, frob(psi.matrix))
-    base = theta.matrix * (frob(psi.matrix) / max(frob(theta.matrix), 1e-300))
+    ratio = frob(psi.matrix) / max(frob(theta.matrix), 1e-300)
+    base, base_values = theta.matrix * ratio, theta.eig.values * ratio
     row, step = [], np.inf
     for k in range(_LIMIT_MAX_DOUBLINGS + 1):
-        previous, row = row, [_parallel_sum_matrix(psi.matrix, (2.0**k) * base, rtol)]
+        spectra = (psi.eig.values, (2.0**k) * base_values)
+        previous, row = row, [_parallel_sum_matrix(psi.matrix, (2.0**k) * base, rtol, spectra)]
         for j in range(1, min(k, _LIMIT_COLUMNS) + 1):
             row.append(row[j - 1] + (row[j - 1] - previous[j - 1]) / (2.0**j - 1.0))
         if k <= _LIMIT_COLUMNS:

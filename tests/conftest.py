@@ -136,6 +136,18 @@ def schur_short(psi, theta, rtol=1e-10):
     return hermitize(psi - cross @ np.linalg.solve(null.conj().T @ cross, cross.conj().T))
 
 
+def count_pinv(monkeypatch):
+    """Record each pseudo-inverse the parallel sums take, and take it."""
+    calls = []
+
+    def counting(m, rtol):
+        calls.append(1)
+        return numerics.pinv(m, rtol)
+
+    monkeypatch.setattr(fk.lebesgue, "pinv", counting)
+    return calls
+
+
 def eigh_hull(hull):
     """Per-angle ``eigh`` reference for a hull's samples: at each sample one
     eigh of cos(phi) H + sin(phi) K at its reduced angle phi, with H and K the

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formkit as fk
-from formkit.numerics import frob, hermitize, min_eig_herm
+from formkit import numerics
+from formkit.numerics import DEFAULT_RANK_TOL, frob, hermitize, min_eig_herm
 
 from conftest import (
+    count_pinv,
     coupled_hidden_pair,
     member_form,
     mixed_rank_triple,
@@ -24,9 +26,9 @@ def count_parallel_sums(monkeypatch):
     calls = []
     original = fk.lebesgue._parallel_sum_matrix
 
-    def counting(a, b, rtol):
+    def counting(a, b, rtol, spectra):
         calls.append(1)
-        return original(a, b, rtol)
+        return original(a, b, rtol, spectra)
 
     monkeypatch.setattr(fk.lebesgue, "_parallel_sum_matrix", counting)
     return calls
@@ -382,7 +384,7 @@ class TestExtrapolatedLimit:
         """Replace the k-th parallel sum by ``term(k)``."""
         calls = []
 
-        def fake(a, b, rtol):
+        def fake(a, b, rtol, spectra):
             calls.append(1)
             return term(len(calls) - 1)
 
@@ -449,6 +451,116 @@ class TestExtrapolatedLimit:
         for c in (1e-8, 1e6):
             limit = fk.parallel_sum_limit(psi, fk.PositiveForm(c * theta.matrix))
             assert frob(limit - truth) <= 1e-9 * frob(psi.matrix)
+
+
+def block_diagonal(x, y):
+    out = np.zeros((len(x) + len(y),) * 2, dtype=complex)
+    out[: len(x), : len(x)], out[len(x) :, len(x) :] = x, y
+    return out
+
+
+def forbid_pinv(monkeypatch):
+    def refuse(m, rtol):
+        raise AssertionError("the parallel sum took pinv")
+
+    monkeypatch.setattr(fk.lebesgue, "pinv", refuse)
+
+
+class TestSolveRoute:
+    """A parallel sum is applied by an LU solve exactly where Weyl's bounds on
+    the two cached spectra show that pinv's cut would keep every singular
+    value, and by pinv wherever the cut could act."""
+
+    @pytest.mark.parametrize("n", [4, 32, 64])
+    def test_hidden_block_limit_takes_no_pinv(self, monkeypatch, n):
+        rng = np.random.default_rng(80 + n)
+        psi, theta, truth = coupled_hidden_pair(rng, n, n // 4)
+        forbid_pinv(monkeypatch)
+        limit = fk.parallel_sum_limit(psi, theta)
+        assert frob(limit - truth) <= 1e-9 * frob(psi.matrix)
+
+    def test_singular_psi_definite_theta_takes_no_pinv(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        psi = random_positive_form(rng, 6, rank=3)
+        theta = random_positive_form(rng, 6)
+        forbid_pinv(monkeypatch)
+        limit = fk.parallel_sum_limit(psi, theta)
+        assert frob(limit - psi.matrix) <= 1e-9 * frob(psi.matrix)
+
+    def test_definite_parallel_sum_takes_no_pinv(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        a, b = random_positive_form(rng, 5), random_positive_form(rng, 5)
+        forbid_pinv(monkeypatch)
+        result = fk.parallel_sum(a, b).matrix
+        direct = a.matrix @ np.linalg.inv(a.matrix + b.matrix) @ b.matrix
+        assert frob(result - direct) <= 1e-14 * frob(a.matrix)
+
+    @pytest.mark.parametrize("c", [*np.logspace(-2, 3, 21), 1.9, 2.1, 3.9, 4.1])
+    def test_boundary_sweep(self, monkeypatch, c):
+        # the sum diag(2, c rtol) is cut for c <= 2; the guard, which needs
+        # c rtol > 2 rtol * 2, takes pinv up to c = 4
+        rtol = 1e-10
+        psi = fk.PositiveForm(np.diag([1.0, c * rtol]))
+        theta = fk.PositiveForm(np.diag([1.0, 0.0]))
+        calls = count_pinv(monkeypatch)
+        result = fk.parallel_sum(psi, theta, rtol).matrix
+        assert bool(calls) == (c <= 4)
+        if not calls:
+            cut = psi.matrix @ numerics.pinv(psi.matrix + theta.matrix, rtol) @ theta.matrix
+            assert frob(result - cut) <= 1e-12 * psi.spectral_norm
+
+    def test_rounding_level_kernel_at_zero_rtol_takes_pinv(self, monkeypatch):
+        # the shared kernel leaves the sum a least eigenvalue that is only
+        # rounding, which a cut at rtol = 0 would trust
+        rng = np.random.default_rng(83)
+        plane = random_unitary(rng, 4)[:, :3]
+        shared = [
+            fk.PositiveForm((plane * rng.uniform(0.5, 2.0, 3)) @ plane.conj().T) for _ in range(2)
+        ]
+        definite = [random_positive_form(rng, 4) for _ in range(2)]
+        calls = count_pinv(monkeypatch)
+        for a, b in (shared, definite):
+            fk.lebesgue._parallel_sum_matrix(a.matrix, b.matrix, 0.0, (a.eig.values, b.eig.values))
+        assert calls == [1]  # the definite pair takes the solve
+
+    def test_singular_sums_take_pinv_and_return_its_result(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        zero, full = fk.PositiveForm(np.zeros((4, 4))), random_positive_form(rng, 4)
+        pairs = [(zero, zero), (fk.PositiveForm(np.zeros((0, 0))),) * 2]
+        pairs += [positive_pair(rng, int(rng.integers(2, 7)), 1)[:2] for _ in range(5)]
+        calls = count_pinv(monkeypatch)
+        for a, b in pairs + [(zero, full), (full, zero)]:
+            spectra = (a.eig.values, b.eig.values)
+            raw = fk.lebesgue._parallel_sum_matrix(a.matrix, b.matrix, DEFAULT_RANK_TOL, spectra)
+            cut = a.matrix @ numerics.pinv(a.matrix + b.matrix) @ b.matrix
+            assert np.array_equal(raw, cut)
+        # a zero form beside a definite one gives a definite sum: the solve
+        assert len(calls) == len(pairs)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_block_diagonal_limit_splits_blockwise(self, monkeypatch, seed):
+        # block 1 is definite and takes the solve; block 2's two forms share
+        # a kernel vector, so every sum of the whole pair takes pinv
+        rng = np.random.default_rng(85 + seed)
+        psi1, theta1, _ = coupled_hidden_pair(rng, 6, 2)
+        psi2, theta2, _ = coupled_hidden_pair(rng, 3, 1)
+        q = random_unitary(rng, 4)
+        psi2, theta2 = (
+            fk.PositiveForm(hermitize(q @ block_diagonal(m.matrix, np.zeros((1, 1))) @ q.conj().T))
+            for m in (psi2, theta2)
+        )
+        psi = fk.PositiveForm(block_diagonal(psi1.matrix, psi2.matrix))
+        theta = fk.PositiveForm(block_diagonal(theta1.matrix, theta2.matrix))
+        calls = count_pinv(monkeypatch)
+        limit1 = fk.parallel_sum_limit(psi1, theta1)
+        assert calls == []
+        limit2 = fk.parallel_sum_limit(psi2, theta2)
+        calls.clear()
+        counted = count_parallel_sums(monkeypatch)
+        limit = fk.parallel_sum_limit(psi, theta)
+        assert len(calls) == len(counted)
+        err = frob(limit - block_diagonal(limit1, limit2))
+        assert err <= 1e-9 * frob(psi.matrix)
 
 
 def absolutely_continuous_triple(rng, n):
