@@ -289,8 +289,6 @@ def _render(value, indent: str = "") -> list[str]:
                 lines.extend(_render(item, indent + "  "))
             else:
                 lines.append(f"{indent}- {_scalar(item)}")
-    else:
-        lines.append(f"{indent}{_scalar(value)}")
     return lines
 
 
@@ -422,21 +420,18 @@ def _cmd_inspect(instance: Instance, args, report: dict) -> None:
 
 
 def _cmd_membership(instance: Instance, args, report: dict) -> None:
-    member, margin = reg.in_class_M(instance.omega, instance.psi, args.tol_rank)
-    report["member"] = bool(member)
-    report["margin"] = _margin(margin)
-    try:
-        eps = reg.epsilon_bound_check(instance.omega, instance.psi, args.tol_rank)
+    verdict = reg.membership(instance.omega, instance.psi, args.tol_rank)
+    report["member"] = verdict.member
+    report["margin"] = _margin(verdict.margin)
+    if verdict.failure is None:
         report["quadratic_bound"] = {
             "holds": True,
-            "epsilon": eps.epsilon,
-            "quadratic_norm": eps.quadratic_norm,
-            "scaled_member": bool(eps.member),
-            "scaled_margin": _margin(eps.margin),
+            "epsilon": verdict.epsilon,
+            "quadratic_norm": verdict.quadratic_norm,
         }
-    except FormkitError as exc:
-        report["quadratic_bound"] = {"holds": False, "reason": str(exc)}
-    if not member:
+    else:
+        report["quadratic_bound"] = {"holds": False, "reason": verdict.failure}
+    if not verdict.member:
         raise NotInClassM("psi does not majorize omega")
 
 

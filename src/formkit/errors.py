@@ -30,10 +30,6 @@ class NotAbsolutelyContinuous(MathematicalRefusal):
     pass
 
 
-class QuadraticBoundFails(MathematicalRefusal):
-    pass
-
-
 class NotSectorial(MathematicalRefusal):
     pass
 

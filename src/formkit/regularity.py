@@ -33,7 +33,6 @@ from .errors import (
     NotAbsolutelyContinuous,
     NotInClassM,
     NotSectorial,
-    QuadraticBoundFails,
     ValidationError,
 )
 from .forms import (
@@ -103,6 +102,16 @@ def _on_quotient(omega: Form, psi: PositiveForm, rtol: float) -> Optional[np.nda
     return emb.to_quotient(mat)
 
 
+def _class_M_verdict(compressed: Optional[np.ndarray]) -> tuple[bool, float]:
+    """Membership and margin read off the compression C of ``_on_quotient``:
+    |C| <= 1 (with ``MEMBERSHIP_SLACK`` of slack) and 1 - |C|, or False and
+    -inf for a kernel obstruction (C is None)."""
+    if compressed is None:
+        return False, float("-inf")
+    norm = specnorm(compressed)
+    return norm <= 1.0 + MEMBERSHIP_SLACK, 1.0 - norm
+
+
 def in_class_M(
     omega: Form, psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL
 ) -> tuple[bool, float]:
@@ -113,58 +122,47 @@ def in_class_M(
     has norm at most 1 (with ``MEMBERSHIP_SLACK`` of slack). The margin is
     1 minus that norm; a kernel obstruction reports margin -inf.
     """
-    compressed = _on_quotient(omega, psi, rtol)
-    if compressed is None:
-        return False, float("-inf")
-    norm = specnorm(compressed)
-    return norm <= 1.0 + MEMBERSHIP_SLACK, 1.0 - norm
+    return _class_M_verdict(_on_quotient(omega, psi, rtol))
 
 
 @dataclass(frozen=True)
-class EpsilonBound:
-    """Verification bundle for the quadratic-majorization shortcut."""
+class Membership:
+    """The class-M verdict of ``in_class_M`` and the quadratic bound
+    |omega(xi, xi)| <= psi(xi, xi), both decided on one compression."""
 
-    epsilon: int                # 1 for symmetric forms, 2 otherwise
-    quadratic_norm: float       # max of |omega(xi, xi)| over the psi-unit sphere
-    member: bool                # membership of omega in the class of epsilon*psi
-    margin: float
+    member: bool
+    margin: float                     # 1 - |C|, -inf for a kernel obstruction
+    epsilon: int                      # 1 for symmetric forms, 2 otherwise
+    quadratic_norm: Optional[float]   # lower end of the bracket on w(C); None when failed
+    failure: Optional[str]            # why the quadratic bound fails; None when it holds
 
 
-def epsilon_bound_check(
-    omega: Form,
-    psi: PositiveForm,
-    rtol: float = DEFAULT_RANK_TOL,
-) -> EpsilonBound:
-    """Check |omega(xi, xi)| <= psi(xi, xi) and confirm class membership
-    after scaling psi by 1 (symmetric) or 2 (general).
+def membership(omega: Form, psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL) -> Membership:
+    """Decide omega's membership in the class of psi and the quadratic bound.
 
-    The quadratic maximum is bracketed by ``numerical_radius_bounds``; the
-    bound is accepted only when the whole bracket is within the slack, and
-    ``quadratic_norm`` reports its lower end. Membership in the class of
-    epsilon*psi is |C| <= epsilon for the same compression C, which
-    w(C) <= |C| <= 2 w(C) implies (an equality for symmetric omega).
-
-    Raises:
-        QuadraticBoundFails: if the quadratic bound is violated, or if the
-            bracket straddles 1 (reported as inconclusive).
+    Both are questions about the compression C of omega to the psi-quotient,
+    which is built once. The quadratic maximum over the psi-unit sphere is
+    the numerical radius w(C), bracketed by ``numerical_radius_bounds``; the
+    bound holds only when the whole bracket is within the slack. Since
+    w(C) <= |C| <= 2 w(C) (an equality for symmetric omega), the quadratic
+    bound puts omega in the class of epsilon * psi.
     """
     compressed = _on_quotient(omega, psi, rtol)
+    member, margin = _class_M_verdict(compressed)
+    eps = 1 if omega.is_symmetric() else 2
     if compressed is None:
-        raise QuadraticBoundFails("the kernel of psi carries a nonzero quadratic of omega")
+        failure = "the kernel of psi carries a nonzero quadratic of omega"
+        return Membership(member, margin, eps, None, failure)
     lower, upper = numerical_radius_bounds(compressed)
+    failure = None
     if lower > 1.0 + MEMBERSHIP_SLACK:
-        raise QuadraticBoundFails(
-            f"quadratic maximum {lower:.6e} over the psi-unit sphere exceeds 1"
-        )
-    if upper > 1.0 + MEMBERSHIP_SLACK:
-        raise QuadraticBoundFails(
+        failure = f"quadratic maximum {lower:.6e} over the psi-unit sphere exceeds 1"
+    elif upper > 1.0 + MEMBERSHIP_SLACK:
+        failure = (
             f"quadratic bound inconclusive: the maximum over the psi-unit sphere "
             f"lies in [{lower:.6e}, {upper:.6e}], which reaches past 1"
         )
-    eps = 1 if omega.is_symmetric() else 2
-    norm = specnorm(compressed) / eps
-    member = norm <= 1.0 + MEMBERSHIP_SLACK
-    return EpsilonBound(epsilon=eps, quadratic_norm=lower, member=member, margin=1.0 - norm)
+    return Membership(member, margin, eps, None if failure else lower, failure)
 
 
 def canonical_majorant(t, rtol: float = DEFAULT_RANK_TOL) -> PositiveForm:

@@ -85,10 +85,6 @@ class NormGram:
         compatible = not g.size or w[0] - 1.0 >= -DEFAULT_RANK_TOL * max(w[-1], 1.0)
         object.__setattr__(self, "dominates_inner_product", bool(compatible))
 
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[0]
-
     @cached_property
     def _inv_root(self) -> np.ndarray:
         w, v = self.eig.values, self.eig.vectors

@@ -974,6 +974,89 @@ class TestCommands:
 INSTANCES = Path(__file__).parent / "golden" / "instances"
 
 
+class TestInputErrors:
+    """Each malformed document or argument exits 1 with its own message;
+    ``{path}`` stands for the instance file's path."""
+
+    ONE = {"n": 1, "omega": [[1]]}
+    DIAG = {"name": "diag", "lambda": [1, 2, 3], "N": 3}
+
+    @pytest.mark.parametrize(
+        "command, doc, flags, message",
+        [
+            ("inspect", {"family": 3}, [], "family block must be an object with a 'name'"),
+            (
+                "inspect",
+                {"family": {"name": "diag", "lambda": [1]}},
+                [],
+                "diag family needs 'lambda' and 'N'",
+            ),
+            (
+                "inspect",
+                {"family": {"name": "measure", "theta": [1]}},
+                [],
+                "measure family needs 'theta' and 'omega'",
+            ),
+            (
+                "inspect",
+                {"family": {"name": "measure", "theta": [1, 2], "omega": [1]}},
+                [],
+                "measure family weights must have equal length",
+            ),
+            (
+                "inspect",
+                {"family": {"name": "operator_pair", "S": [[1]]}},
+                [],
+                "operator_pair family needs 'S' and 'T'",
+            ),
+            (
+                "inspect",
+                {"family": {"name": "operator_pair", "S": [], "T": []}},
+                [],
+                "family.S must be a nonempty square matrix",
+            ),
+            ("inspect", {"family": {"name": "circle"}}, [], "unknown family name 'circle'"),
+            ("inspect", "[1, 2]", [], "{path}: top level must be an object"),
+            (
+                "inspect",
+                {"n": 2},
+                [],
+                "{path}: 'n' and 'omega' are required without a family block",
+            ),
+            ("solvable", ONE, ["--upsilon", "[[1"], "--upsilon: Expecting ',' delimiter"),
+            ("lab", ONE, [], "the lab command needs an instance file with a family block"),
+            ("solvable", ONE, ["--lambda=1"], "--lambda expects 're,im'"),
+            ("solvable", ONE, ["--lambda=a,b"], "--lambda expects two real numbers 're,im'"),
+            ("inspect", ONE, ["--batch"], "--batch expects a directory, got {path}"),
+            (
+                "solvable",
+                {"family": DIAG, "norm_gram": np.eye(2).tolist()},
+                [],
+                "norm_gram: expected 3 rows",
+            ),
+        ],
+        ids=[
+            "family-scalar", "diag-without-N", "measure-without-omega", "measure-unequal",
+            "pair-without-T", "pair-empty-S", "unknown-family", "top-level-list",
+            "without-n", "upsilon-json", "lab-without-family", "lambda-one-part",
+            "lambda-not-numbers", "batch-on-a-file", "family-norm-gram-shape",
+        ],
+    )
+    def test_exit_one_with_message(self, tmp_path, capsys, command, doc, flags, message):
+        path = write(tmp_path, "a.json", doc)
+        assert main([command, path, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+    def test_family_with_norm_gram(self, tmp_path, capsys):
+        doc = {"family": self.DIAG, "norm_gram": (2 * np.eye(3)).tolist()}
+        path = write(tmp_path, "a.json", doc)
+        assert main(["solvable", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["norm_gram"] == "from instance file"
+        assert math.isclose(report["c1"], 0.5, rel_tol=1e-12)
+        assert math.isclose(report["c2"], 1.5, rel_tol=1e-12)
+
+
 class TestOneReport:
     """``_run_single`` starts every report; a refusal appends its reason."""
 
@@ -1077,8 +1160,9 @@ class TestOneReport:
 
 class TestBuiltFormsKeepRankTolerance:
     """theta = psi has the eigenvalue -1e-8, which --tol-rank 1e-6 accepts;
-    the commands that scale psi by eps or add theta + psi build no form from
-    them, so they take no second PSD check at another tolerance."""
+    membership builds no form from psi, and the commands that add theta + psi
+    build none from the sum, so they take no second PSD check at another
+    tolerance."""
 
     @staticmethod
     def _instance(tmp_path):
@@ -1088,11 +1172,11 @@ class TestBuiltFormsKeepRankTolerance:
         doc = {"n": 3, "omega": omega, "theta": near_psd, "psi": near_psd}
         return write(tmp_path, "near.json", doc)
 
-    def test_membership_scaled_majorant(self, tmp_path, capsys):
+    def test_membership(self, tmp_path, capsys):
         path = self._instance(tmp_path)
         assert main(["membership", path, "--json", "--tol-rank", "1e-6"]) == 0
-        bound = json.loads(capsys.readouterr().out)["quadratic_bound"]
-        assert bound["holds"] and bound["scaled_member"]
+        report = json.loads(capsys.readouterr().out)
+        assert report["member"] and report["quadratic_bound"]["holds"]
 
     @pytest.mark.parametrize("command", ["regularity", "represent", "decompose"])
     def test_sum_form(self, tmp_path, capsys, command):
@@ -1109,6 +1193,47 @@ class TestBuiltFormsKeepRankTolerance:
             "error: theta is not positive semidefinite: matrix is not PSD: "
             "min eigenvalue -1.000000e-08"
         )
+
+
+class TestMembershipCommand:
+    """``membership`` answers from one compression C of omega to the
+    psi-quotient, and outside the radius bracket takes |C| once."""
+
+    @pytest.mark.parametrize("name, code", [("dense", 0), ("refused", 2), ("rankdef", 0)])
+    def test_one_compression(self, capsys, monkeypatch, name, code):
+        calls = {"_on_quotient": 0, "specnorm": 0}
+        for attr in calls:
+            original = getattr(fk.regularity, attr)
+
+            def counting(*args, _attr=attr, _original=original, **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fk.regularity, attr, counting)
+        assert main(["membership", str(INSTANCES / f"{name}.json")]) == code
+        capsys.readouterr()
+        assert calls == {"_on_quotient": 1, "specnorm": 1}
+
+    def test_kernel_obstruction_takes_no_norm(self, tmp_path, capsys, monkeypatch):
+        doc = {"n": 2, "omega": np.eye(2).tolist(), "psi": [[1, 0], [0, 0]]}
+        path = write(tmp_path, "k.json", doc)
+        norms = []
+        monkeypatch.setattr(fk.regularity, "specnorm", lambda m: norms.append(m) or 0.0)
+        assert main(["membership", path, "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["member"], report["margin"], norms) == (False, None, [])
+        assert report["quadratic_bound"] == {
+            "holds": False,
+            "reason": "the kernel of psi carries a nonzero quadratic of omega",
+        }
+
+    def test_rank_zero_compression(self, tmp_path, capsys):
+        zero = np.zeros((2, 2)).tolist()
+        path = write(tmp_path, "z.json", {"n": 2, "omega": zero, "psi": zero})
+        assert main(["membership", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["member"], report["margin"]) == (True, 1.0)
+        assert report["quadratic_bound"] == {"holds": True, "epsilon": 1, "quadratic_norm": 0.0}
 
 
 class TestDeterminism:

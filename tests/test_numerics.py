@@ -83,6 +83,10 @@ class TestPsdSqrt:
         with pytest.raises(fk.NotPSD):
             fk.psd_sqrt(np.diag([1.0, -1.0]))
 
+    def test_empty(self):
+        assert fk.psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
+        assert numerics.min_eig_herm(np.zeros((0, 0))) == 0.0
+
     def test_monotone_on_commuting_pairs(self):
         rng = np.random.default_rng(2)
         for _ in range(25):

@@ -82,29 +82,32 @@ class TestInClassM:
 
 
 class TestEpsilonBound:
+    """The quadratic bound |omega(xi, xi)| <= psi(xi, xi) as ``membership``
+    decides it, with the class-M verdict, from one compression."""
+
     def test_symmetric_case(self):
-        check = fk.epsilon_bound_check(fk.Form(np.diag([1.0, -1.0])), fk.identity_form(2))
+        check = fk.membership(fk.Form(np.diag([1.0, -1.0])), fk.identity_form(2))
         assert check.epsilon == 1
-        assert check.member
+        assert check.member and check.failure is None
 
     def test_nilpotent_case(self):
-        check = fk.epsilon_bound_check(fk.Form([[0.0, 1.0], [0.0, 0.0]]), fk.identity_form(2))
+        check = fk.membership(fk.Form([[0.0, 1.0], [0.0, 0.0]]), fk.identity_form(2))
         assert check.epsilon == 2
         # quadratic maximum is the numerical radius 1/2 of the shift block
         assert 0.5 - 1e-3 <= check.quadratic_norm <= 0.5 + 1e-9
-        assert check.member
+        assert check.member and check.failure is None
 
     def test_zero_form(self):
-        check = fk.epsilon_bound_check(fk.Form(np.zeros((2, 2))), fk.identity_form(2))
-        assert check.member
+        check = fk.membership(fk.Form(np.zeros((2, 2))), fk.identity_form(2))
+        assert check.member and check.failure is None
 
-    def test_violation_raises(self):
-        with pytest.raises(fk.QuadraticBoundFails):
-            fk.epsilon_bound_check(fk.Form(2 * np.eye(2)), fk.identity_form(2))
-        with pytest.raises(fk.QuadraticBoundFails):
-            fk.epsilon_bound_check(
-                fk.Form(np.eye(2)), fk.PositiveForm(np.diag([1.0, 0.0]))
-            )
+    def test_violation_fails(self):
+        check = fk.membership(fk.Form(2 * np.eye(2)), fk.identity_form(2))
+        assert not check.member and check.quadratic_norm is None
+        assert check.failure == "quadratic maximum 2.000000e+00 over the psi-unit sphere exceeds 1"
+        check = fk.membership(fk.Form(np.eye(2)), fk.PositiveForm(np.diag([1.0, 0.0])))
+        assert (check.member, check.margin, check.quadratic_norm) == (False, float("-inf"), None)
+        assert check.failure == "the kernel of psi carries a nonzero quadratic of omega"
 
     def test_corner_probe_exceeds(self, monkeypatch):
         # |omega(e1, e1)| = 1 + 1e-6 at the corner e^(i pi/720), which no
@@ -119,9 +122,9 @@ class TestEpsilonBound:
             return rounds[-1][1]
 
         monkeypatch.setattr(solvable.NumericalRangeHull, "add", recording)
-        with pytest.raises(fk.QuadraticBoundFails, match="exceeds 1") as info:
-            fk.epsilon_bound_check(fk.Form(np.diag([lam, 0.0])), fk.identity_form(2))
-        assert "1.000001e+00" in str(info.value)
+        check = fk.membership(fk.Form(np.diag([lam, 0.0])), fk.identity_form(2))
+        assert re.search("exceeds 1", check.failure)
+        assert "1.000001e+00" in check.failure
         assert len(rounds) == 1
         direction, solves = rounds[0]
         assert solves == 1 and abs(direction - np.pi / 720) <= 1e-12
@@ -130,15 +133,24 @@ class TestEpsilonBound:
         # the compressed matrix is unitary-diagonal: radius 1 exactly, which
         # the spectral-norm end of the bracket decides
         inst = fk.diag_family([n * np.exp(1j * n) for n in range(1, 9)])
-        check = fk.epsilon_bound_check(inst.omega, inst.psi)
-        assert check.member
+        check = fk.membership(inst.omega, inst.psi)
+        assert check.member and check.failure is None
         assert abs(check.quadratic_norm - 1.0) <= 1e-5
 
     def test_non_normal_knife_edge_inconclusive(self):
         # numerical radius 1 - 1e-6, spectral norm 2 (1 - 1e-6)
         omega = fk.Form([[0.0, 2 * (1 - 1e-6)], [0.0, 0.0]])
-        with pytest.raises(fk.QuadraticBoundFails, match="inconclusive"):
-            fk.epsilon_bound_check(omega, fk.identity_form(2))
+        check = fk.membership(omega, fk.identity_form(2))
+        assert re.search("inconclusive", check.failure)
+        assert check.quadratic_norm is None
+
+    def test_rank_zero_compression(self):
+        # omega = psi = 0: the compression is 0 x 0 and its radius bracket is [0, 0]
+        zero = np.zeros((2, 2))
+        check = fk.membership(fk.Form(zero), fk.PositiveForm(zero))
+        assert check == fk.Membership(
+            member=True, margin=1.0, epsilon=1, quadratic_norm=0.0, failure=None
+        )
 
 
 class TestOneKernelCut:
@@ -167,20 +179,20 @@ class TestOneKernelCut:
         assert fk.in_class_M(fk.Form(np.eye(3)), psi) == (False, float("-inf"))
         assert calls == [True]
 
-    def test_epsilon_bound_check(self, monkeypatch):
+    def test_membership(self, monkeypatch):
         psi = fk.PositiveForm(np.diag([1.0, 0.5, 0.0]))
         calls = self._count_cuts(monkeypatch, psi)
         omega = fk.Form([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        check = fk.epsilon_bound_check(omega, psi)
-        assert check.epsilon == 2 and check.member
-        # membership of the scaled form is read off the same compression
+        check = fk.membership(omega, psi)
+        assert check.epsilon == 2 and check.member and check.failure is None
+        # the quadratic bound is read off the same compression
         assert calls == [True]
 
 
 class TestScaledMembership:
     """Membership in the class of epsilon*psi is |C| <= epsilon on the
-    compression C the quadratic bound holds; the oracle builds epsilon*psi
-    as a positive form and decides its class from scratch."""
+    compression C, so its margin is 1 - (1 - margin) / epsilon; the oracle
+    builds epsilon*psi as a positive form and decides its class from scratch."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_scaled_form(self, seed):
@@ -189,10 +201,12 @@ class TestScaledMembership:
         psi = fk.PositiveForm(random_psd(rng, n, int(rng.integers(1, n + 1))))
         omega = member_form(rng, psi)
         for form, eps in ((omega, 2), (fk.Form(hermitize(omega.matrix)), 1)):
-            check = fk.epsilon_bound_check(form, psi)
+            check = fk.membership(form, psi)
             member, margin = fk.in_class_M(form, fk.PositiveForm(eps * psi.matrix))
-            assert check.epsilon == eps and check.member == member
-            assert abs(check.margin - margin) <= 1e-15
+            assert check.epsilon == eps and check.failure is None
+            scaled = 1.0 - (1.0 - check.margin) / eps
+            assert member == (scaled >= -MEMBERSHIP_SLACK)
+            assert abs(scaled - margin) <= 1e-15
             if eps == 1:
                 assert check.margin == margin
 
@@ -209,7 +223,7 @@ class TestScaledMembership:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(fk.numerics, "psd_eig", counting)
-        fk.epsilon_bound_check(omega, psi)
+        fk.membership(omega, psi)
         assert calls == []
         fk.radon_nikodym(omega, theta, psi)
         assert calls == []
@@ -492,6 +506,14 @@ class TestDominatedSequence:
         with pytest.raises(fk.NotAbsolutelyContinuous):
             fk.dominated_sequence(fk.identity_form(2), fk.PositiveForm(np.diag([1.0, 0.0])), 2)
 
+    def test_refuses_a_stage_below_one(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            fk.dominated_sequence(fk.identity_form(2), fk.identity_form(2), 0)
+
+    def test_zero_form_is_constant_from_the_start(self):
+        psi = fk.PositiveForm(np.zeros((2, 2)))
+        assert fk.dominated_sequence_stabilization(psi, fk.identity_form(2)) == 1
+
 
 class TestFloor:
     """The closed-form sup{t : a - t p PSD} against bisection on the sign of
@@ -584,6 +606,10 @@ class TestSectoriality:
     def test_vertex_violation(self):
         with pytest.raises(fk.NotSectorial):
             fk.sectorial_parameters(fk.Form(-np.eye(2)), fk.identity_form(2), 0.0, 1.0)
+
+    def test_refuses_half_a_pair(self):
+        with pytest.raises(ValueError, match="supply both delta and gamma"):
+            fk.sectorial_parameters(fk.Form(np.eye(2)), fk.identity_form(2), delta=0.5)
 
     def test_vertex_violation_reports_unscaled_eigenvalue(self):
         sizes = np.arange(1, 65)

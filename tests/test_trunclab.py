@@ -39,6 +39,10 @@ class TestDiagFamily:
         assert inst.extras["Y"][0, 0] == 1.0
         assert inst.extras["H"][0, 0] == 0.0
 
+    def test_refuses_no_entries(self):
+        with pytest.raises(fk.ValidationError, match="at least one entry"):
+            fk.diag_family([])
+
     def test_regular_for_every_size(self):
         for size in (2, 5, 9):
             inst = fk.diag_family(rotating_diagonal(size))
@@ -100,6 +104,10 @@ class TestOperatorPairFamily:
         assert np.array_equal(inst.omega.matrix, np.diag([1.0 + 0j, 2.0]))
         member, margin = fk.in_class_M(inst.omega, inst.psi)
         assert member and margin > 0
+
+    def test_refuses_mismatched_shapes(self):
+        with pytest.raises(fk.ValidationError, match="same shape"):
+            fk.operator_pair_family(np.eye(2), np.eye(3))
 
     def test_random_pairs_member(self):
         rng = np.random.default_rng(60)
@@ -250,6 +258,10 @@ def _oracle_families():
 
 
 class TestConvergenceReport:
+    def test_diag_needs_lambda(self):
+        with pytest.raises(fk.ValidationError, match="needs a 'lambda' entry"):
+            fk.convergence_report("diag", {}, [4])
+
     @pytest.mark.parametrize("rtol", [1e-10, 1e-6, 1e-2, 0.5, 0.9])
     @pytest.mark.parametrize("family", sorted(_oracle_families()))
     def test_closed_form_matches_dense_oracle(self, family, rtol):
