@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .forms import Form, PositiveForm, identity_form, quotient_embedding, re_im_split
-from .numerics import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, finite_norm, frob, min_eig_herm
+from .numerics import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL, finite_norm, frob, hermitize
 from .numerics import one_blas_thread, relative, specnorm
 from .regularity import canonical_majorant
 from .solvable import (
@@ -395,6 +395,16 @@ def _margin(value: float):
     return None if value == float("-inf") else float(value)
 
 
+def _part_extremes(part: np.ndarray) -> list:
+    """Least and largest eigenvalue of a Hermitian part, from one ``eigvalsh``.
+    The spectrum of a purely imaginary part (that of a real omega) is
+    symmetric about 0, so its top is minus its bottom. + 0.0 turns a -0.0 top
+    into 0.0."""
+    values = np.linalg.eigvalsh(hermitize(part))
+    top = values[-1] if part.real.any() else -values[0]
+    return [float(values[0]), float(top) + 0.0]
+
+
 def _cmd_inspect(instance: Instance, args, report: dict) -> None:
     omega, theta, psi = instance.omega, instance.theta, instance.psi
     member, margin = reg.in_class_M(omega, psi, args.tol_rank)
@@ -402,14 +412,8 @@ def _cmd_inspect(instance: Instance, args, report: dict) -> None:
     report.update(
         {
             "omega_symmetric": omega.is_symmetric(),
-            "omega_real_part_extremes": [
-                min_eig_herm(re.matrix),
-                -min_eig_herm(-re.matrix) + 0.0,
-            ],
-            "omega_imag_part_extremes": [
-                min_eig_herm(im.matrix),
-                -min_eig_herm(-im.matrix) + 0.0,
-            ],
+            "omega_real_part_extremes": _part_extremes(re.matrix),
+            "omega_imag_part_extremes": _part_extremes(im.matrix),
             "theta_rank": quotient_embedding(theta, args.tol_rank).rank,
             "psi_rank": quotient_embedding(psi, args.tol_rank).rank,
             "psi_majorizes_omega": bool(member),

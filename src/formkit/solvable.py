@@ -137,6 +137,46 @@ def _rotated(parts, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return stack.view(h.dtype)
 
 
+def _diagonal_extremes(lam: np.ndarray, reduced: np.ndarray, sizes) -> list:
+    """For each N of the ascending, positive ``sizes``, the least and largest
+    entries (columns 0 and 1) of cos(phi) Re(lambda) + sin(phi) Im(lambda)
+    over lambda[:N] at each reduced angle phi, and the entries of lambda
+    that attain them (signed zeros made positive, as the quadratic form
+    gives them). diag(lambda[:N]) is normal, so these are its extremes.
+
+    Each block of angles rotates all of lambda once, in the operation order
+    of a stack of rows. ``argmin``/``argmax`` take the first index of each
+    segment's extremes between consecutive sizes, and a running minimum over
+    the segments (maxima negated) moves on only to a strictly lower one, so
+    each prefix gets the index ``argmin``/``argmax`` over it would give,
+    ties between signed zeros included.
+    """
+    cos, sin = np.cos(reduced), np.sin(reduced)
+    cuts = sorted(set(sizes))
+    lows = [0] + cuts[:-1]
+    offsets = np.array(lows)[:, None, None]
+    parts = (lam.real, lam.imag)
+
+    def block(start: int, stop: int):
+        r = _rotated(parts, cos[start:stop], sin[start:stop])
+        segments = [r[:, lo:hi] for lo, hi in zip(lows, cuts)]
+        ends = np.array([[s.argmin(1), s.argmax(1)] for s in segments]) + offsets
+        rows = np.arange(stop - start)
+        if len(cuts) > 1:
+            values = r[rows, ends]
+            values[:, 1] *= -1.0
+            lower = values[1:] < np.minimum.accumulate(values, 0)[:-1]
+            latest = np.where(lower, np.arange(1, len(cuts))[:, None, None], 0)
+            ends[1:] = np.take_along_axis(ends, np.maximum.accumulate(latest, 0), 0)
+        return r[rows, ends], ends
+
+    solved = _stacked(parts[0], reduced.size, block)
+    values = np.concatenate([v for v, _ in solved], 2)
+    ends = np.concatenate([e for _, e in solved], 2)
+    points = lam[ends] + 0.0
+    return [(values[k].T, points[k].T) for k in map(cuts.index, sizes)]
+
+
 def _grid(m: int):
     """The angles t_k = 2 pi k / m of an m-grid and the solves that serve them.
 
@@ -216,8 +256,28 @@ class NumericalRangeHull:
         if self.mat.shape[0] == 0:
             raise ValidationError("the numerical range of a 0-dimensional form is empty")
         self.parts = _parts(self.mat)
-        self.angles, reduced, index, column, sign = _grid(m)
-        values, points = self._extremes(reduced)
+        grid = _grid(m)
+        self._sample(grid, *self._extremes(grid[1]))
+
+    @classmethod
+    def prefixes(cls, lam: np.ndarray, sizes, m: int = DEFAULT_HULL_GRID) -> list:
+        """The hulls of diag(lam[:N]) for each N of the ascending, positive
+        ``sizes``, from one rotation of lam (``_diagonal_extremes``): each
+        is ``NumericalRangeHull(lam[:N], m)`` bit for bit."""
+        lam = np.asarray(lam, dtype=complex)
+        grid = _grid(m)
+        hulls = []
+        for size, extremes in zip(sizes, _diagonal_extremes(lam, grid[1], sizes)):
+            hull = cls.__new__(cls)
+            hull.mat = lam[:size]
+            hull.parts = _parts(hull.mat)
+            hull._sample(grid, *extremes)
+            hulls.append(hull)
+        return hulls
+
+    def _sample(self, grid, values, points):
+        """Support values and points on the grid from the extremes at its reduced angles."""
+        self.angles, reduced, index, column, sign = grid
         self.support = sign * values[index, column]
         self.reduced = reduced[index]
         self.points = points[index, column]
@@ -225,25 +285,21 @@ class NumericalRangeHull:
 
     def _extremes(self, reduced: np.ndarray):
         """Bottom and top eigenvalues (columns 0 and 1) of cos(phi) H + sin(phi) K
-        at each reduced angle phi, from ``eigvalsh`` in blocks, and the
-        boundary points that attain them: on the exact diagonal path the
-        attaining entries (signed zeros made positive, as the quadratic form
-        gives them), otherwise NaN, for ``boundary_points`` to fill."""
+        at each reduced angle phi, and the boundary points that attain them:
+        on the exact diagonal path those of ``_diagonal_extremes``, otherwise
+        the eigenvalues from ``eigvalsh`` in blocks and NaN points, for
+        ``boundary_points`` to fill."""
+        if self.parts[0].ndim == 1:
+            diagonal = self.mat if self.mat.ndim == 1 else self.mat.diagonal()
+            return _diagonal_extremes(diagonal, reduced, [diagonal.size])[0]
         cos, sin = np.cos(reduced), np.sin(reduced)
-        diagonal = self.mat if self.mat.ndim == 1 else self.mat.diagonal()
 
         def block(start: int, stop: int):
             r = _rotated(self.parts, cos[start:stop], sin[start:stop])
-            if r.ndim == 3:
-                missing = np.full((stop - start, 2), complex(np.nan, np.nan))
-                return np.linalg.eigvalsh(r)[:, [0, -1]], missing
-            # diagonal M is normal, so W(M) = conv{lambda_j} and the extremes
-            # are min and max of r_j, formed in the stack's own operation order
-            ends = np.stack([r.argmin(1), r.argmax(1)], 1)
-            return np.take_along_axis(r, ends, 1), diagonal[ends] + 0.0
+            return np.linalg.eigvalsh(r)[:, [0, -1]]
 
-        solved = _stacked(self.parts[0], reduced.size, block)
-        return np.concatenate([w for w, _ in solved]), np.concatenate([p for _, p in solved])
+        values = np.concatenate(_stacked(self.parts[0], reduced.size, block))
+        return values, np.full((reduced.size, 2), complex(np.nan, np.nan))
 
     @property
     def scale(self) -> float:
@@ -495,11 +551,12 @@ def _inner_depth(points: np.ndarray, lam: complex, band: float):
 def _parabola_probes(t, top, dl, dr, low, high, scale) -> list:
     """The vertex of the parabola through the best margin and its two
     neighbours, and two angles either side of it close enough that the
-    concave bound can close there."""
+    concave bound can close there. ``_locate`` asks only while that bound,
+    max(dr * drop_l / dl, dl * drop_r / dr), exceeds ``DISTANCE_RTOL`` times
+    the scale, so one drop times its arc is positive and so is the
+    denominator."""
     drop_l, drop_r = top - low, top - high
     denominator = dl * drop_r + dr * drop_l
-    if denominator <= 0:
-        return []
     vertex = t - 0.5 * (dl * dl * drop_r - dr * dr * drop_l) / denominator
     curvature = 2 * denominator / (dl * dr * (dl + dr))
     step = max(np.sqrt(DISTANCE_RTOL * scale / curvature), 2 * HULL_ARC_FLOOR)

@@ -134,6 +134,20 @@ def operator_pair_family(s_mat, t_mat, provenance: str = "operator_pair") -> Ins
 # exactly: a nested one such as 9**9**9**9 would otherwise run without end.
 MAX_POWER_BITS = 1024
 
+
+def _power(left, right):
+    """left ** right, refused for an integer power that reaches 2**MAX_POWER_BITS."""
+    if (
+        type(left) is int
+        and type(right) is int
+        and right * (abs(left).bit_length() - 1) >= MAX_POWER_BITS
+    ):
+        raise ValidationError(
+            f"'lambda': an integer power with exponent {right} reaches 2**{MAX_POWER_BITS}"
+        )
+    return operator.pow(left, right)
+
+
 _CONSTANTS = {"pi": cmath.pi, "e": cmath.e, "i": 1j, "j": 1j}
 _FUNCTIONS = {
     "exp": cmath.exp,
@@ -148,73 +162,100 @@ _BINARY = {
     ast.Sub: operator.sub,
     ast.Mult: operator.mul,
     ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
+    ast.Pow: _power,
 }
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-def _evaluate(node: ast.AST, names: dict):
-    """Evaluate a parsed sequence expression with Python's own operators,
-    admitting only numbers, the given names, the operators + - * / ** and
-    unary +-, and calls to ``_FUNCTIONS``."""
+def _compile(node: ast.AST):
+    """A parsed sequence expression as a function of the index n, nested
+    closures that apply Python's own operators: it admits only numbers, n and
+    ``_CONSTANTS``, the operators + - * / ** and unary +-, and calls to
+    ``_FUNCTIONS``. Any other node becomes a closure that refuses it when it
+    is reached, so that errors arrive in the order evaluation meets them."""
     if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
-        return node.value
-    if isinstance(node, ast.Name) and node.id in names:
-        return names[node.id]
+        value = node.value
+        return lambda n: value
+    if isinstance(node, ast.Name) and node.id == "n":
+        return lambda n: n
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        value = _CONSTANTS[node.id]
+        return lambda n: value
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-        return _UNARY[type(node.op)](_evaluate(node.operand, names))
+        unary, operand = _UNARY[type(node.op)], _compile(node.operand)
+        return lambda n: unary(operand(n))
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        left, right = _evaluate(node.left, names), _evaluate(node.right, names)
-        if (
-            isinstance(node.op, ast.Pow)
-            and type(left) is int
-            and type(right) is int
-            and right * (abs(left).bit_length() - 1) >= MAX_POWER_BITS
-        ):
-            raise ValidationError(
-                f"'lambda': an integer power with exponent {right} reaches 2**{MAX_POWER_BITS}"
-            )
-        return _BINARY[type(node.op)](left, right)
+        binary, left, right = _BINARY[type(node.op)], _compile(node.left), _compile(node.right)
+        return lambda n: binary(left(n), right(n))
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in _FUNCTIONS
         and not node.keywords
     ):
-        return _FUNCTIONS[node.func.id](*(_evaluate(arg, names) for arg in node.args))
-    raise ValidationError(f"'lambda': {ast.unparse(node)!r} is not allowed in an expression")
+        function, args = _FUNCTIONS[node.func.id], [_compile(arg) for arg in node.args]
+        return lambda n: function(*[arg(n) for arg in args])
+
+    def refuse(n):
+        raise ValidationError(f"'lambda': {ast.unparse(node)!r} is not allowed in an expression")
+
+    return refuse
 
 
-def _lambda_values(expression, size: int) -> np.ndarray:
-    """Evaluate a sequence specification: a literal list or an expression in
-    the index variable n (1-based), e.g. ``"n*exp(i*n)"``.
+def _lambda_sequence(expression, size: int):
+    """Evaluate a sequence specification once, for n = 1..size: a literal
+    list or an expression in the index variable n (1-based), e.g.
+    ``"n*exp(i*n)"``, compiled once.
 
-    Raises:
-        ValidationError: unless the specification gives ``size`` finite numbers.
+    Returns ``prefix``: ``prefix(s)``, for s <= size, gives lambda_1..lambda_s
+    or raises the ValidationError that evaluating them alone would raise.
+    Evaluation stops at the first entry that fails, and every size that
+    reaches it fails with its error; a specification that does not parse or
+    convert fails every size, 0 included.
     """
+    entries, failure = None, None
     try:
         if isinstance(expression, str):
             tree = ast.parse(expression, "<lambda-spec>", "eval")
-            values = np.asarray(
-                [complex(_evaluate(tree.body, dict(_CONSTANTS, n=n))) for n in range(1, size + 1)]
-            )
+            entries = []  # a tree too deep to compile fails from n = 1, as its evaluation would
+            term = _compile(tree.body)
+            for n in range(1, size + 1):
+                entries.append(complex(term(n)))
         else:
             # numpy reads true as 1 and "2" as 2, but neither is a number
             leaves = np.asarray(expression, dtype=object).ravel()
             if any(isinstance(x, (bool, np.bool_, str)) for x in leaves):
                 raise TypeError("entries must be numbers")
-            values = np.asarray(expression, dtype=complex).ravel()
+            entries = np.asarray(expression, dtype=complex).ravel()
+    except ValidationError as exc:
+        failure = exc
     # the parser reports nesting beyond its stack as a MemoryError
     except (
         ArithmeticError, MemoryError, RecursionError, SyntaxError, TypeError, ValueError
     ) as exc:
-        raise ValidationError(f"'lambda' {expression!r} does not evaluate: {exc}") from exc
-    if values.size < size:
-        raise ValidationError(f"sequence literal has {values.size} entries, need {size}")
-    values = values[:size]
-    if not np.isfinite(values).all():
-        raise ValidationError("'lambda' entries must be finite")
-    return values
+        failure = ValidationError(f"'lambda' {expression!r} does not evaluate: {exc}")
+        failure.__cause__ = exc
+    values = np.asarray([] if entries is None else entries, dtype=complex)
+
+    def prefix(s: int) -> np.ndarray:
+        if failure is not None and (entries is None or s > values.size):
+            raise failure
+        if s > values.size:
+            raise ValidationError(f"sequence literal has {values.size} entries, need {s}")
+        if not np.isfinite(values[:s]).all():
+            raise ValidationError("'lambda' entries must be finite")
+        return values[:s]
+
+    return prefix
+
+
+def _lambda_values(expression, size: int) -> np.ndarray:
+    """lambda_1..lambda_size of a sequence specification (``_lambda_sequence``).
+
+    Raises:
+        ValidationError: unless the specification gives ``size`` finite numbers.
+    """
+    return _lambda_sequence(expression, size)(size)
 
 
 LAB_HULL_GRID = 360  # support angles of each size's exact hull; the least one places the probe
@@ -237,9 +278,13 @@ def convergence_report(
     angles, the distance from a deterministic probe point outside it, the
     resolvent norm 1 / min |lambda_j - probe|, and the condition number of
     the system normalized by the Gram I + psi, whose singular values are
-    |lambda_j - probe| / (1 + |lambda_j|). A size costs O(N) plus
-    O(``LAB_HULL_GRID`` N) for its hull, and no N x N matrix is built. The
-    dense ``diag_family``, ``sectorial_parameters``, ``NormGram`` and
+    |lambda_j - probe| / (1 + |lambda_j|). The ``lambda`` expression is
+    compiled once and evaluated once, up to the largest size N_max, and one
+    rotation of those entries gives the hull of every size
+    (``NumericalRangeHull.prefixes``), so a sweep costs
+    O(``LAB_HULL_GRID`` N_max + sum of N), and no N x N matrix is built. The
+    rows equal those of each size swept alone, bit for bit, and the dense
+    ``diag_family``, ``sectorial_parameters``, ``NormGram`` and
     ``represent_operator`` give the same rows, to within a few ulps.
 
     Raises:
@@ -254,30 +299,62 @@ def convergence_report(
     spec = params.get("lambda")
     if spec is None:
         raise ValidationError("diagonal family needs a 'lambda' entry")
-    # entry n does not depend on N, so the largest size's entries serve all
-    try:
-        values = _lambda_values(spec, sizes[-1])
-    except ValidationError:
-        # evaluated size by size, the first size that fails names the error
-        values = None
-    return [
-        _diagonal_row(_lambda_values(spec, size) if values is None else values[:size], rtol)
-        for size in sizes
-    ]
+    # entry n does not depend on N, so one evaluation serves every size
+    prefix = _lambda_sequence(spec, sizes[-1])
+    entries, failure, rows = [], None, []
+    for size in sizes:
+        try:
+            entries.append(_diagonal_entries(prefix(size)))
+        except ValidationError as exc:
+            # the first size that fails names the error, after the rows before it
+            failure = exc
+            break
+    if entries:
+        rows = _diagonal_rows(entries[-1], [lam.size for lam in entries], rtol)
+    if failure is not None:
+        raise failure
+    return rows
 
 
-def _diagonal_row(lam: np.ndarray, rtol: float) -> dict:
-    """One ``convergence_report`` row, from the diagonal lambda alone."""
-    size = lam.size
-    if size < 1:
+def _diagonal_entries(lam: np.ndarray) -> np.ndarray:
+    """lam, refused unless it is a nonempty diagonal whose Frobenius norm is finite."""
+    if lam.size < 1:
         raise ValidationError("the diagonal family needs at least one entry")
     with np.errstate(over="ignore"):
         if not np.isfinite(lam.real @ lam.real + lam.imag @ lam.imag):
             raise ValidationError("'lambda' is too large: its Frobenius norm overflows")
+    return lam
+
+
+def _diagonal_rows(lam: np.ndarray, sizes: list[int], rtol: float) -> list[dict]:
+    """The ``convergence_report`` rows of the prefixes lam[:N], N in sizes.
+
+    What does not depend on a size's delta or probe is read off the largest
+    size once: the hulls of every prefix from one rotation, the scale
+    max(1, max_j |lambda_j|) and the sector frontier from running extremes,
+    and the elementwise Gram root (1 + |lambda_j|)^(-1/2).
+    """
     psi = np.abs(lam)
-    scale = max(1.0, float(np.max(psi)))
+    scale = np.maximum.accumulate(psi)
     re, im = lam.real, lam.imag
-    frontier = min(float(np.min(re + sign * im / SECTOR_SLOPE_CAP)) for sign in (1.0, -1.0))
+    frontier = np.minimum(
+        *(np.minimum.accumulate(re + sign * im / SECTOR_SLOPE_CAP) for sign in (1.0, -1.0))
+    )
+    root = 1.0 / np.sqrt(1.0 + psi)
+    hulls = NumericalRangeHull.prefixes(lam, sizes, LAB_HULL_GRID)
+    return [
+        _diagonal_row(
+            lam[:size], hull, max(1.0, float(scale[size - 1])), float(frontier[size - 1]),
+            root[:size], rtol,
+        )
+        for size, hull in zip(sizes, hulls)
+    ]
+
+
+def _diagonal_row(lam, hull, scale, frontier, root, rtol) -> dict:
+    """One ``convergence_report`` row: lam = lambda[:N] with its hull, scale,
+    sector frontier and Gram root (``_diagonal_rows``)."""
+    re, im = lam.real, lam.imag
     delta = frontier - MEMBERSHIP_SLACK * scale
     base = re - delta
     keep = rank_cut(base, rtol)
@@ -285,32 +362,30 @@ def _diagonal_row(lam: np.ndarray, rtol: float) -> dict:
     if not np.any(np.abs(im[~keep]) > MEMBERSHIP_SLACK * scale):
         # times 1 / base, as sectorial_parameters' quotient push scales, to match it bit for bit
         gamma = float(np.max(np.abs(im[keep]) * (1.0 / base[keep]), initial=0.0))
-        least = min(np.min(base), np.min(gamma * base - im), np.min(gamma * base + im))
+        least = min(base.min(), (gamma * base - im).min(), (gamma * base + im).min())
         if least / scale >= -MEMBERSHIP_SLACK:
             verdict = {"sectorial": True, "delta": delta, "gamma": gamma}
-    hull = NumericalRangeHull(lam, LAB_HULL_GRID)
-    direction = int(np.argmin(hull.support))
+    direction = int(hull.support.argmin())
     angle = float(hull.angles[direction])
     gap = 1.0 + 0.1 * hull.scale
     # beyond the least supporting half-plane: outside by at least the gap
     probe = complex((hull.support[direction] + gap) * np.exp(1j * angle))
-    gram = 1.0 + psi
     shifted = lam - probe
-    root = 1.0 / np.sqrt(gram)
     normalized = np.abs(shifted * root * root)  # G^(-1/2) (omega - probe) G^(-1/2)
-    c1, c2 = float(np.min(normalized)), float(np.max(normalized))
+    c1, c2 = float(normalized.min()), float(normalized.max())
     if not (c2 > 0 and c1 > rtol * c2):
         raise NotSolvable(f"inf-sup constant {c1:.3e} is not positive relative to {c2:.3e}")
+    points = hull.points
     return {
-        "size": size,
-        "re_spectrum_min": float(np.min(re)),
+        "size": lam.size,
+        "re_spectrum_min": float(re.min()),
         "sectorial": verdict,
-        "hull_radius": float(np.max(np.abs(hull.points))),
-        "hull_re_extent": [float(np.min(hull.points.real)), float(np.max(hull.points.real))],
-        "hull_im_extent": [float(np.min(hull.points.imag)), float(np.max(hull.points.imag))],
+        "hull_radius": float(np.abs(points).max()),
+        "hull_re_extent": [float(points.real.min()), float(points.real.max())],
+        "hull_im_extent": [float(points.imag.min()), float(points.imag.max())],
         "hull_area": hull.area(),
         "probe": probe,
         "probe_distance": hull.distance(probe),
-        "resolvent_norm": float(1.0 / np.min(np.abs(shifted))),
+        "resolvent_norm": float(1.0 / np.abs(shifted).min()),
         "normalized_condition": c2 / c1,
     }

@@ -310,6 +310,13 @@ class TestDump:
         report = {"a": m, "b": {"c": m, "d": [m]}}
         assert _dump(report, 0) == json.dumps(jsonable(report), sort_keys=True, indent=1)
 
+    @pytest.mark.parametrize("value", [object(), {"a": {1.5}}, [b"bytes"]])
+    def test_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            _dump(value, 0)
+
 
 GOLDEN_INSTANCES = sorted((Path(__file__).parent / "golden" / "instances").glob("*.json"))
 
@@ -1234,6 +1241,44 @@ class TestMembershipCommand:
         report = json.loads(capsys.readouterr().out)
         assert (report["member"], report["margin"]) == (True, 1.0)
         assert report["quadratic_bound"] == {"holds": True, "epsilon": 1, "quadratic_norm": 0.0}
+
+
+class TestInspectCommand:
+    """``inspect`` reads both extremes of each Hermitian part off one ``eigvalsh``."""
+
+    @pytest.mark.parametrize("name", [p.stem for p in GOLDEN_INSTANCES])
+    def test_two_solves(self, capsys, monkeypatch, name):
+        shapes = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a, *args: shapes.append(np.shape(a)) or original(a, *args)
+        )
+        code = main(["inspect", str(INSTANCES / f"{name}.json")])
+        capsys.readouterr()
+        assert code in (0, 2)
+        assert len(shapes) == 2
+
+    @staticmethod
+    def _two_solves(part):
+        return [numerics.min_eig_herm(part), -numerics.min_eig_herm(-part) + 0.0]
+
+    def test_dense_parts_match_two_solves(self):
+        # on dense complex parts eigvalsh(-A) mirrors eigvalsh(A) bit for bit
+        rng = np.random.default_rng(91)
+        for n in (1, 2, 3, 8, 17, 40):
+            for part in fk.re_im_split(fk.Form(complex_randn(rng, n, n))):
+                assert same_bits(cli._part_extremes(part.matrix), self._two_solves(part.matrix))
+
+    def test_imaginary_part_of_a_real_form_is_symmetric(self):
+        rng = np.random.default_rng(92)
+        for n in (1, 2, 3, 8, 17, 40):
+            _, im = fk.re_im_split(fk.Form(rng.normal(size=(n, n))))
+            low, top = cli._part_extremes(im.matrix)
+            assert top == -low + 0.0
+            reference = self._two_solves(im.matrix)
+            assert low == reference[0]
+            assert abs(top - reference[1]) <= 8 * np.spacing(abs(low))
+        assert same_bits(cli._part_extremes(np.zeros((3, 3), dtype=complex)), [0.0, 0.0])
 
 
 class TestDeterminism:

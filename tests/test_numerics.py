@@ -351,6 +351,22 @@ class TestBlasThreads:
             child.kill()
         assert child.exitcode == 0
 
+    @pytest.mark.parametrize("library", ["missing", "without the symbols"])
+    def test_controls_absent_from_the_blas(self, monkeypatch, library):
+        def load(path):
+            if library == "missing":
+                raise OSError(f"cannot load {path}")
+            return object()
+
+        monkeypatch.setattr(numerics.ctypes, "CDLL", load)
+        assert numerics._openblas_controls() is None
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert numerics._cpus() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert numerics._cpus() == 1
+
     def test_without_controls_nothing_is_pinned_or_split(self, monkeypatch):
         monkeypatch.setattr(numerics, "BLAS_CONTROLS", None)
         assert numerics.blas_workers() == 1

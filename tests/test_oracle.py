@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import formkit as fk
-from formkit.numerics import DEFAULT_RANK_TOL, frob
+from formkit.lebesgue import _LIMIT_MAX_DOUBLINGS
+from formkit.numerics import DEFAULT_RANK_TOL, LIMIT_STALL, frob
 
 from conftest import count_pinv, coupled_hidden_pair, random_psd, random_unitary
 
@@ -102,6 +103,14 @@ def limit_error(seed):
     return frob(fk.parallel_sum_limit(psi, theta) - reference) / frob(psi.matrix)
 
 
+def weak_direction_pair(seed):
+    """A definite theta 1000 times weaker along one random direction."""
+    rng = np.random.default_rng(seed)
+    psi = fk.PositiveForm(random_psd(rng, 3))
+    u = random_unitary(rng, 3)
+    return psi, fk.PositiveForm((u * np.array([1.0, 1.0, 1e-3])) @ u.conj().T)
+
+
 class TestFiftyDigitParallelSum:
     def test_definite_pairs_take_the_solve(self, monkeypatch):
         calls = count_pinv(monkeypatch)
@@ -118,3 +127,19 @@ class TestFiftyDigitParallelSum:
     @pytest.mark.parametrize("seed", range(5))
     def test_limit_matches_the_short(self, seed):
         assert limit_error(90 + seed) <= LIMIT_BOUND
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_limit_taken_at_the_last_doubling(self, monkeypatch, seed):
+        # the weak direction leaves t theta's pre-asymptotic range late, so the
+        # extrapolated steps shrink to the end without passing LIMIT_STOP and
+        # the entry at t = 2^20 is returned, its step within LIMIT_STALL
+        psi, theta = weak_direction_pair(seed)
+        sums = []
+        original = fk.lebesgue._parallel_sum_matrix
+        monkeypatch.setattr(
+            fk.lebesgue, "_parallel_sum_matrix", lambda *args: sums.append(1) or original(*args)
+        )
+        limit = fk.parallel_sum_limit(psi, theta)
+        assert len(sums) == _LIMIT_MAX_DOUBLINGS + 1
+        # theta is definite, so the limit, the short of psi to ran theta, is psi
+        assert frob(limit - psi.matrix) <= LIMIT_STALL * frob(psi.matrix)

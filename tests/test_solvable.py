@@ -453,6 +453,46 @@ class TestDiagonalHull:
         assert np.array_equal(_bits(vector.support), _bits(matrix.support))
         assert np.array_equal(_bits(vector.points), _bits(matrix.points))
 
+    @pytest.mark.parametrize("grid", [16, 17, 360])
+    @pytest.mark.parametrize("case", sorted(_diagonal_cases()))
+    def test_prefixes_are_their_hulls(self, grid, case):
+        # one rotation of lambda for every prefix, ties and signed zeros included
+        lam = _diagonal_cases()[case]
+        sizes = list(range(1, lam.size + 1))
+        for chosen in (sizes, sizes[-1:], sizes[::3], [1, 1, lam.size, lam.size]):
+            hulls = fk.NumericalRangeHull.prefixes(lam, chosen, grid)
+            for size, hull in zip(chosen, hulls, strict=True):
+                alone = fk.NumericalRangeHull(lam[:size], grid)
+                assert np.array_equal(hull.mat, alone.mat)
+                assert np.array_equal(hull.angles, alone.angles)
+                assert np.array_equal(hull.reduced, alone.reduced)
+                assert np.array_equal(_bits(hull.support), _bits(alone.support))
+                assert np.array_equal(_bits(hull.points), _bits(alone.points))
+
+    @staticmethod
+    def _argmin_reference(lam, grid):
+        """Support values and points of diag(lam) from ``argmin``/``argmax``
+        over all of lam at once, rotated in the stack's operation order."""
+        _, reduced, index, column, sign = solvable._grid(grid)
+        rotated = np.cos(reduced)[:, None] * lam.real
+        rotated += np.sin(reduced)[:, None] * lam.imag
+        ends = np.stack([rotated.argmin(1), rotated.argmax(1)], 1)
+        values, points = np.take_along_axis(rotated, ends, 1), lam[ends] + 0.0
+        return sign * values[index, column], points[index, column]
+
+    def test_prefixes_of_random_ties(self):
+        # small integers and signed zeros tie often on the rotated rows
+        rng = np.random.default_rng(75)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            lam = rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
+            lam = lam * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            sizes = sorted(rng.integers(1, n + 1, int(rng.integers(1, 6))).tolist())
+            for size, hull in zip(sizes, fk.NumericalRangeHull.prefixes(lam, sizes, 360)):
+                support, points = self._argmin_reference(lam[:size], 360)
+                assert np.array_equal(_bits(hull.support), _bits(support))
+                assert np.array_equal(_bits(hull.points), _bits(points))
+
     def test_tiny_off_diagonal_entry_is_eigensolved(self, monkeypatch):
         mat = np.diag(_diagonal_cases()["general"])
         mat[0, 1] = 1e-300
@@ -585,6 +625,30 @@ class TestAdaptiveDecisions:
             result = fk.scalar_solvability(fk.Form(m), fk.NormGram(np.eye(n)), lam)
             assert result.status == "outside"
             assert result.distance >= grid.distance(lam) - 1e-12 * grid.scale
+
+    @pytest.mark.parametrize("lam", [0.75 + 0.75j, -1 + 1j, 0.6 - 0.6j])
+    def test_outside_an_edge_stops_when_no_angle_is_left(self, monkeypatch, lam):
+        # beyond the middle of an edge of conv{1, i, -1, -i} the margin peaks at
+        # a kink, the edge's normal, so the refinement around it narrows to
+        # HULL_ARC_FLOOR without closing the concave bound; the status then
+        # stands on the best margin, which at the normal is the exact distance
+        square = np.array([1, 1j, -1, -1j])
+        added = []
+        add = solvable.NumericalRangeHull.add
+
+        def counting(hull, angles):
+            added.append(add(hull, angles))
+            return added[-1]
+
+        monkeypatch.setattr(solvable.NumericalRangeHull, "add", counting)
+        result = fk.scalar_solvability(fk.Form(np.diag(square)), fk.NormGram(np.eye(4)), lam)
+        assert added[-1] == 0 and len(added) > 1
+        exact = min(
+            abs(lam - (a + np.clip(np.real((lam - a) / (b - a)), 0, 1) * (b - a)))
+            for a, b in zip(square, np.roll(square, -1))
+        )
+        assert result.status == "outside" and result.solvable
+        assert abs(result.distance - exact) <= 4 * np.spacing(exact)
 
 
 def _on_segment(point, ends):

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import formkit as fk
+from formkit import solvable, trunclab
 from formkit.numerics import frob
 from formkit.trunclab import LAB_HULL_GRID, MAX_POWER_BITS, _lambda_values
 
@@ -355,3 +357,85 @@ class TestConvergenceReport:
             fk.convergence_report("diag", {"lambda": "1"}, [8, 4])
         with pytest.raises(fk.ValidationError):
             fk.convergence_report("measure", {}, [2, 3])
+
+
+def _sweep_outcome(spec, sizes, rtol):
+    try:
+        return repr(fk.convergence_report("diag", {"lambda": spec}, sizes, rtol))
+    except fk.FormkitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestOneSweep:
+    """A sweep evaluates lambda once, up to its largest size, and rotates
+    those entries once for the hulls of every size."""
+
+    SIZES = [1, 2, 3, 8, 17, 48, 128]
+
+    @pytest.mark.parametrize("rtol", [1e-10, 1e-6, 1e-2, 0.5, 0.9])
+    @pytest.mark.parametrize("family", sorted(_oracle_families()))
+    def test_equals_each_size_alone(self, family, rtol):
+        spec = _oracle_families()[family]
+        rows = []
+        for size in self.SIZES:
+            alone = _sweep_outcome(spec, [size], rtol)
+            if isinstance(alone, tuple):
+                # the sweep stops at the first size that fails, with its error
+                assert _sweep_outcome(spec, self.SIZES, rtol) == alone
+                return
+            rows.append(alone[1:-1])
+        assert _sweep_outcome(spec, self.SIZES, rtol) == "[" + ", ".join(rows) + "]"
+
+    def test_rotates_the_largest_size_once(self, monkeypatch):
+        rotated = []
+        original = solvable._rotated
+
+        def recording(parts, cos, sin):
+            stack = original(parts, cos, sin)
+            rotated.append(stack.size)
+            return stack
+
+        monkeypatch.setattr(solvable, "_rotated", recording)
+        fk.convergence_report("diag", {"lambda": "n*exp(i*n)"}, [8, 16, 32, 48])
+        assert sum(rotated) == LAB_HULL_GRID // 2 * 48
+
+    def test_walks_the_expression_once(self, monkeypatch):
+        spec = "n*exp(i*n)/(1+n)"
+        kinds = (ast.BinOp, ast.Call, ast.Name, ast.Constant)
+        nodes = [node for node in ast.walk(ast.parse(spec, mode="eval")) if isinstance(node, kinds)]
+        compiled = []
+        original = trunclab._compile
+
+        def recording(node):
+            compiled.append(node)
+            return original(node)
+
+        monkeypatch.setattr(trunclab, "_compile", recording)
+        fk.convergence_report("diag", {"lambda": spec}, [8, 16, 32, 48])
+        # every node but the called name exp, each once
+        assert len(compiled) == len(nodes) - 1 == len({id(node) for node in compiled})
+
+    def test_error_path_evaluates_once(self, monkeypatch):
+        logs = []
+        monkeypatch.setitem(trunclab._FUNCTIONS, "log", lambda z: logs.append(z) or cmath.log(z))
+        with pytest.raises(fk.ValidationError, match="does not evaluate: division by zero$"):
+            fk.convergence_report("diag", {"lambda": "1/(n-20)*log(n)"}, [8, 16, 32, 64])
+        assert logs == list(range(1, 20))
+
+    def test_many_sizes_build_no_matrix(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name, value in vars(np.linalg).items():
+            if callable(value) and not isinstance(value, type):
+                monkeypatch.setattr(np.linalg, name, refused)
+        sizes = list(range(64, 4097, 64))
+        tracemalloc.start()
+        try:
+            rows = fk.convergence_report("diag", {"lambda": "n*exp(i*n)"}, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row["size"] for row in rows] == sizes
+        assert peak < 16 * 2**20
+
