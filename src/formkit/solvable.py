@@ -138,43 +138,24 @@ def _rotated(parts, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_extremes(lam: np.ndarray, reduced: np.ndarray, sizes) -> list:
-    """For each N of the ascending, positive ``sizes``, the least and largest
-    entries (columns 0 and 1) of cos(phi) Re(lambda) + sin(phi) Im(lambda)
-    over lambda[:N] at each reduced angle phi, and the entries of lambda
-    that attain them (signed zeros made positive, as the quadratic form
-    gives them). diag(lambda[:N]) is normal, so these are its extremes.
-
-    Each block of angles rotates all of lambda once, in the operation order
-    of a stack of rows. ``argmin``/``argmax`` take the first index of each
-    segment's extremes between consecutive sizes, and a running minimum over
-    the segments (maxima negated) moves on only to a strictly lower one, so
-    each prefix gets the index ``argmin``/``argmax`` over it would give,
-    ties between signed zeros included.
-    """
+    """For each N of the positive ``sizes``, the least and largest entries
+    (columns 0 and 1) of cos(phi) Re(lambda) + sin(phi) Im(lambda) over
+    lambda[:N] at each reduced angle phi, and the entries of lambda that
+    attain them (signed zeros made positive, as the quadratic form gives
+    them), the extremes of the normal diag(lambda[:N]). Each block of angles
+    rotates lambda once, in the operation order of a stack of rows, and
+    takes the ``argmin``/``argmax`` of each prefix of those rows."""
     cos, sin = np.cos(reduced), np.sin(reduced)
-    cuts = sorted(set(sizes))
-    lows = [0] + cuts[:-1]
-    offsets = np.array(lows)[:, None, None]
     parts = (lam.real, lam.imag)
 
     def block(start: int, stop: int):
         r = _rotated(parts, cos[start:stop], sin[start:stop])
-        segments = [r[:, lo:hi] for lo, hi in zip(lows, cuts)]
-        ends = np.array([[s.argmin(1), s.argmax(1)] for s in segments]) + offsets
-        rows = np.arange(stop - start)
-        if len(cuts) > 1:
-            values = r[rows, ends]
-            values[:, 1] *= -1.0
-            lower = values[1:] < np.minimum.accumulate(values, 0)[:-1]
-            latest = np.where(lower, np.arange(1, len(cuts))[:, None, None], 0)
-            ends[1:] = np.take_along_axis(ends, np.maximum.accumulate(latest, 0), 0)
-        return r[rows, ends], ends
+        ends = np.array([[r[:, :n].argmin(1), r[:, :n].argmax(1)] for n in sizes])
+        return r[np.arange(stop - start), ends], ends
 
     solved = _stacked(parts[0], reduced.size, block)
-    values = np.concatenate([v for v, _ in solved], 2)
-    ends = np.concatenate([e for _, e in solved], 2)
-    points = lam[ends] + 0.0
-    return [(values[k].T, points[k].T) for k in map(cuts.index, sizes)]
+    values, ends = (np.concatenate(pieces, 2) for pieces in zip(*solved))
+    return [(v.T, p.T) for v, p in zip(values, lam[ends] + 0.0)]
 
 
 def _grid(m: int):
@@ -261,9 +242,9 @@ class NumericalRangeHull:
 
     @classmethod
     def prefixes(cls, lam: np.ndarray, sizes, m: int = DEFAULT_HULL_GRID) -> list:
-        """The hulls of diag(lam[:N]) for each N of the ascending, positive
-        ``sizes``, from one rotation of lam (``_diagonal_extremes``): each
-        is ``NumericalRangeHull(lam[:N], m)`` bit for bit."""
+        """The hulls of diag(lam[:N]) for each N of the positive ``sizes``,
+        each ``NumericalRangeHull(lam[:N], m)`` bit for bit, in
+        O(m len(lam) + m sum of N) (``_diagonal_extremes``)."""
         lam = np.asarray(lam, dtype=complex)
         grid = _grid(m)
         hulls = []
@@ -315,9 +296,14 @@ class NumericalRangeHull:
         return float(clamped) if clamped.ndim == 0 else clamped
 
     def area(self) -> float:
-        """Shoelace area of the polygon of boundary points."""
-        x, y = self.points.real, self.points.imag
-        return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2)
+        """Shoelace area of the polygon of boundary points p: summed without overflow
+        on p 2^-e, where max |p| 2^-e is in [1/2, 1) (e >= -1021), then times 2^(2e)."""
+        e = max(int(np.frexp(np.abs(self.points).max())[1]), -1021)
+        scaled = self.points * 2.0**-e
+        x, y = scaled.real, scaled.imag
+        shoelace = abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(shoelace, 2 * e))
 
     def add(self, angles) -> int:
         """Solve at the given angles, in priority order, that lie farther than

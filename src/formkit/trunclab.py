@@ -280,10 +280,10 @@ def convergence_report(
     the system normalized by the Gram I + psi, whose singular values are
     |lambda_j - probe| / (1 + |lambda_j|). The ``lambda`` expression is
     compiled once and evaluated once, up to the largest size N_max, and one
-    rotation of those entries gives the hull of every size
-    (``NumericalRangeHull.prefixes``), so a sweep costs
-    O(``LAB_HULL_GRID`` N_max + sum of N), and no N x N matrix is built. The
-    rows equal those of each size swept alone, bit for bit, and the dense
+    rotation of those entries serves the hull of every size
+    (``NumericalRangeHull.prefixes``): a sweep costs O(``LAB_HULL_GRID``
+    sum of N) comparisons, and no N x N matrix is built. The rows equal
+    those of each size swept alone, bit for bit, and the dense
     ``diag_family``, ``sectorial_parameters``, ``NormGram`` and
     ``represent_operator`` give the same rows, to within a few ulps.
 
@@ -310,7 +310,8 @@ def convergence_report(
             failure = exc
             break
     if entries:
-        rows = _diagonal_rows(entries[-1], [lam.size for lam in entries], rtol)
+        hulls = NumericalRangeHull.prefixes(entries[-1], sizes[: len(entries)], LAB_HULL_GRID)
+        rows = [_diagonal_row(lam, hull, rtol) for lam, hull in zip(entries, hulls)]
     if failure is not None:
         raise failure
     return rows
@@ -326,35 +327,12 @@ def _diagonal_entries(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _diagonal_rows(lam: np.ndarray, sizes: list[int], rtol: float) -> list[dict]:
-    """The ``convergence_report`` rows of the prefixes lam[:N], N in sizes.
-
-    What does not depend on a size's delta or probe is read off the largest
-    size once: the hulls of every prefix from one rotation, the scale
-    max(1, max_j |lambda_j|) and the sector frontier from running extremes,
-    and the elementwise Gram root (1 + |lambda_j|)^(-1/2).
-    """
+def _diagonal_row(lam: np.ndarray, hull: NumericalRangeHull, rtol: float) -> dict:
+    """One ``convergence_report`` row: lam = lambda[:N] with its hull."""
     psi = np.abs(lam)
-    scale = np.maximum.accumulate(psi)
+    scale = max(1.0, float(psi.max()))
     re, im = lam.real, lam.imag
-    frontier = np.minimum(
-        *(np.minimum.accumulate(re + sign * im / SECTOR_SLOPE_CAP) for sign in (1.0, -1.0))
-    )
-    root = 1.0 / np.sqrt(1.0 + psi)
-    hulls = NumericalRangeHull.prefixes(lam, sizes, LAB_HULL_GRID)
-    return [
-        _diagonal_row(
-            lam[:size], hull, max(1.0, float(scale[size - 1])), float(frontier[size - 1]),
-            root[:size], rtol,
-        )
-        for size, hull in zip(sizes, hulls)
-    ]
-
-
-def _diagonal_row(lam, hull, scale, frontier, root, rtol) -> dict:
-    """One ``convergence_report`` row: lam = lambda[:N] with its hull, scale,
-    sector frontier and Gram root (``_diagonal_rows``)."""
-    re, im = lam.real, lam.imag
+    frontier = min(float((re + sign * im / SECTOR_SLOPE_CAP).min()) for sign in (1.0, -1.0))
     delta = frontier - MEMBERSHIP_SLACK * scale
     base = re - delta
     keep = rank_cut(base, rtol)
@@ -371,6 +349,7 @@ def _diagonal_row(lam, hull, scale, frontier, root, rtol) -> dict:
     # beyond the least supporting half-plane: outside by at least the gap
     probe = complex((hull.support[direction] + gap) * np.exp(1j * angle))
     shifted = lam - probe
+    root = 1.0 / np.sqrt(1.0 + psi)
     normalized = np.abs(shifted * root * root)  # G^(-1/2) (omega - probe) G^(-1/2)
     c1, c2 = float(normalized.min()), float(normalized.max())
     if not (c2 > 0 and c1 > rtol * c2):

@@ -80,6 +80,15 @@ class TestNumericalRangeHull:
         for z in ends:
             assert hull.distance(z) <= 1e-9
 
+    def test_area_scales_with_no_overflow(self):
+        # the products of the shoelace would overflow at 2^510 |lambda|
+        n = np.arange(1, 5)
+        lam = n * np.exp(1j * n)
+        area = fk.NumericalRangeHull(lam, 360).area()
+        assert area > 0
+        assert fk.NumericalRangeHull(2.0**510 * lam, 360).area() == 2.0**1020 * area
+        assert fk.NumericalRangeHull(np.array([1e154 + 0j]), 360).area() == 0.0
+
     def test_grid_minimum(self):
         with pytest.raises(ValueError):
             fk.numerical_range_hull(fk.Form(np.eye(2)), 8)
@@ -271,13 +280,21 @@ class TestSupportFunction:
 
     def test_pooled_thread_solves_a_longer_share_after_a_shorter(self, monkeypatch):
         # grid 100 at n = 32: k = 3 cuts the 100 solves into shares of 33, 33
-        # and 34, each one block of at most 42; a one-thread pool solves the
-        # two pooled shares in turn, the longer second
+        # and 34, each one block of at most 42; the caller solves the first
+        # and a one-thread pool the two others in turn, the longer second.
+        # The caller and the pool run at once, so shapes are kept per thread.
         from concurrent.futures import ThreadPoolExecutor
 
         big = fk.Form(complex_randn(np.random.default_rng(66), 32, 32))
         serial = fk.numerical_range_hull(big, 100)
-        solves = self._record(monkeypatch, "solve")
+        solves = {}
+        original = np.linalg.solve
+
+        def recording(a, *args, **kwargs):
+            solves.setdefault(threading.current_thread(), []).append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
         pool = ThreadPoolExecutor(1)
         monkeypatch.setattr(numerics, "_pool", (os.getpid(), pool))
         monkeypatch.setattr(numerics, "blas_workers", lambda: 3)
@@ -285,7 +302,9 @@ class TestSupportFunction:
             hull = fk.numerical_range_hull(big, 100)
         finally:
             pool.shutdown()
-        assert solves == [(33, 32, 32), (33, 32, 32), (34, 32, 32)]
+        caller = solves.pop(threading.current_thread())
+        assert caller == [(33, 32, 32)]
+        assert list(solves.values()) == [[(33, 32, 32), (34, 32, 32)]]
         assert np.array_equal(hull.support, serial.support)
         assert np.array_equal(hull.points, serial.points)
 

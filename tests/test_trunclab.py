@@ -366,6 +366,19 @@ def _sweep_outcome(spec, sizes, rtol):
         return type(exc).__name__, str(exc)
 
 
+def _each_alone(spec, sizes, rtol):
+    """The outcome of a sweep over ``sizes`` as each size swept alone gives
+    it: their rows, or the error of the first size that fails, since the
+    sweep stops there."""
+    rows = []
+    for size in sizes:
+        alone = _sweep_outcome(spec, [size], rtol)
+        if isinstance(alone, tuple):
+            return alone
+        rows.append(alone[1:-1])
+    return "[" + ", ".join(rows) + "]"
+
+
 class TestOneSweep:
     """A sweep evaluates lambda once, up to its largest size, and rotates
     those entries once for the hulls of every size."""
@@ -376,15 +389,9 @@ class TestOneSweep:
     @pytest.mark.parametrize("family", sorted(_oracle_families()))
     def test_equals_each_size_alone(self, family, rtol):
         spec = _oracle_families()[family]
-        rows = []
-        for size in self.SIZES:
-            alone = _sweep_outcome(spec, [size], rtol)
-            if isinstance(alone, tuple):
-                # the sweep stops at the first size that fails, with its error
-                assert _sweep_outcome(spec, self.SIZES, rtol) == alone
-                return
-            rows.append(alone[1:-1])
-        assert _sweep_outcome(spec, self.SIZES, rtol) == "[" + ", ".join(rows) + "]"
+        # a repeated size gives the row of that size swept alone, each time
+        for sizes in (self.SIZES, [1, 8, 8, 48]):
+            assert _sweep_outcome(spec, sizes, rtol) == _each_alone(spec, sizes, rtol)
 
     def test_rotates_the_largest_size_once(self, monkeypatch):
         rotated = []

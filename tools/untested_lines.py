@@ -6,7 +6,8 @@ that records only frames whose code lives in ``src/formkit``. The
 executable lines are those of every code object the compiled sources hold
 (``co_lines``), less the statements marked ``# pragma: no cover``.
 Standard library only, besides pytest itself; extra arguments go to
-pytest. Run from anywhere:
+pytest. It exits with pytest's code, or 1 when the tests passed but some
+executable line never ran. Run from anywhere:
 
     python tools/untested_lines.py
 """
@@ -81,7 +82,7 @@ def main() -> int:
     for line in missed:
         print(line)
     print(f"{len(missed)} executable lines of src/formkit never ran")
-    return code
+    return code or int(bool(missed))
 
 
 if __name__ == "__main__":
