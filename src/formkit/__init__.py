@@ -48,7 +48,6 @@ from .numerics import (
     HermEig,
     hermitian_eig,
     pinv,
-    psd_sqrt,
 )
 from .regularity import (
     Membership,
@@ -119,7 +118,6 @@ __all__ = [
     "HermEig",
     "hermitian_eig",
     "pinv",
-    "psd_sqrt",
     "Membership",
     "RNRepresentation",
     "SectorialityCertificate",

@@ -218,7 +218,7 @@ def parse_instance(path, rank_tol: float = DEFAULT_RANK_TOL) -> Instance:
             if "psi" in doc:
                 psi = _positive(decode_matrix(doc["psi"], n, "psi"), "psi", rank_tol)
             else:
-                psi = canonical_majorant(omega.matrix, rank_tol)
+                psi = canonical_majorant(omega.matrix)
         # after the majorant, which refuses such an omega in its own words
         finite_norm(omega.matrix, "omega")
         if "norm_gram" in doc:
@@ -389,10 +389,11 @@ def _base_report(command: str, instance: Optional[Instance], args) -> dict:
     return report
 
 
-def _margin(value: float):
-    """A membership margin as reported: null for the -inf of a kernel
-    obstruction, which strict JSON cannot hold."""
-    return None if value == float("-inf") else float(value)
+def _finite(value: float):
+    """A float as reported: null where it is not finite (the -inf margin of
+    a kernel obstruction, an overflowing residual), which strict JSON cannot
+    hold."""
+    return float(value) if np.isfinite(value) else None
 
 
 def _part_extremes(part: np.ndarray) -> list:
@@ -417,7 +418,7 @@ def _cmd_inspect(instance: Instance, args, report: dict) -> None:
             "theta_rank": quotient_embedding(theta, args.tol_rank).rank,
             "psi_rank": quotient_embedding(psi, args.tol_rank).rank,
             "psi_majorizes_omega": bool(member),
-            "membership_margin": _margin(margin),
+            "membership_margin": _finite(margin),
             "instance_sha256": instance_sha256(instance),
         }
     )
@@ -426,7 +427,7 @@ def _cmd_inspect(instance: Instance, args, report: dict) -> None:
 def _cmd_membership(instance: Instance, args, report: dict) -> None:
     verdict = reg.membership(instance.omega, instance.psi, args.tol_rank)
     report["member"] = verdict.member
-    report["margin"] = _margin(verdict.margin)
+    report["margin"] = _finite(verdict.margin)
     if verdict.failure is None:
         report["quadratic_bound"] = {
             "holds": True,
@@ -463,8 +464,9 @@ def _cmd_represent(instance: Instance, args, report: dict) -> None:
     middle = reg.kato_S(rep)
     residuals = reg.representation_residuals(rep, instance.omega, instance.psi)
     scale = rep.core.scale
-    kato_matrix = rep.core.theta_embedding.from_quotient(scale @ middle @ scale)
-    kato_residual = relative(frob(kato_matrix - instance.omega.matrix), frob(instance.omega.matrix))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kato_matrix = rep.core.theta_embedding.from_quotient(scale @ middle @ scale)
+        kato_residual = relative(frob(kato_matrix - instance.omega.matrix), frob(instance.omega.matrix))
     report.update(
         {
             "H": encode_matrix(scale),
@@ -472,7 +474,7 @@ def _cmd_represent(instance: Instance, args, report: dict) -> None:
             "S": encode_matrix(middle),
             "S_norm": specnorm(middle),
             "residuals": residuals,
-            "kato_residual": float(kato_residual),
+            "kato_residual": _finite(kato_residual),
         }
     )
 
@@ -496,7 +498,7 @@ def _cmd_decompose(instance: Instance, args, report: dict) -> None:
             ),
             "regular_certificate": {
                 "majorant_member": bool(cert_member),
-                "margin": _margin(cert_margin),
+                "margin": _finite(cert_margin),
                 "absolutely_continuous": bool(
                     reg.is_absolutely_continuous(majorant, instance.theta, args.tol_rank)
                 ),

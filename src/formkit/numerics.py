@@ -1,7 +1,7 @@
 """Dense complex-matrix primitives with explicit tolerance contracts.
 
-Everything downstream is built from three operations: a Hermitian
-eigendecomposition, the PSD square root and a thresholded Moore-Penrose
+Everything downstream is built from two operations: a Hermitian
+eigendecomposition and, for the parallel sums, a thresholded Moore-Penrose
 pseudoinverse. Every rank decision goes through ``rank_cut`` with one
 relative threshold (``DEFAULT_RANK_TOL``, overridable per call) and every
 PSD check through ``psd_eig``, so that compositions of these primitives
@@ -161,19 +161,6 @@ def psd_eig(m, tol: float = DEFAULT_RANK_TOL) -> HermEig:
         if eig.values[0] < -tol * max(top, 1e-300):
             raise NotPSD(f"matrix is not PSD: min eigenvalue {eig.values[0]:.6e} (max {top:.6e})")
     return eig
-
-
-def psd_sqrt(m, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
-
-    Eigenvalues at least ``-rtol * max_eigenvalue`` are clamped to zero;
-    anything more negative raises NotPSD.
-    """
-    eig = psd_eig(m, rtol)
-    if eig.values.size == 0:
-        return np.zeros_like(as_matrix(m))
-    roots = np.sqrt(np.clip(eig.values, 0.0, None))
-    return hermitize((eig.vectors * roots) @ eig.vectors.conj().T)
 
 
 def pinv(m, rtol: float = DEFAULT_RANK_TOL) -> np.ndarray:

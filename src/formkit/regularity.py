@@ -54,8 +54,6 @@ from .numerics import (
     hermitian_eig,
     hermitize,
     min_eig_herm,
-    pinv,
-    psd_sqrt,
     rank_cut,
     relative,
     specnorm,
@@ -165,26 +163,26 @@ def membership(omega: Form, psi: PositiveForm, rtol: float = DEFAULT_RANK_TOL) -
     return Membership(member, margin, eps, None if failure else lower, failure)
 
 
-def canonical_majorant(t, rtol: float = DEFAULT_RANK_TOL) -> PositiveForm:
+def canonical_majorant(t) -> PositiveForm:
     """Majorant built from the polar decomposition of an operator.
 
-    With t = u h polar (h PSD, u a partial isometry vanishing on ker h),
-    the form with matrix I + h + u h u^H majorizes the form of t.
+    With t = U S V^H its singular value decomposition, |t| = V S V^H and
+    |t^H| = U S U^H, and the form with matrix I + |t| + |t^H| majorizes the
+    form of t (N. J. Higham, *Functions of Matrices*, SIAM, 2008, sec. 8.1).
 
     Raises:
-        ValidationError: if t^H t, its Hermitian sum or its Frobenius norm
-            (which ``psd_sqrt`` forms) overflows the float range.
+        ValidationError: if the majorant's Frobenius norm overflows the
+            float range.
     """
     t = as_matrix(t)
+    u, s, vh = np.linalg.svd(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = t.conj().T @ t
-        finite = np.isfinite(gram + gram.conj().T).all() and np.isfinite(frob(gram))
+        mat = np.eye(t.shape[0]) + (vh.conj().T * s) @ vh + (u * s) @ u.conj().T
+        finite = np.isfinite(frob(mat))
     if not finite:
-        raise ValidationError("omega is too large for its canonical majorant: t^H t overflows")
-    h = psd_sqrt(gram, rtol)
-    u = t @ pinv(h, rtol)
-    n = t.shape[0]
-    mat = np.eye(n, dtype=complex) + h + u @ h @ u.conj().T
+        raise ValidationError(
+            "omega is too large for its canonical majorant: its Frobenius norm overflows"
+        )
     return PositiveForm(hermitize(mat))
 
 

@@ -20,10 +20,10 @@ from .forms import Form, PositiveForm, identity_form
 from .numerics import (
     DEFAULT_RANK_TOL,
     MEMBERSHIP_SLACK,
+    HermEig,
     as_matrix,
     finite_norm,
     hermitize,
-    psd_sqrt,
     rank_cut,
 )
 from .regularity import SECTOR_SLOPE_CAP
@@ -119,7 +119,10 @@ def operator_pair_family(s_mat, t_mat, provenance: str = "operator_pair") -> Ins
         raise ValidationError("S and T are too large: T^H S or S^H S + T^H T overflows")
     omega = Form(product)
     psi = PositiveForm(hermitize(gram))
-    extras = {"H": psd_sqrt(psi.matrix)}
+    # psi >= I, yet past a top of about 1e16 an eigenvalue 1 can round below
+    # 0, which the PSD check admits: its root is taken as 0
+    root = HermEig(np.sqrt(np.clip(psi.eig.values, 0.0, None)), psi.eig.vectors)
+    extras = {"H": hermitize(root.reconstruct())}
     return Instance(
         omega=omega,
         theta=identity_form(n),

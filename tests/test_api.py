@@ -16,6 +16,7 @@ LIBRARY_ONLY = {
     "lebesgue.parallel_sum": "criterion 03",
     "lebesgue.parallel_sum_limit": "criterion 03",
     "lebesgue.positive_lebesgue": "criterion 03",
+    "numerics.pinv": "parallel_sum's route for a singular sum (criterion 03)",
     "regularity.SectorialityCertificate": "returned by sectorial_parameters (criterion 06)",
     "regularity.dominated_sequence": "criterion 09",
     "regularity.dominated_sequence_stabilization": "criterion 09",

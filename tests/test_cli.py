@@ -403,6 +403,24 @@ class TestRoundTrip:
         assert np.array_equal(parsed.theta.matrix, inst.theta.matrix)
         assert np.array_equal(parsed.psi.matrix, inst.psi.matrix)
 
+    def test_large_omega_without_psi_matches_its_twin(self, tmp_path, capsys):
+        # an omega near 1e100 without psi gives every command the report of
+        # the document that writes its canonical majorant out
+        rng = np.random.default_rng(71)
+        t = 1e100 * complex_randn(rng, 3, 3)
+        bare, twin = tmp_path / "bare", tmp_path / "twin"
+        bare.mkdir()
+        twin.mkdir()
+        path = write(bare, "big.json", {"n": 3, "omega": encode_matrix(t).tolist()})
+        (twin / "big.json").write_text(emit_instance(parse_instance(path)), encoding="utf-8")
+        for command in [name for name in cli.COMMANDS if name != "lab"]:
+            reports = []
+            for folder in (bare, twin):
+                code = main([command, str(folder / "big.json"), "--json"])
+                reports.append((code, capsys.readouterr().out))
+            assert reports[0] == reports[1], command
+            assert reports[0][0] != 1, command
+
 
 class TestCommands:
     def test_decompose_hand_case(self, tmp_path, capsys):
@@ -783,9 +801,11 @@ class TestCommands:
 
     def test_overflowing_canonical_majorant_is_an_error(self, tmp_path, capsys):
         path = write(tmp_path, "big.json", {"n": 1, "omega": [[1e200]]})
-        assert main(["inspect", path]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inspect", path]) == 1
         assert capsys.readouterr().err == (
-            "error: omega is too large for its canonical majorant: t^H t overflows\n"
+            "error: omega is too large for its canonical majorant: its Frobenius norm overflows\n"
         )
 
     @pytest.mark.parametrize(
@@ -865,12 +885,11 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["inspect", "decompose"])
     def test_lapack_breakdown_is_an_error(self, tmp_path, capsys, command):
-        # t^H t = 1e308 is finite, but m + m^H overflows on the way to the
-        # canonical majorant, where LAPACK's SVD used to break down; the
-        # overflow guard now refuses the input first, without a warning
+        # the canonical majorant 1 + 2e154 is finite, but its Frobenius norm
+        # overflows, and the guard refuses the input without a warning
         bad = write(tmp_path, "a.json", {"n": 1, "omega": [[1e154]]})
         write(tmp_path, "b.json", {"n": 1, "omega": [[[2, 0]]]})
-        message = "error: omega is too large for its canonical majorant: t^H t overflows"
+        message = "error: omega is too large for its canonical majorant: its Frobenius norm overflows"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([command, bad]) == 1
@@ -968,6 +987,24 @@ class TestCommands:
             captured = capsys.readouterr()
             assert captured.err.startswith(f"error: {flag} must be")
             assert captured.out == ""
+
+    def test_overflowing_kato_residual_is_null(self, tmp_path, capsys):
+        # at |omega| ~ 1e150 the recombination h S h of the Kato form loses
+        # every digit and its residual overflows: strict JSON holds null there
+        rng = np.random.default_rng(0)
+        t = 1e150 * complex_randn(rng, 3, 3)
+        u, s, vh = np.linalg.svd(t)
+        psi = np.eye(3) + (vh.conj().T * s) @ vh + (u * s) @ u.conj().T
+        path = write(
+            tmp_path,
+            "big.json",
+            {"n": 3, "omega": encode_matrix(t).tolist(), "psi": encode_matrix(psi).tolist()},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["represent", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert doc["kato_residual"] is None
 
     def test_batch_mode(self, tmp_path, capsys):
         write(tmp_path, "a.json", {"n": 1, "omega": [[[1, 0]]]})

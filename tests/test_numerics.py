@@ -45,6 +45,7 @@ class TestHermitianEig:
     def test_zero_matrix(self):
         eig = fk.hermitian_eig(np.zeros((3, 3)))
         assert np.all(eig.values == 0)
+        assert numerics.min_eig_herm(np.zeros((0, 0))) == 0.0
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(fk.NotHermitian):
@@ -57,47 +58,6 @@ class TestHermitianEig:
             eig = fk.hermitian_eig(m)
             assert frob(eig.reconstruct() - m) <= 1e-11 * frob(m)
             assert frob(eig.vectors.conj().T @ eig.vectors - np.eye(n)) <= 1e-12 * n
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(fk.psd_sqrt(np.eye(3)), np.eye(3), atol=1e-15)
-
-    def test_diagonal(self):
-        assert np.allclose(fk.psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]))
-
-    def test_two_by_two(self):
-        # eigenpairs by hand: 1 on (1,-1)/sqrt2, 3 on (1,1)/sqrt2
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        expected = np.array(
-            [
-                [(1 + np.sqrt(3)) / 2, (np.sqrt(3) - 1) / 2],
-                [(np.sqrt(3) - 1) / 2, (1 + np.sqrt(3)) / 2],
-            ]
-        )
-        root = fk.psd_sqrt(m)
-        assert np.allclose(root, expected, atol=1e-14)
-        assert frob(root @ root - m) <= 1e-10 * frob(m)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(fk.NotPSD):
-            fk.psd_sqrt(np.diag([1.0, -1.0]))
-
-    def test_empty(self):
-        assert fk.psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
-        assert numerics.min_eig_herm(np.zeros((0, 0))) == 0.0
-
-    def test_monotone_on_commuting_pairs(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            n = int(rng.integers(1, 7))
-            u = random_unitary(rng, n)
-            a_vals = rng.uniform(0.0, 2.0, n)
-            b_vals = a_vals + rng.uniform(0.0, 2.0, n)
-            a = (u * a_vals) @ u.conj().T
-            b = (u * b_vals) @ u.conj().T
-            diff = fk.psd_sqrt(hermitize(b)) - fk.psd_sqrt(hermitize(a))
-            assert np.linalg.eigvalsh(hermitize(diff))[0] >= -1e-10
 
 
 class TestPinv:

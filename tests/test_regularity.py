@@ -288,6 +288,17 @@ class TestAbsoluteContinuity:
         assert fk.is_absolutely_continuous(psi, theta)
 
 
+def graded_operator(n, top, seed):
+    """U diag(geomspace(top, 1e-3, n)) W^H with U and W the Q factors of
+    complex Gaussian matrices drawn in that order from ``seed``."""
+    rng = np.random.default_rng(seed)
+    u, w = (
+        np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        for _ in range(2)
+    )
+    return (u * np.geomspace(top, 1e-3, n)) @ w.conj().T
+
+
 class TestCanonicalMajorant:
     def test_zero_operator(self):
         assert np.array_equal(fk.canonical_majorant(np.zeros((2, 2))).matrix, np.eye(2))
@@ -326,6 +337,21 @@ class TestCanonicalMajorant:
             t = (random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T
             member, _ = fk.in_class_M(fk.Form(t), fk.canonical_majorant(t))
             assert member, (n, kappa)
+        # singular values from top in [1e9, 1e12] down to 1e-3: a rank cut at
+        # the default tolerance would drop the small ones
+        for n in (4, 6, 8):
+            for top in (1e9, 1e10, 1e11, 1e12):
+                for seed in range(100):
+                    t = graded_operator(n, top, seed)
+                    member, margin = fk.in_class_M(fk.Form(t), fk.canonical_majorant(t))
+                    assert member, (n, top, seed, margin)
+
+    def test_quadratic_bound_holds_ill_conditioned(self):
+        # |<t xi, xi>| <= <|t| xi, xi>^(1/2) <|t^H| xi, xi>^(1/2) <= psi(xi, xi) / 2
+        for seed in range(10):
+            t = graded_operator(4, 1e10, seed)
+            verdict = fk.membership(fk.Form(t), fk.canonical_majorant(t))
+            assert verdict.quadratic_norm <= 0.5 * (1 + 1e-9), seed
 
 
 class TestRadonNikodym:

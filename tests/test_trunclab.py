@@ -1,6 +1,7 @@
 import ast
 import cmath
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ class TestOperatorPairFamily:
             h = inst.extras["H"]
             low = vectors[:, :3]
             assert np.allclose(low.conj().T @ h @ h @ low, np.diag(values[:3]), rtol=0, atol=1e-6)
+
+    def test_root_of_an_eigenvalue_rounded_below_zero(self):
+        # psi = I + 2 r^H r has top 2.4e16, so its eigenvalues 1 carry a
+        # rounding error near 10 and may come out negative (about -0.23 under
+        # OpenBLAS); their root is 0, without a warning
+        r = 1e7 * np.outer(np.arange(1, 5), np.ones(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = fk.operator_pair_family(r, r)
+        assert np.isfinite(inst.extras["H"]).all()
 
 
 class TestHullNesting:
